@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import (Cover, IntervalSet, intersect, lebesgue, mesh_cover,
+from .intervals import (Cover, IntervalSet, intersect, mesh_cover,
                         normalize, union_many)
 from .sequences import log_weight
 
@@ -79,16 +79,23 @@ def _linear_solution(coef: float, shift: float, eps: float) -> IntervalSet:
     return normalize(((centers - eps) / coef, (centers + eps) / coef))
 
 
-def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
-    """Exact set where both forms are within (eta, xi) of integers.
+def _factor_set(coef: float, shift: float, eps: float) -> IntervalSet:
+    """{x in [0,1] : ||coef*x + shift|| < eps} for eps > 0.
 
-    A threshold at or above 1/2 makes its condition vacuous (the distance
-    never exceeds 1/2) and that factor degenerates to [0,1].
+    A threshold at or above 1/2 makes the condition vacuous (the distance
+    never exceeds 1/2), so the set is all of [0,1].  NaN is rejected.
     """
+    if math.isnan(eps):
+        raise ValueError(f"threshold must be a number, got {eps}")
+    return IntervalSet.full() if eps >= 0.5 else _linear_solution(coef, shift, eps)
+
+
+def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
+    """Exact set where both forms are within (eta, xi) of integers."""
     if eta <= 0.0 or xi <= 0.0:
         return IntervalSet.empty()
-    x_part = IntervalSet.full() if eta >= 0.5 else _linear_solution(p.a, p.c, eta)
-    y_part = IntervalSet.full() if xi >= 0.5 else _linear_solution(p.b, p.d, xi)
+    x_part = _factor_set(p.a, p.c, eta)
+    y_part = _factor_set(p.b, p.d, xi)
     if eta >= 0.5:
         return y_part
     if xi >= 0.5:
@@ -187,6 +194,16 @@ def _product_pieces(p: FracParams, delta: float,
         yield plo[keep], phi[keep]
 
 
+def _solve_product(p: FracParams, delta: float, constraint: str | None = None,
+                   cap: int | None = None) -> IntervalSet:
+    """Normalized union of all pieces `_product_pieces` streams."""
+    chunks = list(_product_pieces(p, delta, constraint=constraint, cap=cap))
+    if not chunks:
+        return IntervalSet.empty()
+    return normalize((np.concatenate([c[0] for c in chunks]),
+                      np.concatenate([c[1] for c in chunks])))
+
+
 def product_set(p: FracParams, delta: float,
                 cap: int | None = None) -> IntervalSet:
     """Exact set where the product of the two distances is below delta**2.
@@ -194,18 +211,13 @@ def product_set(p: FracParams, delta: float,
     For delta > 1/2 the product never reaches delta**2 apart from a finite
     set of points, so the result is all of [0,1].
     """
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be a nonnegative number, got {delta}")
     if delta == 0.0:
         return IntervalSet.empty()
     if delta > 0.5:
         return IntervalSet.full()
-    chunks = list(_product_pieces(p, delta, cap=cap))
-    if not chunks:
-        return IntervalSet.empty()
-    los = np.concatenate([c[0] for c in chunks])
-    his = np.concatenate([c[1] for c in chunks])
-    return normalize((los, his))
+    return _solve_product(p, delta, cap=cap)
 
 
 @dataclass
@@ -233,18 +245,10 @@ def decompose_product_set(p: FracParams, delta: float,
     """Exact core/remainder split of product_set(delta) for delta in (0, 1/2]."""
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-
-    def solve(constraint):
-        chunks = list(_product_pieces(p, delta, constraint=constraint, cap=cap))
-        if not chunks:
-            return IntervalSet.empty()
-        return normalize((np.concatenate([c[0] for c in chunks]),
-                          np.concatenate([c[1] for c in chunks])))
-
     return ProductDecomposition(
         simultaneous=simultaneous_set(p, delta, delta),
-        first_far=solve("first"),
-        second_far=solve("second"),
+        first_far=_solve_product(p, delta, "first", cap),
+        second_far=_solve_product(p, delta, "second", cap),
     )
 
 
@@ -294,7 +298,9 @@ class AnnulusCoverCost:
     second_far: list[tuple[int, float]]
 
     def premeasure(self, s: float) -> float:
-        """Total s-cost sum(count * (mesh/2)**s) of all pieces."""
+        """Total s-cost sum(count * (mesh/2)**s) of all pieces, s in (0, 1]."""
+        if not 0.0 < s <= 1.0:
+            raise ValueError(f"s must be in (0, 1], got {s}")
         total = self.core[0] * (self.core[1] / 2.0) ** s
         for count, mesh in self.first_far + self.second_far:
             total += count * (mesh / 2.0) ** s
@@ -342,7 +348,3 @@ def measure_bound(p: FracParams, delta: float) -> float:
     L = p.weight()
     return (delta * delta * L * refined_log(1.0 / delta)
             + math.sqrt(p.a / p.b) * delta * L)
-
-
-def product_set_measure(p: FracParams, delta: float, cap: int | None = None) -> float:
-    return lebesgue(product_set(p, delta, cap=cap))

@@ -145,11 +145,11 @@ def _cmd_count(args) -> int:
     p = _frac_params(args)
     _require(args, "eta", "xi")
     eta, xi = float(args.eta), float(args.xi)
-    n = count_near_pairs(p, eta, xi)
     if args.integer_bound:
         n, ratio = count_integer_bound(p, eta, xi)
         bound = p.b * eta + math.gcd(int(p.a), int(p.b))
     else:
+        n = count_near_pairs(p, eta, xi)
         bound = (p.b * eta + p.a) * p.weight()
         ratio = n / bound
     print(f"count:  {n}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx_sets import FracParams, _product_pieces, product_set
-from .intervals import IntervalSet, box_count, union_many
+from .intervals import IntervalSet, _check_dyadic, union_many
 from .sequences import (PsiSpec, SequenceSpec, eval_psi, eval_sequence,
                         refined_log, sequence_gcd)
 
@@ -494,9 +494,7 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
     if len(scales) < 4:
         raise ValueError("need at least 4 scales")
     for t in scales:
-        mant, _ = math.frexp(t)
-        if not (0.0 < t <= 1.0 and mant == 0.5):
-            raise ValueError(f"scales must be dyadic 2**-k, got {t}")
+        _check_dyadic(t)
     finest = scales[0]
     nbox = round(1.0 / finest)
     diff = np.zeros(nbox + 1, dtype=np.int64)
@@ -531,8 +529,3 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
     slope, stderr = _fit_slope(scales, counts)
     return BoxDimEstimate(slope=slope, stderr=stderr,
                           scales=tuple(scales), counts=tuple(counts))
-
-
-def box_counts_of(x: IntervalSet, scales) -> list[int]:
-    """box_count at each scale, for materialized sets."""
-    return [box_count(x, t) for t in scales]

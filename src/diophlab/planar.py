@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx_sets import FracParams, _linear_solution, dist_nearest_int, dyadic_annuli
+from .approx_sets import FracParams, _factor_set, dist_nearest_int, dyadic_annuli
 from .intervals import IntervalSet, lebesgue
 
 _MC_BLOCK = 1 << 20
@@ -48,9 +48,7 @@ def product_rectangle_set(p: FracParams, eta: float, xi: float) -> BoxSet:
     """Exact {(x,y) : ||a x + c|| < eta, ||b y + d|| < xi} as a box product."""
     if eta <= 0.0 or xi <= 0.0:
         return BoxSet(IntervalSet.empty(), IntervalSet.empty())
-    x_set = IntervalSet.full() if eta >= 0.5 else _linear_solution(p.a, p.c, eta)
-    y_set = IntervalSet.full() if xi >= 0.5 else _linear_solution(p.b, p.d, xi)
-    return BoxSet(x_set, y_set)
+    return BoxSet(_factor_set(p.a, p.c, eta), _factor_set(p.b, p.d, xi))
 
 
 @dataclass

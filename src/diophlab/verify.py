@@ -5,6 +5,10 @@ an exact property (zero violations allowed) or records bound ratios whose
 statistics are reported without a pass/fail threshold.  Reports are fully
 determined by (seed, config, code version); runtimes are printed, never
 written into the report, so repeated runs are byte-identical.
+
+The checks form one table: each row holds a check id, its kind, the
+property it is wired to, a sampler that draws one instance from a numpy
+Generator, and an evaluator that returns the instance's record.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,15 @@ from .sequences import PsiSpec, SequenceSpec
 
 SCHEMA_VERSION = 1
 
+# Sampling ranges.  b is log-uniform over [a, B_MAX] so both the unit-weight
+# and the log-heavy regimes are exercised; delta is log-uniform over DELTA.
+A_MAX = 100.0
+B_MAX = 1e6
+SHIFT = (-2.0, 2.0)
+DELTA = (1e-4, 0.5)
+# exponents at which the premeasure checks compare cover costs with bounds
+S_VALUES = (0.3, 0.5, 0.7, 0.9)
+
 
 class CheckFailure(RuntimeError):
     """An exact check found a violating instance."""
@@ -48,29 +62,18 @@ class CheckFailure(RuntimeError):
 
 @dataclass
 class InstanceDistribution:
-    """Sampling ranges for randomized instances.
+    """Instances drawn per check, and the campaign seed.
 
-    b is log-uniform over [a, b_max] so both the unit-weight and the
-    log-heavy regimes are exercised; delta is log-uniform over its range.
+    The ranges the instances are drawn from are the module constants
+    A_MAX, B_MAX, SHIFT and DELTA.
     """
 
     count: int = 100
     seed: int = 0
-    a_max: float = 100.0
-    b_max: float = 1e6
-    shift_lo: float = -2.0
-    shift_hi: float = 2.0
-    delta_lo: float = 1e-4
-    delta_hi: float = 0.5
-    s_values: tuple = (0.3, 0.5, 0.7, 0.9)
 
     def __post_init__(self):
-        if self.count < 1 or self.a_max < 1.0 or self.b_max < self.a_max:
-            raise ValueError("invalid distribution ranges")
-        if not 0.0 < self.delta_lo <= self.delta_hi <= 0.5:
-            raise ValueError("delta range must sit inside (0, 1/2]")
-        if any(not 0.0 < s < 1.0 for s in self.s_values):
-            raise ValueError("s values must be in (0, 1)")
+        if self.count < 1:
+            raise ValueError(f"count must be at least 1, got {self.count}")
 
 
 def _rng_for(dist: InstanceDistribution, check_id: str) -> np.random.Generator:
@@ -78,21 +81,52 @@ def _rng_for(dist: InstanceDistribution, check_id: str) -> np.random.Generator:
     return np.random.default_rng([dist.seed, idx])
 
 
-def _sample_params(rng, dist: InstanceDistribution,
-                   a_max: float | None = None,
-                   b_max: float | None = None) -> dict:
-    a = float(rng.uniform(1.0, a_max or dist.a_max))
-    bm = b_max or dist.b_max
-    b = float(np.exp(rng.uniform(np.log(a), np.log(bm)))) if bm > a else a
-    return {
-        "a": a, "b": max(b, a),
-        "c": float(rng.uniform(dist.shift_lo, dist.shift_hi)),
-        "d": float(rng.uniform(dist.shift_lo, dist.shift_hi)),
-    }
+# -- samplers -----------------------------------------------------------------
+# A sampler draws one instance from rng; a check's generator repeats it
+# dist.count times.
 
 
-def _sample_delta(rng, dist: InstanceDistribution) -> float:
-    return float(np.exp(rng.uniform(np.log(dist.delta_lo), np.log(dist.delta_hi))))
+def _uniform(lo: float, hi: float):
+    return lambda rng: float(rng.uniform(lo, hi))
+
+
+def _log_uniform(lo: float, hi: float):
+    return lambda rng: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _seed(rng) -> int:
+    return int(rng.integers(2 ** 31))
+
+
+_delta = _log_uniform(*DELTA)
+
+
+def _sample_params(rng, a_max: float, b_max: float) -> dict:
+    a = float(rng.uniform(1.0, a_max))
+    b = float(np.exp(rng.uniform(np.log(a), np.log(b_max))))
+    return {"a": a, "b": max(b, a),
+            "c": float(rng.uniform(*SHIFT)), "d": float(rng.uniform(*SHIFT))}
+
+
+def _draw(a_max: float, b_max: float, **fields):
+    """Sampler of (a, b, c, d) followed by `fields`, each drawn in order."""
+    def sample(rng) -> dict:
+        inst = _sample_params(rng, a_max, b_max)
+        for name, draw in fields.items():
+            inst[name] = draw(rng)
+        return inst
+    return sample
+
+
+def _generate(sample, dist: InstanceDistribution, rng) -> list[dict]:
+    return [sample(rng) for _ in range(dist.count)]
+
+
+# draws shared by more than one check
+_COUNT_PAIRS = _draw(A_MAX, 200.0, eta=_uniform(0.01, 0.99), xi=_uniform(0.01, 0.99))
+_PRODUCT_DELTA = _draw(A_MAX, B_MAX, delta=_log_uniform(1e-3, DELTA[1]))
+_COVER_ETA_XI = _draw(50.0, 5000.0, eta=_uniform(1e-4, 0.5), xi=_uniform(1e-4, 0.5))
+_PLANAR_ETA_XI = _draw(50.0, 5000.0, eta=_uniform(1e-3, 0.6), xi=_uniform(1e-3, 0.6))
 
 
 def _params(inst: dict) -> FracParams:
@@ -100,52 +134,35 @@ def _params(inst: dict) -> FracParams:
 
 
 # -- individual checks --------------------------------------------------------
-# Each check is (generate, evaluate).  evaluate returns a dict with at least
-# "ok" (exact checks) or "ratio"/"ratios" (ratio checks).
+# evaluate returns the instance's record: "ok" (exact checks) or
+# "ratio"/"ratios" (ratio checks), plus the values behind them.
 
 
-def _gen_count_oracle(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist, a_max=min(dist.a_max, 200.0), b_max=200.0)
-        inst["eta"] = float(rng.uniform(0.01, 0.99))
-        inst["xi"] = float(rng.uniform(0.01, 0.99))
-        out.append(inst)
-    return out
-
-
-def _eval_count_oracle(inst, verbose=False):
+def _eval_count_oracle(inst):
     p = _params(inst)
     fast = count_near_pairs(p, inst["eta"], inst["xi"])
     slow = count_near_pairs_naive(p, inst["eta"], inst["xi"])
-    if verbose:
-        print(f"  fast={fast} naive={slow}")
     return {"ok": fast == slow, "fast": fast, "naive": slow}
 
 
-def _gen_count_regime(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        # keep b moderate: the regime check is exact and O(b) per instance
-        inst = _sample_params(rng, dist, b_max=min(dist.b_max, 3e4))
-        for _ in range(200):
-            eta = float(rng.uniform(0.0, 1.0))
-            xi = float(rng.uniform(0.0, 1.0))
-            if eta + (inst["a"] / inst["b"]) * xi > 0.5:
-                break
-        inst["eta"], inst["xi"] = eta, xi
-        out.append(inst)
-    return out
+def _sample_count_regime(rng):
+    # keep b moderate: the regime check is exact and O(b) per instance
+    inst = _sample_params(rng, A_MAX, 3e4)
+    for _ in range(200):
+        eta = float(rng.uniform(0.0, 1.0))
+        xi = float(rng.uniform(0.0, 1.0))
+        if eta + (inst["a"] / inst["b"]) * xi > 0.5:
+            break
+    inst["eta"], inst["xi"] = eta, xi
+    return inst
 
 
-def _eval_count_regime(inst, verbose=False):
+def _eval_count_regime(inst):
     p = _params(inst)
     if not large_regime(p, inst["eta"], inst["xi"]):
         return {"ok": True, "skipped": True}
     n = count_near_pairs(p, inst["eta"], inst["xi"])
     cap = 4.0 * (p.b + 2.0)
-    if verbose:
-        print(f"  count={n} cap={cap}")
     return {"ok": n <= cap, "count": n, "cap": cap}
 
 
@@ -153,15 +170,12 @@ _ET_INTERVALS = 100
 _ET_KMAX = 50
 
 
-def _gen_erdos_turan(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        q = int(np.exp(rng.uniform(np.log(8), np.log(4096))))
-        out.append({"seed": int(rng.integers(2 ** 31)), "Q": q})
-    return out
+def _sample_erdos_turan(rng):
+    q = int(np.exp(rng.uniform(np.log(8), np.log(4096))))
+    return {"seed": _seed(rng), "Q": q}
 
 
-def _eval_erdos_turan(inst, verbose=False):
+def _eval_erdos_turan(inst):
     sub = np.random.default_rng(inst["seed"])
     pts = SamplePoints(points=sub.random(inst["Q"]), Q=inst["Q"])
     sums = exp_sums(pts, _ET_KMAX)
@@ -174,22 +188,18 @@ def _eval_erdos_turan(inst, verbose=False):
             rhs = erdos_turan_rhs(pts, (lo, lo + length), K, sums=sums)
             worst = max(worst, d - rhs)
             if d > rhs + 1e-9:
-                if verbose:
-                    print(f"  violation: |D|={d} rhs={rhs} K={K} I=({lo},{lo+length})")
-                return {"ok": False, "excess": d - rhs, "K": K}
+                return {"ok": False, "excess": d - rhs, "K": K,
+                        "discrepancy": d, "rhs": rhs, "interval": [lo, lo + length]}
     return {"ok": True, "worst_excess": worst}
 
 
-def _gen_exp_sum_integer(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        a = int(rng.integers(1, 501))
-        b = int(rng.integers(a, 501))
-        out.append({"a": a, "b": b})
-    return out
+def _sample_exp_sum(rng):
+    a = int(rng.integers(1, 501))
+    b = int(rng.integers(a, 501))
+    return {"a": a, "b": b}
 
 
-def _eval_exp_sum_integer(inst, verbose=False):
+def _eval_exp_sum_integer(inst):
     a, b = inst["a"], inst["b"]
     g = math.gcd(a, b)
     period = b // g
@@ -203,26 +213,15 @@ def _eval_exp_sum_integer(inst, verbose=False):
         err = abs(abs(total) - expect)
         worst = max(worst, err)
         if err > 1e-9:
-            if verbose:
-                print(f"  k={k} |sum|={abs(total)} expected={expect}")
-            return {"ok": False, "k": k, "error": err}
+            return {"ok": False, "k": k, "error": err,
+                    "abs_sum": float(abs(total)), "expected": expect}
     return {"ok": True, "worst_error": worst}
 
 
 _MEMBERSHIP_SAMPLES = 100_000
 
 
-def _gen_membership(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist, b_max=min(dist.b_max, 1e4))
-        inst["delta"] = _sample_delta(rng, dist)
-        inst["seed"] = int(rng.integers(2 ** 31))
-        out.append(inst)
-    return out
-
-
-def _eval_membership(inst, verbose=False):
+def _eval_membership(inst):
     p = _params(inst)
     e = product_set(p, inst["delta"])
     x = np.random.default_rng(inst["seed"]).random(_MEMBERSHIP_SAMPLES)
@@ -233,213 +232,113 @@ def _eval_membership(inst, verbose=False):
         return {"ok": True, "disagreements": 0}
     near = e.endpoint_distance(x[disagree]) < 1e-9
     bad = int(np.count_nonzero(~near))
-    if verbose:
-        print(f"  {int(disagree.sum())} disagreements, {bad} beyond 1e-9 of endpoints")
     return {"ok": bad == 0, "disagreements": int(disagree.sum()), "far": bad}
 
 
-def _gen_decompose(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist)
-        inst["delta"] = float(np.exp(rng.uniform(np.log(max(dist.delta_lo, 1e-3)),
-                                                 np.log(dist.delta_hi))))
-        out.append(inst)
-    return out
-
-
-def _eval_decompose(inst, verbose=False):
+def _eval_decompose(inst):
     p = _params(inst)
     dec = decompose_product_set(p, inst["delta"])
     e = product_set(p, inst["delta"])
     gap = lebesgue(symmetric_difference(dec.reunion(), e))
-    if verbose:
-        print(f"  symdiff measure = {gap:.3e}")
     return {"ok": gap < 1e-10, "gap": gap}
 
 
-def _gen_measure_ratio(dist, rng):
-    return _gen_decompose(dist, rng)
-
-
-def _eval_measure_ratio(inst, verbose=False):
+def _eval_measure_ratio(inst):
     p = _params(inst)
     ratio = lebesgue(product_set(p, inst["delta"])) / measure_bound(p, inst["delta"])
-    if verbose:
-        print(f"  measure ratio = {ratio:.4f}")
     return {"ratio": ratio}
 
 
-def _gen_premeasure_ratio(dist, rng):
-    return _gen_decompose(dist, rng)
-
-
-def _eval_premeasure_ratio(inst, verbose=False, s_values=(0.3, 0.5, 0.7, 0.9)):
+def _eval_premeasure_ratio(inst):
     p = _params(inst)
     cost = product_set_cover_cost(p, inst["delta"])
     ratios = [cost.premeasure(s) / premeasure_bound(p, inst["delta"], s)
-              for s in s_values]
-    if verbose:
-        print(f"  premeasure ratios = {ratios}")
+              for s in S_VALUES]
     return {"ratios": ratios}
 
 
-def _gen_cover_ratio(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist, a_max=50.0, b_max=min(dist.b_max, 5000.0))
-        inst["eta"] = float(rng.uniform(1e-4, 0.5))
-        inst["xi"] = float(rng.uniform(1e-4, 0.5))
-        out.append(inst)
-    return out
-
-
-def _eval_cover_ratio(inst, verbose=False):
+def _eval_cover_ratio(inst):
     cov = cover_simultaneous(_params(inst), inst["eta"], inst["xi"])
-    if verbose:
-        print(f"  pieces={cov.count} bound={cov.bound:.2f} ratio={cov.ratio:.4f}")
-    return {"ratio": cov.ratio}
+    return {"pieces": cov.count, "bound": cov.bound, "ratio": cov.ratio}
 
 
-def _gen_cover_containment(dist, rng):
-    return _gen_cover_ratio(dist, rng)
-
-
-def _eval_cover_containment(inst, verbose=False):
+def _eval_cover_containment(inst):
     p = _params(inst)
     cov = cover_simultaneous(p, inst["eta"], inst["xi"])
     ok = cov.covers(simultaneous_set(p, inst["eta"], inst["xi"]))
-    if verbose:
-        print(f"  contained = {ok}")
     return {"ok": ok}
 
 
-def _gen_monotonicity(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist, b_max=min(dist.b_max, 1e4))
-        d1 = _sample_delta(rng, dist)
-        d2 = _sample_delta(rng, dist)
-        inst["delta1"], inst["delta2"] = min(d1, d2), max(d1, d2)
-        out.append(inst)
-    return out
+def _sample_monotonicity(rng):
+    inst = _sample_params(rng, A_MAX, 1e4)
+    d1 = _delta(rng)
+    d2 = _delta(rng)
+    inst["delta1"], inst["delta2"] = min(d1, d2), max(d1, d2)
+    return inst
 
 
-def _eval_monotonicity(inst, verbose=False):
+def _eval_monotonicity(inst):
     p = _params(inst)
     small = product_set(p, inst["delta1"])
     big = product_set(p, inst["delta2"])
     leftover = difference(small, big)
-    ok = leftover.is_empty()
-    if verbose:
-        print(f"  difference components = {len(leftover)}")
-    return {"ok": ok}
+    return {"ok": leftover.is_empty(), "leftover": len(leftover)}
 
 
-def _gen_simultaneous_in_product(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist, b_max=min(dist.b_max, 1e4))
-        inst["eta"] = float(rng.uniform(1e-4, 0.5))
-        inst["xi"] = float(rng.uniform(1e-4, 0.5))
-        out.append(inst)
-    return out
-
-
-def _eval_simultaneous_in_product(inst, verbose=False):
+def _eval_simultaneous_in_product(inst):
     p = _params(inst)
     f = simultaneous_set(p, inst["eta"], inst["xi"])
     e = product_set(p, math.sqrt(inst["eta"] * inst["xi"]))
     ok = difference(f, e).is_empty()
-    if verbose:
-        print(f"  contained = {ok}")
     return {"ok": ok}
 
 
-def _gen_shift_invariance(dist, rng):
-    return _gen_count_oracle(dist, rng)
-
-
-def _eval_shift_invariance(inst, verbose=False):
+def _eval_shift_invariance(inst):
     p = _params(inst)
     shifted = FracParams(p.a, p.b, p.c + 1.0, p.d)
     n0 = count_near_pairs(p, inst["eta"], inst["xi"])
     n1 = count_near_pairs(shifted, inst["eta"], inst["xi"])
-    if verbose:
-        print(f"  count={n0} shifted={n1}")
     return {"ok": n0 == n1, "count": n0, "shifted": n1}
 
 
-def _gen_count_ratio(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist)
-        inst["eta"] = float(rng.uniform(1e-4, 1.0))
-        inst["xi"] = float(rng.uniform(1e-4, 1.0))
-        out.append(inst)
-    return out
-
-
-def _eval_count_ratio(inst, verbose=False):
+def _eval_count_ratio(inst):
     p = _params(inst)
     n = count_near_pairs(p, inst["eta"], inst["xi"])
     ratio = n / ((p.b * inst["eta"] + p.a) * p.weight())
-    if verbose:
-        print(f"  count={n} ratio={ratio:.4f}")
-    return {"ratio": ratio}
+    return {"count": n, "ratio": ratio}
 
 
-def _gen_integer_count_ratio(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        a = int(rng.integers(1, 101))
-        b = int(rng.integers(a, int(min(dist.b_max, 1e4)) + 1))
-        out.append({"a": float(a), "b": float(b),
-                    "c": float(rng.uniform(dist.shift_lo, dist.shift_hi)),
-                    "d": float(rng.uniform(dist.shift_lo, dist.shift_hi)),
-                    "eta": float(rng.uniform(1e-4, 0.5)),
-                    "xi": float(rng.uniform(1e-4, 0.5))})
-    return out
+def _sample_integer_count(rng):
+    a = int(rng.integers(1, 101))
+    b = int(rng.integers(a, 10_001))
+    return {"a": float(a), "b": float(b),
+            "c": float(rng.uniform(*SHIFT)), "d": float(rng.uniform(*SHIFT)),
+            "eta": float(rng.uniform(1e-4, 0.5)),
+            "xi": float(rng.uniform(1e-4, 0.5))}
 
 
-def _eval_integer_count_ratio(inst, verbose=False):
+def _eval_integer_count_ratio(inst):
     n, ratio = count_integer_bound(_params(inst), inst["eta"], inst["xi"])
-    if verbose:
-        print(f"  count={n} ratio={ratio:.4f}")
-    return {"ratio": ratio}
+    return {"count": n, "ratio": ratio}
 
 
-def _gen_uq_rhs(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist, b_max=min(dist.b_max, 500.0))
-        inst["delta"] = _sample_delta(rng, dist)
-        out.append(inst)
-    return out
-
-
-def _eval_uq_rhs(inst, verbose=False):
+def _eval_uq_rhs(inst):
     p = _params(inst)
     pts = lattice_fraction_points(p)
     K = default_K(p)
     rhs = erdos_turan_rhs(pts, (-inst["delta"], inst["delta"]), K)
     ratio = rhs / ((p.a + inst["delta"] * p.b) * p.weight())
-    if verbose:
-        print(f"  Q={pts.Q} K={K} rhs={rhs:.2f} ratio={ratio:.4f}")
-    return {"ratio": ratio}
+    return {"Q": pts.Q, "K": K, "rhs": rhs, "ratio": ratio}
 
 
-def _gen_tau_agreement(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        a = float(rng.uniform(1.2, 10.0))
-        b = float(rng.uniform(a * 1.01, 100.0))
-        if rng.random() < 0.5:
-            psi_kind, param = "scaled-base", float(rng.uniform(0.2, 3.0))
-        else:
-            psi_kind, param = "exponential", float(rng.uniform(0.5, 3.0) * np.log(b))
-        out.append({"a": a, "b": b, "psi_kind": psi_kind, "param": param})
-    return out
+def _sample_tau(rng):
+    a = float(rng.uniform(1.2, 10.0))
+    b = float(rng.uniform(a * 1.01, 100.0))
+    if rng.random() < 0.5:
+        psi_kind, param = "scaled-base", float(rng.uniform(0.2, 3.0))
+    else:
+        psi_kind, param = "exponential", float(rng.uniform(0.5, 3.0) * np.log(b))
+    return {"a": a, "b": b, "psi_kind": psi_kind, "param": param}
 
 
 def _series_from(inst) -> SeriesSpec:
@@ -451,60 +350,38 @@ def _series_from(inst) -> SeriesSpec:
     return SeriesSpec(seq=seq, psi=psi, family="two-term")
 
 
-def _eval_tau_agreement(inst, verbose=False):
+def _eval_tau_agreement(inst):
     spec = _series_from(inst)
     closed = compute_tau(spec)
     numeric = compute_tau(spec, numeric=True)
     gap = abs(closed.tau - numeric.tau)
-    if verbose:
-        print(f"  closed={closed.tau:.6f} numeric={numeric.tau:.6f}")
     return {"ok": gap <= 1e-3, "closed": closed.tau, "numeric": numeric.tau,
             "gap": gap}
 
 
-def _gen_single_series_zero(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        a = float(rng.uniform(1.01, 10.0))
-        b = float(rng.uniform(a * a, max(a * a * 10.0, a * a + 1.0)))
-        out.append({"a": a, "b": b})
-    return out
+def _sample_single_series(rng):
+    a = float(rng.uniform(1.01, 10.0))
+    b = float(rng.uniform(a * a, max(a * a * 10.0, a * a + 1.0)))
+    return {"a": a, "b": b}
 
 
-def _eval_single_series_zero(inst, verbose=False):
+def _eval_single_series_zero(inst):
     thr = single_series_threshold(inst["a"], inst["b"])
-    if verbose:
-        print(f"  threshold = {thr}")
     return {"ok": thr == 0.0, "threshold": thr}
 
 
-def _gen_planar_product(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist, a_max=50.0, b_max=min(dist.b_max, 5000.0))
-        inst["eta"] = float(rng.uniform(1e-3, 0.6))
-        inst["xi"] = float(rng.uniform(1e-3, 0.6))
-        out.append(inst)
-    return out
-
-
-def _eval_planar_product(inst, verbose=False):
+def _eval_planar_product(inst):
     box = product_rectangle_set(_params(inst), inst["eta"], inst["xi"])
-    gap = abs(box.area() - box.area_by_boxes())
-    if verbose:
-        print(f"  product={box.area():.12f} boxes={box.area_by_boxes():.12f}")
-    return {"ok": gap < 1e-12, "gap": gap}
+    area, by_boxes = box.area(), box.area_by_boxes()
+    gap = abs(area - by_boxes)
+    return {"ok": gap < 1e-12, "gap": gap, "area": area, "area_by_boxes": by_boxes}
 
 
 _PLANAR_MC_SAMPLES = 100_000
 
 
-def _gen_planar_mc(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        out.append({"delta": float(rng.uniform(0.05, 0.45)),
-                    "seed": int(rng.integers(2 ** 31))})
-    return out
+def _sample_planar_mc(rng):
+    return {"delta": float(rng.uniform(0.05, 0.45)), "seed": _seed(rng)}
 
 
 def planar_unit_area(delta: float) -> float:
@@ -519,58 +396,39 @@ def planar_unit_area(delta: float) -> float:
     return w * (1.0 + math.log(1.0 / w))
 
 
-def _eval_planar_mc(inst, verbose=False, samples=_PLANAR_MC_SAMPLES):
+def _eval_planar_mc(inst):
     p = FracParams(1.0, 1.0)
-    est, se = mc_planar_product_area(p, inst["delta"], samples, seed=inst["seed"])
+    est, se = mc_planar_product_area(p, inst["delta"], _PLANAR_MC_SAMPLES,
+                                     seed=inst["seed"])
     exact = planar_unit_area(inst["delta"])
     gap = abs(est - exact)
-    if verbose:
-        print(f"  mc={est:.6f} exact={exact:.6f} se={se:.6f}")
     return {"ok": gap <= 4.0 * max(se, 1e-12), "mc": est, "exact": exact, "se": se}
 
 
-def _gen_planar_premeasure(dist, rng):
-    out = []
-    for _ in range(dist.count):
-        inst = _sample_params(rng, dist, a_max=50.0, b_max=min(dist.b_max, 5000.0))
-        inst["delta"] = _sample_delta(rng, dist)
-        out.append(inst)
-    return out
-
-
-def _eval_planar_premeasure(inst, verbose=False, s_values=(0.3, 0.5, 0.7, 0.9)):
+def _eval_planar_premeasure(inst):
     p = _params(inst)
     dec = decompose_planar_product_set(p, inst["delta"])
     ratios = []
-    for s in s_values:
+    for s in S_VALUES:
         total = dec.premeasure(s)["total"]
         ratios.append(total / planar_premeasure_bound(p, inst["delta"], s))
-    if verbose:
-        print(f"  ratios = {ratios}")
     return {"ratios": ratios}
 
 
-def _gen_planar_cover_ratio(dist, rng):
-    return _gen_planar_product(dist, rng)
-
-
-def _eval_planar_cover_ratio(inst, verbose=False):
+def _eval_planar_cover_ratio(inst):
     eta = min(inst["eta"], 0.499)
     xi = min(inst["xi"], 0.499)
     cov = cover_rectangles(_params(inst), eta, xi, 0.5)
-    if verbose:
-        print(f"  squares={cov.squares} bound={cov.bound:.1f} ratio={cov.ratio:.4f}")
-    return {"ratio": cov.ratio}
+    return {"squares": cov.squares, "bound": cov.bound, "ratio": cov.ratio}
 
 
-def _gen_annulus_indices(dist, rng):
-    return [{"delta": _sample_delta(rng, dist),
-             "a": float(rng.uniform(1.0, dist.a_max)),
-             "b_over_a": float(np.exp(rng.uniform(0.0, np.log(dist.b_max))))}
-            for _ in range(dist.count)]
+def _sample_annulus(rng):
+    return {"delta": _delta(rng),
+            "a": float(rng.uniform(1.0, A_MAX)),
+            "b_over_a": float(np.exp(rng.uniform(0.0, np.log(B_MAX))))}
 
 
-def _eval_annulus_indices(inst, verbose=False):
+def _eval_annulus_indices(inst):
     delta = inst["delta"]
     J = dyadic_annuli(delta)
     ok = all(2.0 ** (j + 1) * delta < 1.0 for j in J)
@@ -580,9 +438,7 @@ def _eval_annulus_indices(inst, verbose=False):
     j1 = [j for j in J if 4.0 ** j <= ratio]
     j2 = [j for j in J if 4.0 ** j >= ratio]
     ok &= sorted(set(j1) | set(j2)) == J and len(set(j1) & set(j2)) <= 1
-    if verbose:
-        print(f"  J={J} J1={j1} J2={j2}")
-    return {"ok": ok, "J_size": len(J)}
+    return {"ok": ok, "J": J, "J1": j1, "J2": j2}
 
 
 # -- registry ------------------------------------------------------------------
@@ -624,59 +480,61 @@ PROPERTIES = {
     "planar.annulus-indices": "dyadic index sets are computed by direct inequality",
 }
 
-CHECKS: dict[str, CheckDef] = {}
+# (check id, kind, property id, sampler, evaluator)
+_TABLE = [
+    ("count-oracle", "exact", "lattice.count-oracle-equivalence",
+     _COUNT_PAIRS, _eval_count_oracle),
+    ("count-regime", "exact", "lattice.large-regime-cap",
+     _sample_count_regime, _eval_count_regime),
+    ("erdos-turan", "exact", "lattice.erdos-turan",
+     _sample_erdos_turan, _eval_erdos_turan),
+    ("exp-sum-orthogonality", "exact", "lattice.integer-orthogonality",
+     _sample_exp_sum, _eval_exp_sum_integer),
+    ("count-bound-ratio", "ratio", "lattice.count-bound-ratio",
+     _draw(A_MAX, B_MAX, eta=_uniform(1e-4, 1.0), xi=_uniform(1e-4, 1.0)),
+     _eval_count_ratio),
+    ("integer-count-ratio", "ratio", "lattice.integer-count-ratio",
+     _sample_integer_count, _eval_integer_count_ratio),
+    ("count-shift-invariance", "exact", "lattice.shift-invariance",
+     _COUNT_PAIRS, _eval_shift_invariance),
+    ("uq-rhs-bound", "ratio", "lattice.uq-rhs-bound",
+     _draw(A_MAX, 500.0, delta=_delta), _eval_uq_rhs),
+    ("membership-agreement", "exact", "approx.membership-agreement",
+     _draw(A_MAX, 1e4, delta=_delta, seed=_seed), _eval_membership),
+    ("decompose-exact", "exact", "approx.decompose-reconstruction",
+     _PRODUCT_DELTA, _eval_decompose),
+    ("measure-bound-ratio", "ratio", "approx.measure-bound-ratio",
+     _PRODUCT_DELTA, _eval_measure_ratio),
+    ("premeasure-bound-ratio", "ratio", "approx.premeasure-bound-ratio",
+     _PRODUCT_DELTA, _eval_premeasure_ratio),
+    ("cover-count-ratio", "ratio", "approx.cover-count-ratio",
+     _COVER_ETA_XI, _eval_cover_ratio),
+    ("cover-containment", "exact", "approx.cover-containment",
+     _COVER_ETA_XI, _eval_cover_containment),
+    ("set-monotonicity", "exact", "approx.monotonicity",
+     _sample_monotonicity, _eval_monotonicity),
+    ("simultaneous-in-product", "exact", "approx.simultaneous-in-product",
+     _draw(A_MAX, 1e4, eta=_uniform(1e-4, 0.5), xi=_uniform(1e-4, 0.5)),
+     _eval_simultaneous_in_product),
+    ("tau-bisection-agreement", "exact", "dimension.tau-agreement",
+     _sample_tau, _eval_tau_agreement),
+    ("single-series-threshold-zero", "exact", "dimension.single-series-zero",
+     _sample_single_series, _eval_single_series_zero),
+    ("planar-product-area", "exact", "planar.product-area",
+     _PLANAR_ETA_XI, _eval_planar_product),
+    ("planar-mc-oracle", "exact", "planar.mc-oracle",
+     _sample_planar_mc, _eval_planar_mc),
+    ("planar-premeasure-ratio", "ratio", "planar.premeasure-ratio",
+     _draw(50.0, 5000.0, delta=_delta), _eval_planar_premeasure),
+    ("planar-cover-ratio", "ratio", "planar.cover-count-ratio",
+     _PLANAR_ETA_XI, _eval_planar_cover_ratio),
+    ("annulus-indices", "exact", "planar.annulus-indices",
+     _sample_annulus, _eval_annulus_indices),
+]
 
-
-def _register(check_id, kind, property_id, generate, evaluate):
-    CHECKS[check_id] = CheckDef(check_id, kind, property_id, generate, evaluate)
-
-
-_register("count-oracle", "exact", "lattice.count-oracle-equivalence",
-          _gen_count_oracle, _eval_count_oracle)
-_register("count-regime", "exact", "lattice.large-regime-cap",
-          _gen_count_regime, _eval_count_regime)
-_register("erdos-turan", "exact", "lattice.erdos-turan",
-          _gen_erdos_turan, _eval_erdos_turan)
-_register("exp-sum-orthogonality", "exact", "lattice.integer-orthogonality",
-          _gen_exp_sum_integer, _eval_exp_sum_integer)
-_register("count-bound-ratio", "ratio", "lattice.count-bound-ratio",
-          _gen_count_ratio, _eval_count_ratio)
-_register("integer-count-ratio", "ratio", "lattice.integer-count-ratio",
-          _gen_integer_count_ratio, _eval_integer_count_ratio)
-_register("count-shift-invariance", "exact", "lattice.shift-invariance",
-          _gen_shift_invariance, _eval_shift_invariance)
-_register("uq-rhs-bound", "ratio", "lattice.uq-rhs-bound",
-          _gen_uq_rhs, _eval_uq_rhs)
-_register("membership-agreement", "exact", "approx.membership-agreement",
-          _gen_membership, _eval_membership)
-_register("decompose-exact", "exact", "approx.decompose-reconstruction",
-          _gen_decompose, _eval_decompose)
-_register("measure-bound-ratio", "ratio", "approx.measure-bound-ratio",
-          _gen_measure_ratio, _eval_measure_ratio)
-_register("premeasure-bound-ratio", "ratio", "approx.premeasure-bound-ratio",
-          _gen_premeasure_ratio, _eval_premeasure_ratio)
-_register("cover-count-ratio", "ratio", "approx.cover-count-ratio",
-          _gen_cover_ratio, _eval_cover_ratio)
-_register("cover-containment", "exact", "approx.cover-containment",
-          _gen_cover_containment, _eval_cover_containment)
-_register("set-monotonicity", "exact", "approx.monotonicity",
-          _gen_monotonicity, _eval_monotonicity)
-_register("simultaneous-in-product", "exact", "approx.simultaneous-in-product",
-          _gen_simultaneous_in_product, _eval_simultaneous_in_product)
-_register("tau-bisection-agreement", "exact", "dimension.tau-agreement",
-          _gen_tau_agreement, _eval_tau_agreement)
-_register("single-series-threshold-zero", "exact", "dimension.single-series-zero",
-          _gen_single_series_zero, _eval_single_series_zero)
-_register("planar-product-area", "exact", "planar.product-area",
-          _gen_planar_product, _eval_planar_product)
-_register("planar-mc-oracle", "exact", "planar.mc-oracle",
-          _gen_planar_mc, _eval_planar_mc)
-_register("planar-premeasure-ratio", "ratio", "planar.premeasure-ratio",
-          _gen_planar_premeasure, _eval_planar_premeasure)
-_register("planar-cover-ratio", "ratio", "planar.cover-count-ratio",
-          _gen_planar_cover_ratio, _eval_planar_cover_ratio)
-_register("annulus-indices", "exact", "planar.annulus-indices",
-          _gen_annulus_indices, _eval_annulus_indices)
+CHECKS: dict[str, CheckDef] = {
+    cid: CheckDef(cid, kind, prop, partial(_generate, sample), evaluate)
+    for cid, kind, prop, sample, evaluate in _TABLE}
 
 
 def verify_coverage() -> None:
@@ -761,14 +619,15 @@ def serialize_report(report: dict) -> str:
 
 
 def replay(instance_path: str, verbose: bool = True) -> dict:
-    """Re-run a single serialized instance with intermediate output."""
+    """Re-run a single serialized instance; when verbose, print its record."""
     doc = json.loads(Path(instance_path).read_text())
     cid = doc["check"]
     if cid not in CHECKS:
         raise ValueError(f"unknown check {cid!r} in {instance_path}")
+    result = CHECKS[cid].evaluate(doc["instance"])
     if verbose:
         print(f"replaying {cid} on {doc['instance']}")
-    result = CHECKS[cid].evaluate(doc["instance"], verbose=verbose)
-    if verbose:
-        print(f"result: {result}")
+        print("result:")
+        for key, value in result.items():
+            print(f"  {key}={value}")
     return result

@@ -29,11 +29,21 @@ def test_count_example(capsys):
     assert "count:  3" in out
 
 
-def test_count_integer_bound_flag(capsys):
+def test_count_integer_bound_flag(capsys, monkeypatch):
+    from diophlab import cli, lattice
+    count, calls = lattice.count_near_pairs, []
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    for mod in (cli, lattice):
+        monkeypatch.setattr(mod, "count_near_pairs", counted)
     code, out, _ = run_cli(capsys, "count", "--a", "4", "--b", "6",
                            "--eta", "0.2", "--xi", "0.2", "--integer-bound")
     assert code == 0
-    assert "ratio:" in out
+    assert out == "count:  4\nbound:  3.2\nratio:  1.25\n"
+    assert len(calls) == 1
 
 
 def test_set_json_roundtrip(capsys):
@@ -133,6 +143,18 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--a", "5", "--b", "2",
                            "--eta", "0.1", "--xi", "0.1")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("set", "--a", "2", "--b", "11", "--delta", "nan"),
+    ("set", "--a", "2", "--b", "11", "--eta", "nan", "--xi", "0.1"),
+    ("planar", "area", "--a", "2", "--b", "11", "--eta", "nan", "--xi", "0.1"),
+    ("measure", "--a", "2", "--b", "11", "--delta", "0.1", "--s", "1.5"),
+])
+def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
+    # a NaN threshold or s > 1 is bad input, not an empty set or a value
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "error" in err
 
 
 def test_usage_error_exit_code():

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from diophlab.verify import (CHECKS, CheckFailure, InstanceDistribution,
-                             PROPERTIES, replay, run_campaign,
+                             PROPERTIES, _rng_for, replay, run_campaign,
                              serialize_report, verify_coverage)
 
 
@@ -64,10 +65,19 @@ def test_campaign_rejects_unknown_check():
 def test_distribution_validation():
     with pytest.raises(ValueError):
         InstanceDistribution(count=0)
-    with pytest.raises(ValueError):
-        InstanceDistribution(delta_lo=0.0)
-    with pytest.raises(ValueError):
-        InstanceDistribution(s_values=(0.5, 1.5))
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "29d9926e5a126842ebf71fbcb96af3957edb05ce5fa1ba99545031b717879a09"),
+    (42, "6c0b040373f6e26396b674231612d67fb462f9e8d9f603d13b9bc76b7f40dbc3"),
+])
+def test_generated_instances_are_pinned(seed, digest):
+    # exact checks report only violation counts, so a changed draw in an
+    # exact check's sampler leaves the report bytes alone; pin the draws
+    d = InstanceDistribution(count=5, seed=seed)
+    doc = json.dumps({cid: CHECKS[cid].generate(d, _rng_for(d, cid))
+                      for cid in sorted(CHECKS)}, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def test_failure_serializes_instance_for_replay(tmp_path, monkeypatch):
@@ -114,6 +124,15 @@ def test_replay_verbose_dumps_intermediates(tmp_path, capsys):
     replay(str(path), verbose=True)
     out = capsys.readouterr().out
     assert "fast=2" in out and "replaying" in out
+    # every value the evaluator computes is in its record and printed
+    path.write_text(json.dumps(
+        {"check": "uq-rhs-bound",
+         "instance": {"a": 2.0, "b": 7.0, "c": 0.0, "d": 0.0, "delta": 0.1}}))
+    result = replay(str(path), verbose=True)
+    out = capsys.readouterr().out
+    assert result["K"] == 3 and result["Q"] == 8
+    for key in ("Q", "K", "rhs", "ratio"):
+        assert f"  {key}={result[key]}\n" in out
 
 
 def test_replay_rejects_malformed_file(tmp_path):
