@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .intervals import (Cover, IntervalSet, intersect, mesh_cover,
-                        normalize, union_many)
+                        mesh_piece_counts, normalize, union_many)
 from .sequences import log_weight
 
 DEFAULT_CELL_CAP = 10 ** 8
@@ -55,6 +55,10 @@ class FracParams:
     d: float = 0.0
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value}")
         if not (1.0 <= self.a <= self.b):
             raise ValueError(f"need 1 <= a <= b, got a={self.a}, b={self.b}")
 
@@ -72,9 +76,16 @@ def dist_nearest_int(x):
 # -- simultaneous condition ---------------------------------------------------
 
 
-def _linear_solution(coef: float, shift: float, eps: float) -> IntervalSet:
-    """{x in [0,1] : ||coef*x + shift|| < eps} for eps < 1/2."""
-    k = np.arange(math.floor(shift), math.ceil(coef + shift) + 1, dtype=float)
+def _linear_solution(coef: float, shift: float, eps: float,
+                     k: np.ndarray | None = None) -> IntervalSet:
+    """{x in [0,1] : ||coef*x + shift|| < eps} for eps < 1/2.
+
+    The set is the union of the windows ((k - shift) -+ eps)/coef over the
+    integers k in [floor(shift), ceil(coef + shift)].  A sorted float array
+    `k` restricts the union to those windows, with the same arithmetic.
+    """
+    if k is None:
+        k = np.arange(math.floor(shift), math.ceil(coef + shift) + 1, dtype=float)
     centers = k - shift
     return normalize(((centers - eps) / coef, (centers + eps) / coef))
 
@@ -90,17 +101,44 @@ def _factor_set(coef: float, shift: float, eps: float) -> IntervalSet:
     return IntervalSet.full() if eps >= 0.5 else _linear_solution(coef, shift, eps)
 
 
+def _near_indices(coef: float, shift: float, eps: float,
+                  x: IntervalSet) -> np.ndarray:
+    """Sorted distinct window indices k of `_linear_solution` that can meet x.
+
+    The window of k meets a component [lo, hi] only if lo*coef + shift - eps
+    < k < hi*coef + shift + eps.  Each run is widened by 2: a window that
+    ends exactly at lo or hi can still decide, through MERGE_EPS fusion,
+    whether that endpoint survives, and the bounds are rounded.  Runs are
+    clipped to the full index range and started past the runs before them.
+    """
+    lo = np.maximum(np.floor(x.los * coef + shift - eps) - 2.0, math.floor(shift))
+    hi = np.minimum(np.ceil(x.his * coef + shift + eps) + 2.0,
+                    math.ceil(coef + shift))
+    lo[1:] = np.maximum(lo[1:], np.maximum.accumulate(hi)[:-1] + 1.0)
+    counts = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+    starts = np.cumsum(counts) - counts
+    return np.arange(counts.sum(), dtype=float) - np.repeat(starts - lo, counts)
+
+
 def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
-    """Exact set where both forms are within (eta, xi) of integers."""
+    """Exact set where both forms are within (eta, xi) of integers.
+
+    With both thresholds below 1/2 the work is O(a + output): the a-factor
+    is built whole, and of the b-factor only the windows near one of its
+    components, which are the near lattice pairs.  The arithmetic is that of
+    the full b-factor, so the result is the same array for array; a MERGE_EPS
+    fusion chain cut short at the edge of a run moves only endpoints outside
+    the a-component, which the intersection drops.  With one threshold at or
+    above 1/2 the set is the other factor, O(b) for the b-factor.
+    """
     if eta <= 0.0 or xi <= 0.0:
         return IntervalSet.empty()
     x_part = _factor_set(p.a, p.c, eta)
-    y_part = _factor_set(p.b, p.d, xi)
-    if eta >= 0.5:
-        return y_part
-    if xi >= 0.5:
-        return x_part
-    return intersect(x_part, y_part)
+    if eta >= 0.5 or not xi < 0.5:   # a vacuous threshold, or a NaN xi
+        y_part = _factor_set(p.b, p.d, xi)
+        return y_part if eta >= 0.5 else x_part
+    near = _near_indices(p.b, p.d, xi, x_part)
+    return intersect(x_part, _linear_solution(p.b, p.d, xi, near))
 
 
 # -- product condition: cell decomposition ------------------------------------
@@ -267,7 +305,9 @@ def cover_simultaneous(p: FracParams, eta: float, xi: float) -> Cover:
     """Equal-mesh cover of the simultaneous set, with counting diagnostics.
 
     Mesh is min(eta/a, xi/b); the piece count is compared against the
-    counting bound (b*eta + a) * L.
+    counting bound (b*eta + a) * L.  The set costs what `simultaneous_set`
+    costs, O(a + output) when both thresholds are below 1/2, and the pieces
+    are materialized.
     """
     if not (0.0 < eta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("cover needs 0 < eta, xi < 1")
@@ -277,6 +317,12 @@ def cover_simultaneous(p: FracParams, eta: float, xi: float) -> Cover:
     cov.bound = (p.b * eta + p.a) * p.weight()
     cov.ratio = cov.count / cov.bound
     return cov
+
+
+def _cover_count(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
+    """(count, mesh) of cover_simultaneous(p, eta, xi), without its pieces."""
+    mesh = min(eta / p.a, xi / p.b)
+    return int(mesh_piece_counts(simultaneous_set(p, eta, xi), mesh).sum()), mesh
 
 
 def dyadic_annuli(delta: float) -> list[int]:
@@ -316,19 +362,20 @@ def product_set_cover_cost(p: FracParams, delta: float) -> AnnulusCoverCost:
     (2**(j+1) delta, 2**-j delta), each at its own mesh.  A single global
     mesh cannot reproduce the two-term premeasure bound; the per-annulus
     meshes are what make the bound hold with an absolute constant.
+
+    Only piece counts are read, so no cover pieces are built.  Each annulus
+    costs O(a + output), and O(b) for the last one when its larger
+    threshold reaches 1/2.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    core = cover_simultaneous(p, delta, delta)
     first, second = [], []
     for j in dyadic_annuli(delta):
         big = 2.0 ** (j + 1) * delta
         small = 2.0 ** (-j) * delta
-        cb = cover_simultaneous(p, big, small)
-        cc = cover_simultaneous(p, small, big)
-        first.append((cb.count, cb.mesh))
-        second.append((cc.count, cc.mesh))
-    return AnnulusCoverCost(core=(core.count, core.mesh),
+        first.append(_cover_count(p, big, small))
+        second.append(_cover_count(p, small, big))
+    return AnnulusCoverCost(core=_cover_count(p, delta, delta),
                             first_far=first, second_far=second)
 
 

@@ -273,6 +273,11 @@ class Cover:
         return difference(x, self.piece_set()).is_empty()
 
 
+def mesh_piece_counts(x: IntervalSet, mesh: float) -> np.ndarray:
+    """Pieces of length mesh per component of x: max(ceil(len/mesh), 1)."""
+    return np.maximum(np.ceil((x.his - x.los) / mesh).astype(np.int64), 1)
+
+
 def mesh_cover(x: IntervalSet, mesh: float, s: float = 1.0) -> Cover:
     """Cover each component by ceil(len/mesh) pieces of length mesh.
 
@@ -285,8 +290,7 @@ def mesh_cover(x: IntervalSet, mesh: float, s: float = 1.0) -> Cover:
     if x.is_empty():
         return Cover(mesh=mesh, s_value=s, piece_los=np.empty(0),
                      piece_his=np.empty(0), count=0)
-    counts = np.ceil((x.his - x.los) / mesh).astype(np.int64)
-    counts = np.maximum(counts, 1)
+    counts = mesh_piece_counts(x, mesh)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     total = int(offsets[-1])
     idx = np.arange(total) - np.repeat(offsets[:-1], counts)

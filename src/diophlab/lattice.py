@@ -27,8 +27,11 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
 
     For each admissible q the admissible p lie in an open window of length
     below 4 around c + a*(q-d)/b, so at most six candidates are tested, each
-    with the strict inequality |(p-c)/a - (q-d)/b| < eta/a + xi/b.
+    with the strict inequality |(p-c)/a - (q-d)/b| < eta/a + xi/b.  A NaN
+    threshold is rejected.
     """
+    if math.isnan(eta) or math.isnan(xi):
+        raise ValueError(f"thresholds must be numbers, got eta={eta}, xi={xi}")
     plo, phi, qlo, qhi = _ranges(p)
     theta = eta / p.a + xi / p.b
     q = np.arange(qlo, qhi + 1, dtype=float)

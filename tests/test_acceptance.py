@@ -261,10 +261,11 @@ def test_criterion_09b_worked_exponent_box_dimension():
     # covers each index n at its own per-annulus meshes, which is the cover
     # product_set_cover_cost builds; R(s) is the least-squares slope of
     # log premeasure(s) against n, and s* is its zero, where the s-cost
-    # stops growing with n.  The range stops at n = 14 because
-    # cover_simultaneous rebuilds b-sized arrays for every dyadic annulus:
-    # n = 15 alone needs about 2.2 GB (28 s on a 2-core host), n = 16
-    # about 6 GB.
+    # stops growing with n.  The range stops at n = 15 because the last
+    # dyadic annulus of each index has its larger threshold at or above
+    # 1/2, so its simultaneous set is the whole b-factor, O(b) = O(3^n):
+    # the covers for n = 8..15 take about 8 s and 1.2 GB on a 2-core host,
+    # and n = 16, with three times the b, would need about 3.4 GB.
     #
     # The equal-scale box count at the stated size (n in [8, 16], scales
     # 2^-6..2^-16) saturates instead.  Every x = k/3^n lies in E_n, the
@@ -277,7 +278,7 @@ def test_criterion_09b_worked_exponent_box_dimension():
     seq = SequenceSpec(kind="exponential", a=2, b=3)
     psi = PsiSpec(kind="scaled-base", t=1.0, seq=seq)
     t0 = time.monotonic()
-    ns = list(range(8, 15))
+    ns = list(range(8, 16))
     costs = [product_set_cover_cost(FracParams(*eval_sequence(seq, n)),
                                     math.sqrt(eval_psi(psi, n)))
              for n in ns]

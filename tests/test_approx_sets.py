@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from diophlab.approx_sets import (CellCapExceeded, FracParams,
+from diophlab.approx_sets import (CellCapExceeded, FracParams, _factor_set,
                                   decompose_product_set, dist_nearest_int,
                                   dyadic_annuli, measure_bound,
                                   premeasure_bound, product_membership,
                                   product_set, product_set_cover_cost,
                                   cover_simultaneous, simultaneous_set)
-from diophlab.intervals import difference, lebesgue, symmetric_difference
+from diophlab.intervals import (difference, intersect, lebesgue, mesh_cover,
+                                symmetric_difference)
+from diophlab.sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence
 
 
 def test_dist_nearest_int_examples():
@@ -23,6 +26,17 @@ def test_frac_params_validation():
         FracParams(0.5, 2.0)
     with pytest.raises(ValueError):
         FracParams(3.0, 2.0)
+
+
+@pytest.mark.parametrize("field, args", [
+    ("a", (math.nan, 2.0)),
+    ("b", (2.0, math.inf)),
+    ("c", (2.0, 11.0, math.nan)),
+    ("d", (2.0, 11.0, 0.0, -math.inf)),
+])
+def test_frac_params_rejects_non_finite(field, args):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        FracParams(*args)
 
 
 def test_simultaneous_set_intersection_example():
@@ -168,6 +182,85 @@ def test_cover_simultaneous_containment_randomized():
         cov = cover_simultaneous(p, eta, xi)
         assert cov.covers(simultaneous_set(p, eta, xi))
         assert math.isfinite(cov.ratio)
+
+
+def _dense_simultaneous(p, eta, xi):
+    """Oracle: the simultaneous set as the intersection of both whole factors."""
+    x, y = _factor_set(p.a, p.c, eta), _factor_set(p.b, p.d, xi)
+    return y if eta >= 0.5 else x if xi >= 0.5 else intersect(x, y)
+
+
+# thresholds where the b-windows fuse under MERGE_EPS into long chains (gap
+# (1 - 2 xi)/b), and thresholds down to 1e-12 where windows are a few ulp
+# wide or vanish
+_NEAR_HALF = [0.5 - 10.0 ** -k for k in range(1, 16)] + [0.5 - 3e-13]
+_THRESHOLD = st.one_of(
+    st.sampled_from(_NEAR_HALF),
+    st.floats(math.log(1e-12), math.log(0.5)).map(math.exp),
+    st.floats(1e-3, 0.6))
+_SHIFT = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _params(draw):
+    a = draw(st.one_of(st.integers(1, 60).map(float), st.floats(1.0, 60.0)))
+    b = draw(st.one_of(st.just(a), st.integers(math.ceil(a), 2000).map(float),
+                       st.floats(a, 2e5), st.floats(1e4, 1.6e5)))
+    return FracParams(a, b, draw(_SHIFT), draw(_SHIFT))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(p=_params(), eta=_THRESHOLD, xi=_THRESHOLD)
+@example(p=FracParams(7.3, 1.2e4, 0.4, -1.7), eta=0.013, xi=0.5 - 1e-6)
+@example(p=FracParams(3, 1.6e5, 1, 2), eta=1e-12, xi=0.5 - 3e-13)
+@example(p=FracParams(3, 1.6e5, 1, 2), eta=0.5 - 1e-15, xi=1e-12)
+@example(p=FracParams(41.9, 41.9, -0.2, 0.6), eta=0.5 - 1e-9, xi=0.5 - 1e-9)
+# a fused chain of b-windows meets an a-component at its lo (hi) through a
+# window that ends (starts) exactly there, so each run needs the window
+# before (after) it: xi = 0.5 - 2**-42 makes those endpoints exact and the
+# gaps between windows about 1e-14
+@example(p=FracParams(1, 40, 0, 0.5 - 2 ** -42), eta=0.25, xi=0.5 - 2 ** -42)
+@example(p=FracParams(1, 40, 0, -0.5 + 2 ** -42), eta=0.25, xi=0.5 - 2 ** -42)
+def test_simultaneous_set_equals_dense_oracle(p, eta, xi):
+    # array for array: the near-window build does the dense build's arithmetic
+    assert simultaneous_set(p, eta, xi) == _dense_simultaneous(p, eta, xi)
+
+
+def _criterion_7_instances(count):
+    rng = np.random.default_rng(1007)
+    for _ in range(count):
+        a = float(rng.uniform(1, 100))
+        b = float(np.exp(rng.uniform(np.log(a), np.log(1e6))))
+        p = FracParams(a, max(b, a), float(rng.uniform(-2, 2)),
+                       float(rng.uniform(-2, 2)))
+        yield p, float(np.exp(rng.uniform(np.log(1e-4), np.log(0.5))))
+
+
+def _worked_example(ns):
+    seq = SequenceSpec(kind="exponential", a=2, b=3)
+    psi = PsiSpec(kind="scaled-base", t=1.0, seq=seq)
+    for n in ns:
+        yield FracParams(*eval_sequence(seq, n)), math.sqrt(eval_psi(psi, n))
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(lambda: _criterion_7_instances(60), id="criterion-7"),
+    pytest.param(lambda: _worked_example(range(8, 13)), id="worked-8-12"),
+])
+def test_cover_cost_counts_match_dense_covers(cases):
+    # every annulus count equals the piece count of the materialized cover
+    # of the dense oracle set, at the mesh cover_simultaneous uses
+    def dense(p, eta, xi):
+        mesh = min(eta / p.a, xi / p.b)
+        return mesh_cover(_dense_simultaneous(p, eta, xi), mesh).count, mesh
+
+    for p, delta in cases():
+        cost = product_set_cover_cost(p, delta)
+        annuli = [(2.0 ** (j + 1) * delta, 2.0 ** -j * delta)
+                  for j in dyadic_annuli(delta)]
+        assert cost.core == dense(p, delta, delta)
+        assert cost.first_far == [dense(p, big, small) for big, small in annuli]
+        assert cost.second_far == [dense(p, small, big) for big, small in annuli]
 
 
 def test_dyadic_annuli():

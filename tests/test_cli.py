@@ -157,6 +157,24 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     assert code == 1 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("set", "--a", "2", "--b", "11", "--c", "nan", "--delta", "0.1"),
+     "c must be a finite number"),
+    (("set", "--a", "2", "--b", "inf", "--delta", "0.1"),
+     "b must be a finite number"),
+    (("count", "--a", "2", "--b", "11", "--eta", "nan", "--xi", "0.1"),
+     "thresholds must be numbers"),
+])
+def test_non_finite_input_exits_with_message(argv, message):
+    # a NaN or infinite coefficient or count threshold is bad input: exit 1
+    # with a message that names it, not a traceback or a count of 0
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "diophlab.cli", "count", "--bogus-flag", "1"],

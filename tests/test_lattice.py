@@ -19,6 +19,12 @@ def test_count_two_six_case():
     assert count_near_pairs(FracParams(2, 6), 0.1, 0.1) == 3
 
 
+@pytest.mark.parametrize("eta, xi", [(math.nan, 0.1), (0.1, math.nan)])
+def test_count_rejects_nan_threshold(eta, xi):
+    with pytest.raises(ValueError, match="thresholds must be numbers"):
+        count_near_pairs(FracParams(2, 11), eta, xi)
+
+
 def test_count_tiny_threshold_counts_exact_coincidences():
     p = FracParams(1, math.sqrt(2), 0.37, -0.81)
     assert count_near_pairs(p, 1e-12, 1e-12) == \
