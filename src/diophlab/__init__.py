@@ -17,8 +17,9 @@ from .intervals import (IntervalSet, box_count, difference, intersect,
                         lebesgue, normalize, premeasure_upper,
                         symmetric_difference, union)
 from .lattice import (SamplePoints, count_bound_ratio, count_integer_bound,
-                      count_near_pairs, discrepancy, erdos_turan_rhs,
-                      exp_sum, lattice_fraction_points)
+                      count_near_pairs, discrepancies, discrepancy,
+                      erdos_turan_rhs, erdos_turan_rhs_table, exp_sum,
+                      lattice_fraction_points)
 from .planar import (BoxSet, decompose_planar_product_set,
                      mc_planar_product_area, product_rectangle_set)
 from .sequences import (PsiSpec, SequenceSpec, clamped_psi, eval_psi,

@@ -45,6 +45,14 @@ def cell_cap() -> int:
     return int(float(raw)) if raw else DEFAULT_CELL_CAP
 
 
+def check_size(n: int, what: str, cap: int | None = None) -> None:
+    """Refuse, before allocating, an array of n entries above the cell cap."""
+    limit = cap if cap is not None else cell_cap()
+    if n > limit:
+        raise CellCapExceeded(
+            f"{n} {what} exceed the cap {limit} (set DIOPHLAB_CELL_CAP to raise)")
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Coefficients (a, b, c, d) of the two linear forms, with 1 <= a <= b."""
@@ -85,7 +93,9 @@ def _linear_solution(coef: float, shift: float, eps: float,
     `k` restricts the union to those windows, with the same arithmetic.
     """
     if k is None:
-        k = np.arange(math.floor(shift), math.ceil(coef + shift) + 1, dtype=float)
+        lo, hi = math.floor(shift), math.ceil(coef + shift)
+        check_size(hi - lo + 1, "windows")
+        k = np.arange(lo, hi + 1, dtype=float)
     centers = k - shift
     return normalize(((centers - eps) / coef, (centers + eps) / coef))
 
@@ -116,6 +126,7 @@ def _near_indices(coef: float, shift: float, eps: float,
                     math.ceil(coef + shift))
     lo[1:] = np.maximum(lo[1:], np.maximum.accumulate(hi)[:-1] + 1.0)
     counts = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+    check_size(int(counts.sum()), "windows")
     starts = np.cumsum(counts) - counts
     return np.arange(counts.sum(), dtype=float) - np.repeat(starts - lo, counts)
 
@@ -144,12 +155,20 @@ def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
 # -- product condition: cell decomposition ------------------------------------
 
 
-def _cell_bounds(p: FracParams) -> np.ndarray:
-    """Sorted cut points of [0,1] where either nearest integer switches."""
+def _cell_bounds(p: FracParams, cap: int | None = None) -> np.ndarray:
+    """Sorted cut points of [0,1] where either nearest integer switches.
+
+    Both factors' candidate indices are checked against the cap together,
+    before any array is built.  Their sum bounds the cell count from above:
+    the last index of each factor cuts beyond 1, so the inner cuts number
+    at most the sum minus two, and the cells one more than that.
+    """
+    ranges = [(coef, shift, math.floor(shift - 0.5), math.ceil(coef + shift + 0.5))
+              for coef, shift in ((p.a, p.c), (p.b, p.d))]
+    check_size(sum(hi - lo + 1 for _, _, lo, hi in ranges), "cell cuts", cap)
     cuts = [np.array([0.0, 1.0])]
-    for coef, shift in ((p.a, p.c), (p.b, p.d)):
-        k = np.arange(math.floor(shift - 0.5), math.ceil(coef + shift + 0.5) + 1,
-                      dtype=float)
+    for coef, shift, lo, hi in ranges:
+        k = np.arange(lo, hi + 1, dtype=float)
         x = (k + 0.5 - shift) / coef
         cuts.append(x[(x > 0.0) & (x < 1.0)])
     return np.unique(np.concatenate(cuts))
@@ -217,12 +236,8 @@ def _product_pieces(p: FracParams, delta: float,
                     constraint: str | None = None,
                     cap: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream solution pieces of the product condition, in x order per chunk."""
-    bounds = _cell_bounds(p)
+    bounds = _cell_bounds(p, cap)
     ncells = len(bounds) - 1
-    limit = cap if cap is not None else cell_cap()
-    if ncells > limit:
-        raise CellCapExceeded(
-            f"{ncells} cells exceed the cap {limit} (set DIOPHLAB_CELL_CAP to raise)")
     d2 = delta * delta
     for i0 in range(0, ncells, _CHUNK):
         i1 = min(i0 + _CHUNK, ncells)

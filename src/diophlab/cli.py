@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .approx_sets import (FracParams, measure_bound, premeasure_bound,
-                          product_set, product_set_cover_cost,
+from .approx_sets import (CellCapExceeded, FracParams, measure_bound,
+                          premeasure_bound, product_set, product_set_cover_cost,
                           cover_simultaneous, simultaneous_set)
 from .dimension import (SeriesSpec, compute_tau, single_series_threshold,
                         estimate_box_dimension)
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except (ValueError, OSError, IndexError) as exc:
+    except (ValueError, OSError, IndexError, CellCapExceeded, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import FracParams
+from .approx_sets import FracParams, check_size
 
 
 def _ranges(p: FracParams) -> tuple[int, int, int, int]:
@@ -33,6 +33,7 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
     if math.isnan(eta) or math.isnan(xi):
         raise ValueError(f"thresholds must be numbers, got eta={eta}, xi={xi}")
     plo, phi, qlo, qhi = _ranges(p)
+    check_size(qhi - qlo + 1, "q values")
     theta = eta / p.a + xi / p.b
     q = np.arange(qlo, qhi + 1, dtype=float)
     center = p.c + p.a * (q - p.d) / p.b
@@ -49,6 +50,7 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
 def count_near_pairs_naive(p: FracParams, eta: float, xi: float) -> int:
     """Oracle: full (p, q) double loop over the window.  O(a*b)."""
     plo, phi, qlo, qhi = _ranges(p)
+    check_size((phi - plo + 1) * (qhi - qlo + 1), "(p, q) pairs")
     theta = eta / p.a + xi / p.b
     pv = np.arange(plo, phi + 1, dtype=float)[:, None]
     qv = np.arange(qlo, qhi + 1, dtype=float)[None, :]
@@ -94,6 +96,7 @@ class SamplePoints:
 def lattice_fraction_points(p: FracParams) -> SamplePoints:
     """The Q = ceil(b+d) - floor(d) + 1 points (a/b)(q + floor(d) - 1) - ad/b + c mod 1."""
     Q = math.ceil(p.b + p.d) - math.floor(p.d) + 1
+    check_size(Q, "lattice points")
     q = np.arange(1, Q + 1, dtype=float)
     u = (p.a / p.b) * (q + math.floor(p.d) - 1.0) - p.a * p.d / p.b + p.c
     return SamplePoints(points=np.mod(u, 1.0), Q=Q)
@@ -119,25 +122,39 @@ def exp_sums(points: SamplePoints, kmax: int) -> np.ndarray:
     return out
 
 
-def _interval_length(interval: tuple[float, float]) -> float:
-    lo, hi = interval
-    length = hi - lo
-    if not 0.0 < length <= 1.0:
-        raise ValueError(f"interval length must be in (0, 1], got {length}")
-    return length
+def _interval_lengths(los, his) -> np.ndarray:
+    """hi - lo per interval, each required to lie in (0, 1]."""
+    lengths = np.asarray(his, dtype=float) - np.asarray(los, dtype=float)
+    bad = ~((lengths > 0.0) & (lengths <= 1.0))
+    if bad.any():
+        raise ValueError("interval length must be in (0, 1], "
+                         f"got {lengths[bad][0]}")
+    return lengths
+
+
+def discrepancies(points: SamplePoints, los, his) -> np.ndarray:
+    """Signed discrepancies #(points in I) - |I| * Q of the intervals [lo, hi].
+
+    Each interval is closed and may wrap around, as in `discrepancy`.  One
+    (intervals x Q) array pass: the arithmetic is elementwise, so a row is
+    the same bits whatever the other rows are.  |I| is hi - lo, not a
+    length the caller drew, and must lie in (0, 1].
+    """
+    los = np.asarray(los, dtype=float)
+    lengths = _interval_lengths(los, his)
+    t = np.mod(points.points[None, :] - los[:, None], 1.0)
+    hits = np.count_nonzero(t <= lengths[:, None], axis=1)
+    return hits - lengths * points.Q
 
 
 def discrepancy(points: SamplePoints, interval: tuple[float, float]) -> float:
     """Signed discrepancy #(points in I) - |I| * Q on the torus.
 
     The interval is closed and may wrap around; membership reduces both
-    the points and the interval mod 1.
+    the points and the interval mod 1.  The one-row case of `discrepancies`.
     """
-    lo, _ = interval
-    length = _interval_length(interval)
-    t = np.mod(points.points - lo, 1.0)
-    hits = int(np.count_nonzero(t <= length))
-    return hits - length * points.Q
+    lo, hi = interval
+    return float(discrepancies(points, [lo], [hi])[0])
 
 
 def erdos_turan_rhs(points: SamplePoints, interval: tuple[float, float],
@@ -146,14 +163,40 @@ def erdos_turan_rhs(points: SamplePoints, interval: tuple[float, float],
 
     Q/(K+1) + 2 * sum_{k<=K} (1/K + min(|I|, 1/(pi k))) * |sum e(k u)|.
     Precomputed |sums| (from exp_sums) may be passed in when sweeping K.
+
+    This scalar form stays for single values whose exact bits are written
+    out (the uq-rhs-bound ratios, the `discrepancy` command): it sums the
+    weighted terms in one `np.sum`.  `erdos_turan_rhs_table` sweeps K by
+    cumulative sums instead, which rounds differently, within a relative
+    1e-12 of this value.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    length = _interval_length(interval)
+    lo, hi = interval
+    length = float(_interval_lengths(lo, hi))
     s = exp_sums(points, K) if sums is None else sums[:K]
     k = np.arange(1, K + 1, dtype=float)
     weights = 1.0 / K + np.minimum(length, 1.0 / (np.pi * k))
     return points.Q / (K + 1.0) + 2.0 * float(np.sum(weights * s))
+
+
+def erdos_turan_rhs_table(points: SamplePoints, los, his,
+                          kmax: int) -> np.ndarray:
+    """Erdos-Turan right-hand sides for every interval and K = 1..kmax.
+
+    Row i, column K-1 holds Q/(K+1) + 2 * (S(K)/K + T_i(K)), where
+    S(K) = sum_{k<=K} |sum e(k u)| and T_i(K) = sum_{k<=K}
+    min(|I_i|, 1/(pi k)) |sum e(k u)| are cumulative sums over k, so the
+    whole table costs one (intervals x kmax) pass.  It agrees with the
+    scalar `erdos_turan_rhs` to a relative 1e-12, not bit for bit.
+    """
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    lengths = _interval_lengths(los, his)
+    s = exp_sums(points, kmax)
+    k = np.arange(1, kmax + 1, dtype=float)
+    near = np.cumsum(np.minimum(lengths[:, None], 1.0 / (np.pi * k)) * s, axis=1)
+    return points.Q / (k + 1.0) + 2.0 * (np.cumsum(s) / k + near)
 
 
 def default_K(p: FracParams) -> int:

@@ -30,8 +30,8 @@ from .approx_sets import (FracParams, decompose_product_set, dyadic_annuli,
 from .dimension import SeriesSpec, compute_tau, single_series_threshold
 from .intervals import difference, lebesgue, symmetric_difference
 from .lattice import (SamplePoints, count_integer_bound, count_near_pairs,
-                      count_near_pairs_naive, default_K, discrepancy,
-                      erdos_turan_rhs, exp_sums, large_regime,
+                      count_near_pairs_naive, default_K, discrepancies,
+                      erdos_turan_rhs, erdos_turan_rhs_table, large_regime,
                       lattice_fraction_points)
 from .planar import (cover_rectangles, decompose_planar_product_set,
                      mc_planar_product_area, planar_premeasure_bound,
@@ -176,21 +176,27 @@ def _sample_erdos_turan(rng):
 
 
 def _eval_erdos_turan(inst):
+    """Test |D(I)| <= rhs(I, K) + 1e-9 for 100 drawn intervals and K = 1..50.
+
+    The intervals are drawn as (lo, length) pairs in the order of one scalar
+    draw each, and I = [lo, lo + length].  All right-hand sides come from one
+    `erdos_turan_rhs_table`; a violation reports the first failing
+    (interval, K) in row-major order, the one a loop over intervals, then K,
+    would find.
+    """
     sub = np.random.default_rng(inst["seed"])
     pts = SamplePoints(points=sub.random(inst["Q"]), Q=inst["Q"])
-    sums = exp_sums(pts, _ET_KMAX)
-    worst = -math.inf
-    for _ in range(_ET_INTERVALS):
-        lo = float(sub.uniform(0.0, 1.0))
-        length = float(sub.uniform(1e-6, 1.0))
-        d = abs(discrepancy(pts, (lo, lo + length)))
-        for K in range(1, _ET_KMAX + 1):
-            rhs = erdos_turan_rhs(pts, (lo, lo + length), K, sums=sums)
-            worst = max(worst, d - rhs)
-            if d > rhs + 1e-9:
-                return {"ok": False, "excess": d - rhs, "K": K,
-                        "discrepancy": d, "rhs": rhs, "interval": [lo, lo + length]}
-    return {"ok": True, "worst_excess": worst}
+    los, lengths = sub.uniform([0.0, 1e-6], [1.0, 1.0], size=(_ET_INTERVALS, 2)).T
+    his = los + lengths
+    d = np.abs(discrepancies(pts, los, his))[:, None]
+    rhs = erdos_turan_rhs_table(pts, los, his, _ET_KMAX)
+    bad = np.flatnonzero(d > rhs + 1e-9)
+    if bad.size:
+        i, col = divmod(int(bad[0]), _ET_KMAX)
+        return {"ok": False, "excess": float(d[i, 0] - rhs[i, col]), "K": col + 1,
+                "discrepancy": float(d[i, 0]), "rhs": float(rhs[i, col]),
+                "interval": [float(los[i]), float(his[i])]}
+    return {"ok": True, "worst_excess": float(np.max(d - rhs))}
 
 
 def _sample_exp_sum(rng):
@@ -200,22 +206,27 @@ def _sample_exp_sum(rng):
 
 
 def _eval_exp_sum_integer(inst):
+    """Test |sum_q e(k a q / b)| against b or 0 for every distinct k.
+
+    The phases (k a q) mod b are integers and periodic in k with period
+    b / gcd(a, b): k + period gives the same phase array, hence the same
+    sum bit for bit.  So k = 1..period, evaluated as one (period x b) array,
+    covers every k, and only k = period expects b.
+    """
     a, b = inst["a"], inst["b"]
-    g = math.gcd(a, b)
-    period = b // g
+    period = b // math.gcd(a, b)
+    k = np.arange(1, period + 1, dtype=np.int64)[:, None]
     q = np.arange(1, b + 1, dtype=np.int64)
-    worst = 0.0
-    for k in range(1, 3 * period + 1):
-        # integer reduction keeps every phase exact before the exponential
-        phases = (k * a * q) % b
-        total = np.sum(np.exp((2j * np.pi / b) * phases))
-        expect = float(b) if k % period == 0 else 0.0
-        err = abs(abs(total) - expect)
-        worst = max(worst, err)
-        if err > 1e-9:
-            return {"ok": False, "k": k, "error": err,
-                    "abs_sum": float(abs(total)), "expected": expect}
-    return {"ok": True, "worst_error": worst}
+    # integer reduction keeps every phase exact before the exponential
+    totals = np.abs(np.sum(np.exp((2j * np.pi / b) * ((k * a * q) % b)), axis=1))
+    expect = np.where(k[:, 0] == period, float(b), 0.0)
+    err = np.abs(totals - expect)
+    bad = np.flatnonzero(err > 1e-9)
+    if bad.size:
+        i = int(bad[0])
+        return {"ok": False, "k": i + 1, "error": float(err[i]),
+                "abs_sum": float(totals[i]), "expected": float(expect[i])}
+    return {"ok": True, "worst_error": float(np.max(err))}
 
 
 _MEMBERSHIP_SAMPLES = 100_000

@@ -28,8 +28,8 @@ from diophlab.dimension import (SeriesSpec, compute_tau, single_series_threshold
                                 estimate_box_dimension)
 from diophlab.intervals import lebesgue, symmetric_difference
 from diophlab.lattice import (SamplePoints, count_near_pairs,
-                              count_near_pairs_naive, discrepancy,
-                              erdos_turan_rhs, exp_sums, large_regime)
+                              count_near_pairs_naive, discrepancies,
+                              erdos_turan_rhs_table, large_regime)
 from diophlab.planar import mc_planar_product_area, product_rectangle_set
 from diophlab.sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence
 from diophlab.verify import planar_unit_area
@@ -86,20 +86,21 @@ def test_criterion_02_large_regime_cap():
 
 
 def test_criterion_03_erdos_turan_inequality():
+    # every (set, interval, K) triple, on the batched kernels: the 100
+    # (lo, length) pairs of a set are drawn in the order of one scalar draw
+    # each, and violations are counted over the whole (interval x K) table
     rng = np.random.default_rng(1003)
     t0 = time.monotonic()
     violations = 0
     for _ in range(200):
         Q = int(np.exp(rng.uniform(np.log(8), np.log(4096))))
         pts = SamplePoints(points=rng.random(Q), Q=Q)
-        sums = exp_sums(pts, 50)
-        for _ in range(100):
-            lo = float(rng.uniform(0, 1))
-            length = float(rng.uniform(1e-6, 1.0))
-            d = abs(discrepancy(pts, (lo, lo + length)))
-            for K in range(1, 51):
-                if d > erdos_turan_rhs(pts, (lo, lo + length), K, sums=sums) + 1e-9:
-                    violations += 1
+        los, lengths = rng.uniform([0.0, 1e-6], [1.0, 1.0], size=(100, 2)).T
+        his = los + lengths
+        d = np.abs(discrepancies(pts, los, his))[:, None]
+        rhs = erdos_turan_rhs_table(pts, los, his, 50)
+        assert rhs.shape == (100, 50)
+        violations += int(np.count_nonzero(d > rhs + 1e-9))
     elapsed = time.monotonic() - t0
     ok = violations == 0 and elapsed < 300.0
     report("3 Erdos-Turan inequality", ok,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -74,7 +75,7 @@ def test_discrepancy_reports_pass(capsys):
     code, out, _ = run_cli(capsys, "discrepancy", "--a", "3", "--b", "17",
                            "--c", "0.4", "--d", "0.2")
     assert code == 0
-    assert "pass: True" in out and "K:" in out
+    assert out == "Q:    19\nD:    -0.8\nRHS:  6.93771\nK:    5\npass: True\n"
 
 
 def test_measure_payload(capsys):
@@ -173,6 +174,48 @@ def test_non_finite_input_exits_with_message(argv, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+_BIG = ("--a", "2", "--b", "1000")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("count", *_BIG, "--eta", "0.1", "--xi", "0.1"),
+                 "1001 q values exceed the cap 100", id="count"),
+    pytest.param(("count", *_BIG, "--eta", "0.1", "--xi", "0.1",
+                  "--integer-bound"),
+                 "1001 q values exceed the cap 100", id="count-integer-bound"),
+    pytest.param(("cover", *_BIG, "--eta", "0.1", "--xi", "0.1"),
+                 "windows exceed the cap 100", id="cover"),
+    pytest.param(("set", *_BIG, "--eta", "0.6", "--xi", "0.1"),
+                 "1001 windows exceed the cap 100", id="set-simultaneous"),
+    pytest.param(("discrepancy", *_BIG),
+                 "1001 lattice points exceed the cap 100", id="discrepancy"),
+    pytest.param(("set", *_BIG, "--delta", "0.1"),
+                 "cell cuts exceed the cap 100", id="set-product"),
+])
+def test_size_cap_exits_with_message(argv, message):
+    # an array above DIOPHLAB_CELL_CAP is refused before it is allocated:
+    # exit 1 with the size and the cap, not a traceback
+    env = {**os.environ, "DIOPHLAB_CELL_CAP": "100"}
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_memory_error_exits_with_message(capsys, monkeypatch):
+    from diophlab import cli
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "count_near_pairs", out_of_memory)
+    code, out, err = run_cli(capsys, "count", "--a", "2", "--b", "11",
+                             "--eta", "0.1", "--xi", "0.1")
+    assert code == 1 and out == ""
+    assert err == "error: Unable to allocate 745. GiB\n"
 
 
 def test_usage_error_exit_code():

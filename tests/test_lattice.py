@@ -6,9 +6,10 @@ import pytest
 from diophlab.approx_sets import FracParams
 from diophlab.lattice import (SamplePoints, count_bound_ratio,
                               count_integer_bound, count_near_pairs,
-                              count_near_pairs_naive, default_K, discrepancy,
-                              erdos_turan_rhs, exp_sum, exp_sums, large_regime,
-                              lattice_fraction_points)
+                              count_near_pairs_naive, default_K, discrepancies,
+                              discrepancy, erdos_turan_rhs,
+                              erdos_turan_rhs_table, exp_sum, exp_sums,
+                              large_regime, lattice_fraction_points)
 
 
 def test_count_unit_case():
@@ -162,6 +163,53 @@ def test_discrepancy_wraparound():
     pts = SamplePoints(points=np.array([0.05, 0.95, 0.5]), Q=3)
     # interval wrapping through 0 catches the two edge points
     assert discrepancy(pts, (0.9, 1.1)) == pytest.approx(2 - 0.2 * 3)
+
+
+@pytest.mark.parametrize("Q", [1, 2, 7, 64, 999, 4096])
+def test_discrepancies_equal_discrepancy_row_by_row(Q):
+    rng = np.random.default_rng(Q)
+    pts = SamplePoints(points=rng.random(Q), Q=Q)
+    lo = rng.uniform(-1.5, 1.5, 60)
+    length = rng.uniform(1e-6, 1.0, 60)
+    # drawn as (lo, lo + length); wraparound rows cross 0 or 1, and the
+    # last rows are the full circle and intervals ending on a point
+    los = np.concatenate([lo, [0.95, -0.05, 0.0, 0.3, pts.points[0]]])
+    his = np.concatenate([lo + length, [1.05, 0.05, 1.0, 1.3,
+                                        pts.points[0] + 0.5]])
+    batch = discrepancies(pts, los, his)
+    assert batch.shape == (len(los),)
+    for row, (l, h) in enumerate(zip(los, his)):
+        l, h = float(l), float(h)
+        # the scalar arithmetic discrepancy had before it became a row
+        loop = int(np.count_nonzero(np.mod(pts.points - l, 1.0) <= h - l)) - (h - l) * Q
+        assert batch[row] == discrepancy(pts, (l, h)) == loop
+
+
+def test_rhs_table_matches_scalar_rhs():
+    rng = np.random.default_rng(31)
+    for Q in (1, 9, 300, 4096):
+        pts = SamplePoints(points=rng.random(Q), Q=Q)
+        sums = exp_sums(pts, 50)
+        los = rng.uniform(0.0, 1.0, 20)
+        his = los + rng.uniform(1e-6, 1.0, 20)
+        table = erdos_turan_rhs_table(pts, los, his, 50)
+        assert table.shape == (20, 50)
+        for row, (lo, hi) in enumerate(zip(los, his)):
+            for K in range(1, 51):
+                scalar = erdos_turan_rhs(pts, (lo, hi), K, sums=sums)
+                assert table[row, K - 1] == pytest.approx(scalar, rel=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.2, 0.2), (0.0, 1.7), (0.3, 0.1),
+                                    (0.0, math.nan)])
+def test_batched_kernels_reject_bad_length(lo, hi):
+    # one bad row (length 0, above 1, negative or NaN) among good ones
+    pts = SamplePoints(points=np.array([0.1, 0.6]), Q=2)
+    los, his = [0.0, lo, 0.5], [0.5, hi, 1.5]
+    with pytest.raises(ValueError, match=r"interval length must be in \(0, 1\]"):
+        discrepancies(pts, los, his)
+    with pytest.raises(ValueError, match=r"interval length must be in \(0, 1\]"):
+        erdos_turan_rhs_table(pts, los, his, 5)
 
 
 def test_erdos_turan_inequality_randomized():

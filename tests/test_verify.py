@@ -1,8 +1,13 @@
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
+import diophlab.lattice as L
+import diophlab.verify as V
+from diophlab.lattice import SamplePoints, discrepancy, erdos_turan_rhs
 from diophlab.verify import (CHECKS, CheckFailure, InstanceDistribution,
                              PROPERTIES, _rng_for, replay, run_campaign,
                              serialize_report, verify_coverage)
@@ -78,6 +83,90 @@ def test_generated_instances_are_pinned(seed, digest):
     doc = json.dumps({cid: CHECKS[cid].generate(d, _rng_for(d, cid))
                       for cid in sorted(CHECKS)}, sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed, count, digest", [
+    pytest.param(0, 10, "9fb32344a2170d4cf04cb2ff3eef2be8"
+                 "bbbf3974c3806f155a5d67994bcd03cb", id="seed0-count10"),
+    pytest.param(7, 5, "069e99943a424e72bef53a3c4593fe1a"
+                 "faaee590211312e808068ea874334d9b", id="seed7-count5"),
+])
+def test_report_bytes_are_pinned(seed, count, digest):
+    # the serialized report of every check, not only its self-consistency
+    report = run_campaign(InstanceDistribution(count=count, seed=seed),
+                          checks=["all"], echo=quiet)
+    text = serialize_report(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- oracles: the per-(interval, K) and per-k loops the batched evaluators
+# replaced, kept verbatim apart from looking up exp_sums through the lattice
+# module, so that a monkeypatch reaches both
+
+
+def erdos_turan_oracle(inst):
+    sub = np.random.default_rng(inst["seed"])
+    pts = SamplePoints(points=sub.random(inst["Q"]), Q=inst["Q"])
+    sums = L.exp_sums(pts, V._ET_KMAX)
+    worst = -math.inf
+    for _ in range(V._ET_INTERVALS):
+        lo = float(sub.uniform(0.0, 1.0))
+        length = float(sub.uniform(1e-6, 1.0))
+        d = abs(discrepancy(pts, (lo, lo + length)))
+        for K in range(1, V._ET_KMAX + 1):
+            rhs = erdos_turan_rhs(pts, (lo, lo + length), K, sums=sums)
+            worst = max(worst, d - rhs)
+            if d > rhs + 1e-9:
+                return {"ok": False, "excess": d - rhs, "K": K,
+                        "discrepancy": d, "rhs": rhs, "interval": [lo, lo + length]}
+    return {"ok": True, "worst_excess": worst}
+
+
+def exp_sum_oracle(inst):
+    a, b = inst["a"], inst["b"]
+    g = math.gcd(a, b)
+    period = b // g
+    q = np.arange(1, b + 1, dtype=np.int64)
+    worst = 0.0
+    for k in range(1, 3 * period + 1):
+        phases = (k * a * q) % b
+        total = np.sum(np.exp((2j * np.pi / b) * phases))
+        expect = float(b) if k % period == 0 else 0.0
+        err = abs(abs(total) - expect)
+        worst = max(worst, err)
+        if err > 1e-9:
+            return {"ok": False, "k": k, "error": err,
+                    "abs_sum": float(abs(total)), "expected": expect}
+    return {"ok": True, "worst_error": worst}
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("cid, oracle, worst", [
+    pytest.param("erdos-turan", erdos_turan_oracle, "worst_excess",
+                 id="erdos-turan"),
+    pytest.param("exp-sum-orthogonality", exp_sum_oracle, "worst_error",
+                 id="exp-sum-orthogonality"),
+])
+def test_batched_evaluator_matches_loop_oracle(seed, cid, oracle, worst):
+    d = InstanceDistribution(count=20, seed=seed)
+    for inst in CHECKS[cid].generate(d, _rng_for(d, cid)):
+        new, old = CHECKS[cid].evaluate(inst), oracle(inst)
+        assert new["ok"] is old["ok"] is True
+        assert abs(new[worst] - old[worst]) <= 1e-12
+
+
+def test_erdos_turan_violation_matches_oracle(monkeypatch):
+    # with every exponential sum 0 the bound is Q/(K+1), which the
+    # discrepancy of some interval exceeds at large enough K
+    monkeypatch.setattr(L, "exp_sums", lambda pts, kmax: np.zeros(kmax))
+    d = InstanceDistribution(count=5, seed=0)
+    insts = CHECKS["erdos-turan"].generate(d, _rng_for(d, "erdos-turan"))
+    for inst in insts:
+        new, old = V._eval_erdos_turan(inst), erdos_turan_oracle(inst)
+        assert new["ok"] is old["ok"] is False
+        assert new["K"] == old["K"] and new["interval"] == old["interval"]
+        for key in ("excess", "discrepancy", "rhs"):
+            assert new[key] == pytest.approx(old[key], rel=1e-12)
 
 
 def test_failure_serializes_instance_for_replay(tmp_path, monkeypatch):
