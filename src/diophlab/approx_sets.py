@@ -21,36 +21,16 @@ in chunks so b up to the cell cap stays memory-light.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .intervals import (Cover, IntervalSet, intersect, mesh_cover,
+from .intervals import (Cover, IntervalSet, check_size, intersect, mesh_cover,
                         mesh_piece_counts, normalize, union_many)
 from .sequences import log_weight
 
-DEFAULT_CELL_CAP = 10 ** 8
 _CHUNK = 1 << 19
-
-
-class CellCapExceeded(RuntimeError):
-    """Raised when a construction would enumerate too many cells."""
-
-
-def cell_cap() -> int:
-    """Active cell cap; DIOPHLAB_CELL_CAP overrides the default."""
-    raw = os.environ.get("DIOPHLAB_CELL_CAP")
-    return int(float(raw)) if raw else DEFAULT_CELL_CAP
-
-
-def check_size(n: int, what: str, cap: int | None = None) -> None:
-    """Refuse, before allocating, an array of n entries above the cell cap."""
-    limit = cap if cap is not None else cell_cap()
-    if n > limit:
-        raise CellCapExceeded(
-            f"{n} {what} exceed the cap {limit} (set DIOPHLAB_CELL_CAP to raise)")
 
 
 @dataclass(frozen=True)
@@ -111,24 +91,30 @@ def _factor_set(coef: float, shift: float, eps: float) -> IntervalSet:
     return IntervalSet.full() if eps >= 0.5 else _linear_solution(coef, shift, eps)
 
 
-def _near_indices(coef: float, shift: float, eps: float,
-                  x: IntervalSet) -> np.ndarray:
-    """Sorted distinct window indices k of `_linear_solution` that can meet x.
+def _window_runs(coef: float, shift: float, eps: float, los: np.ndarray,
+                 his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index k of the windows of `_linear_solution` meeting each [lo, hi].
 
-    The window of k meets a component [lo, hi] only if lo*coef + shift - eps
-    < k < hi*coef + shift + eps.  Each run is widened by 2: a window that
-    ends exactly at lo or hi can still decide, through MERGE_EPS fusion,
-    whether that endpoint survives, and the bounds are rounded.  Runs are
-    clipped to the full index range and started past the runs before them.
+    The window ((k - shift) -+ eps)/coef meets [lo, hi] only if
+    lo*coef + shift - eps < k < hi*coef + shift + eps.  Each run is widened
+    by 2: a window that ends exactly at lo or hi can still decide, through
+    MERGE_EPS fusion, whether that endpoint survives, and the bounds are
+    rounded.  Runs are clipped to the full index range and may overlap.
     """
-    lo = np.maximum(np.floor(x.los * coef + shift - eps) - 2.0, math.floor(shift))
-    hi = np.minimum(np.ceil(x.his * coef + shift + eps) + 2.0,
-                    math.ceil(coef + shift))
-    lo[1:] = np.maximum(lo[1:], np.maximum.accumulate(hi)[:-1] + 1.0)
-    counts = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+    first = np.maximum(np.floor(los * coef + shift - eps) - 2.0, math.floor(shift))
+    last = np.minimum(np.ceil(his * coef + shift + eps) + 2.0,
+                      math.ceil(coef + shift))
+    return first, last
+
+
+def _expand_runs(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers first..last of each run, concatenated as floats, and run lengths."""
+    counts = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
     check_size(int(counts.sum()), "windows")
     starts = np.cumsum(counts) - counts
-    return np.arange(counts.sum(), dtype=float) - np.repeat(starts - lo, counts)
+    ks = np.arange(counts.sum(), dtype=float)
+    ks -= np.repeat(starts - first, counts)
+    return ks, counts
 
 
 def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
@@ -148,7 +134,10 @@ def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
     if eta >= 0.5 or not xi < 0.5:   # a vacuous threshold, or a NaN xi
         y_part = _factor_set(p.b, p.d, xi)
         return y_part if eta >= 0.5 else x_part
-    near = _near_indices(p.b, p.d, xi, x_part)
+    first, last = _window_runs(p.b, p.d, xi, x_part.los, x_part.his)
+    # start each run past the runs before it, so the indices are distinct
+    first[1:] = np.maximum(first[1:], np.maximum.accumulate(last)[:-1] + 1.0)
+    near, _ = _expand_runs(first, last)
     return intersect(x_part, _linear_solution(p.b, p.d, xi, near))
 
 
@@ -285,9 +274,6 @@ class ProductDecomposition:
     simultaneous: IntervalSet
     first_far: IntervalSet
     second_far: IntervalSet
-
-    def parts(self) -> tuple[IntervalSet, IntervalSet, IntervalSet]:
-        return self.simultaneous, self.first_far, self.second_far
 
     def reunion(self) -> IntervalSet:
         return union_many([self.simultaneous, self.first_far, self.second_far])

@@ -18,12 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .approx_sets import (CellCapExceeded, FracParams, measure_bound,
-                          premeasure_bound, product_set, product_set_cover_cost,
+from .approx_sets import (FracParams, measure_bound, premeasure_bound,
+                          product_set, product_set_cover_cost,
                           cover_simultaneous, simultaneous_set)
 from .dimension import (SeriesSpec, compute_tau, single_series_threshold,
                         estimate_box_dimension)
-from .intervals import lebesgue, premeasure_upper, to_json_pairs
+from .intervals import (CellCapExceeded, lebesgue, premeasure_upper,
+                        to_json_pairs)
 from .lattice import (count_integer_bound, count_near_pairs, default_K,
                       discrepancy, erdos_turan_rhs, lattice_fraction_points)
 from .planar import (cover_rectangles, decompose_planar_product_set,
@@ -162,7 +163,7 @@ def _cmd_discrepancy(args) -> int:
     _merge_config(args, ("a", "b", "c", "d"))
     p = _frac_params(args)
     pts = lattice_fraction_points(p)
-    K = int(args.K) if args.K else default_K(p)
+    K = args.K if args.K is not None else default_K(p)
     interval = (float(args.lo), float(args.hi))
     d = discrepancy(pts, interval)
     rhs = erdos_turan_rhs(pts, interval, K)
@@ -210,12 +211,8 @@ def _cmd_tau(args) -> int:
     else:
         _require(args, "a", "b")
         seq = SequenceSpec(kind="exponential", a=float(args.a), b=float(args.b))
-        if args.psi is not None:
-            psi = _parse_psi_flag(args.psi, seq=seq)
-        elif args.psi_kind is not None:
-            psi = _parse_psi_flag(f"{args.psi_kind}:{args.psi_param}", seq=seq)
-        else:
-            raise ValueError("--psi (or --psi-kind/--psi-param) is required")
+        _require(args, "psi")
+        psi = _parse_psi_flag(args.psi, seq=seq)
     spec = SeriesSpec(seq=seq, psi=psi, family=args.family)
     res = compute_tau(spec, numeric=args.numeric)
     payload = {"family": args.family, "tau": res.tau, "method": res.method,
@@ -384,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, default=None, help="exponential base of a_n")
     sp.add_argument("--b", type=float, default=None, help="exponential base of b_n")
     sp.add_argument("--psi", default=None, help="pow:T | exp:L | sb:T | table:@f")
-    sp.add_argument("--psi-kind", default=None)
-    sp.add_argument("--psi-param", default=None)
     sp.add_argument("--numeric", action="store_true", help="force bisection")
     _add_io(sp)
     sp.set_defaults(fn=_cmd_tau)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx_sets import FracParams, _product_pieces, product_set
-from .intervals import IntervalSet, _check_dyadic, union_many
+from .approx_sets import FracParams, _product_pieces
+from .intervals import _check_dyadic
 from .sequences import (PsiSpec, SequenceSpec, eval_psi, eval_sequence,
                         refined_log, sequence_gcd)
 
@@ -161,13 +161,6 @@ def _term_descriptors(spec: SeriesSpec) -> list[tuple[float, float, float, float
         fourth = (0.0, (ga + gb - gpsi) / 2.0, logb_poly, (pa + pb - ppsi) / 2.0)
         return [first, first_log, second, fourth]
     return None  # lebesgue has no s-threshold
-
-
-def closed_form_thresholds(spec: SeriesSpec) -> list[float] | None:
-    desc = _term_descriptors(spec)
-    if desc is None:
-        return None
-    return [_threshold(*d) for d in desc]
 
 
 def _lebesgue_rates(seq: SequenceSpec, psi: PsiSpec) -> list[tuple[float, float]] | None:
@@ -347,13 +340,12 @@ def compute_tau(spec: SeriesSpec, numeric: bool = False,
     """inf{s > 0 : the family's series converges}, clamped to [0, 1]."""
     if spec.family == "lebesgue":
         raise ValueError("lebesgue family has no s-threshold")
-    if not numeric:
-        thresholds = closed_form_thresholds(spec)
-        if thresholds is not None:
-            raw = max(thresholds)
-            return TauResult(tau=min(max(raw, 0.0), 1.0), method="closed-form",
-                             thresholds=tuple(thresholds),
-                             diagnostics={"raw_max": raw})
+    desc = None if numeric else _term_descriptors(spec)
+    if desc is not None:
+        thresholds = [_threshold(*d) for d in desc]
+        raw = max(thresholds)
+        return TauResult(tau=min(max(raw, 0.0), 1.0), method="closed-form",
+                         thresholds=tuple(thresholds), diagnostics={"raw_max": raw})
     # bisection on the tail-fit convergence predicate
     limit = n_max
     for length in (spec.seq.length, spec.psi.length):
@@ -394,53 +386,7 @@ def single_series_threshold(a: float, b: float) -> float:
     return 2.0 - math.log(b) / math.log(a)
 
 
-# -- convergence-condition report ----------------------------------------------
-
-
-def check_convergence_conditions(seq: SequenceSpec, psi: PsiSpec, s: float) -> dict:
-    """Evaluate every hypothesis series at s and report implied conclusions.
-
-    Purely a reporting operation: it states what the convergence statements
-    imply, and asserts nothing about the actual measures.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must be in (0, 1), got {s}")
-    families = ["two-term", "four-term", "lebesgue"]
-    if seq.is_integer():
-        families.insert(1, "gcd")
-    report: dict = {"s": s, "series": {}, "conclusions": []}
-    for fam in families:
-        spec = SeriesSpec(seq=seq, psi=psi, family=fam)
-        v = converges(spec, 1.0 if fam == "lebesgue" else s)
-        report["series"][fam] = {"converges": v.verdict, "certificate": v.certificate}
-        if v.verdict:
-            if fam == "four-term":
-                report["conclusions"].append(f"H^{s}(M(psi)) = 0")
-            elif fam == "gcd":
-                report["conclusions"].append(f"H^{s}(M(psi)) = 0 [integer refinement]")
-            elif fam == "lebesgue":
-                report["conclusions"].append("lambda(M(psi)) = 0")
-    if not report["conclusions"]:
-        report["conclusions"].append("hypothesis not satisfied at this s")
-    return report
-
-
-# -- truncated limsup experiments ------------------------------------------------
-
-
-def truncated_limsup(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int,
-                     cap: int | None = None) -> IntervalSet:
-    """Union over n in [n_lo, n_hi] of the product sets at delta = psi(n)**0.5."""
-    if n_lo > n_hi or n_lo < 1:
-        raise ValueError(f"bad index range [{n_lo}, {n_hi}]")
-    parts = []
-    for n in range(n_lo, n_hi + 1):
-        p = eval_psi(psi, n)
-        if p == 0.0:
-            continue
-        an, bn, cn, dn = eval_sequence(seq, n)
-        parts.append(product_set(FracParams(an, bn, cn, dn), math.sqrt(p), cap=cap))
-    return union_many(parts)
+# -- box-counting experiments ------------------------------------------------
 
 
 @dataclass

@@ -10,6 +10,7 @@ differs from its closure by finitely many points.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,20 @@ import numpy as np
 # computations upstream are closed-form over doubles, so adjacency noise
 # is a few ulp (~1e-15 on [0,1]).
 MERGE_EPS = 1e-12
+DEFAULT_CELL_CAP = 10 ** 8
+
+
+class CellCapExceeded(RuntimeError):
+    """Raised when a construction would enumerate too many cells."""
+
+
+def check_size(n: int, what: str, cap: int | None = None) -> None:
+    """Refuse, before allocating, n entries above `cap`, DIOPHLAB_CELL_CAP or default."""
+    raw = os.environ.get("DIOPHLAB_CELL_CAP")
+    limit = cap if cap is not None else int(float(raw)) if raw else DEFAULT_CELL_CAP
+    if n > limit:
+        raise CellCapExceeded(
+            f"{n} {what} exceed the cap {limit} (set DIOPHLAB_CELL_CAP to raise)")
 
 
 class IntervalSet:
@@ -211,8 +226,7 @@ def premeasure_upper(x: IntervalSet, s: float, mesh: float) -> float:
         raise ValueError(f"mesh must be positive, got {mesh}")
     if x.is_empty():
         return 0.0
-    counts = np.ceil((x.his - x.los) / mesh)
-    return float(np.sum(counts) * (mesh / 2.0) ** s)
+    return float(mesh_piece_counts(x, mesh).sum() * (mesh / 2.0) ** s)
 
 
 def _check_dyadic(scale: float) -> None:
@@ -253,16 +267,11 @@ class Cover:
     """
 
     mesh: float
-    s_value: float
     piece_los: np.ndarray = field(repr=False)
     piece_his: np.ndarray = field(repr=False)
     count: int = 0
     bound: float = 0.0
     ratio: float = 0.0
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.piece_los + self.piece_his)
 
     def piece_set(self) -> IntervalSet:
         """The covered region as an interval set, clipped to [0,1]."""
@@ -274,11 +283,12 @@ class Cover:
 
 
 def mesh_piece_counts(x: IntervalSet, mesh: float) -> np.ndarray:
-    """Pieces of length mesh per component of x: max(ceil(len/mesh), 1)."""
-    return np.maximum(np.ceil((x.his - x.los) / mesh).astype(np.int64), 1)
+    """Pieces of length mesh per component of x, max(ceil(len/mesh), 1), as
+    floats, so that a tiny mesh cannot overflow them."""
+    return np.maximum(np.ceil((x.his - x.los) / mesh), 1.0)
 
 
-def mesh_cover(x: IntervalSet, mesh: float, s: float = 1.0) -> Cover:
+def mesh_cover(x: IntervalSet, mesh: float) -> Cover:
     """Cover each component by ceil(len/mesh) pieces of length mesh.
 
     Piece endpoints are laid out from each component's own lo, and the last
@@ -288,9 +298,11 @@ def mesh_cover(x: IntervalSet, mesh: float, s: float = 1.0) -> Cover:
     if mesh <= 0.0:
         raise ValueError("mesh must be positive")
     if x.is_empty():
-        return Cover(mesh=mesh, s_value=s, piece_los=np.empty(0),
-                     piece_his=np.empty(0), count=0)
+        return Cover(mesh=mesh, piece_los=np.empty(0), piece_his=np.empty(0),
+                     count=0)
     counts = mesh_piece_counts(x, mesh)
+    check_size(int(counts.sum()), "cover pieces")
+    counts = counts.astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     total = int(offsets[-1])
     idx = np.arange(total) - np.repeat(offsets[:-1], counts)
@@ -299,7 +311,7 @@ def mesh_cover(x: IntervalSet, mesh: float, s: float = 1.0) -> Cover:
     his = base + (idx + 1) * mesh
     last = offsets[1:] - 1
     his[last] = np.maximum(his[last], x.his)
-    return Cover(mesh=mesh, s_value=s, piece_los=los, piece_his=his, count=total)
+    return Cover(mesh=mesh, piece_los=los, piece_his=his, count=total)
 
 
 def to_json_pairs(x: IntervalSet) -> list[list[float]]:

@@ -2,9 +2,10 @@
 
 The central count is the number of integer pairs (p, q) in the standard
 window whose fractions (p-c)/a and (q-d)/b lie within eta/a + xi/b of each
-other.  The fast path enumerates q once and tests a handful of candidate
-p per q with exactly the same float predicate as the naive double loop,
-so the two agree bit for bit.
+other, i.e. whose windows ((p-c) -+ eta)/a and ((q-d) -+ xi)/b overlap: the
+components of the simultaneous set.  The fast count enumerates them with
+the window runs of `simultaneous_set` and tests each with the naive double
+loop's float predicate, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import FracParams, check_size
+from .approx_sets import FracParams, _expand_runs, _window_runs
+from .intervals import check_size
 
 
 def _ranges(p: FracParams) -> tuple[int, int, int, int]:
@@ -23,28 +25,26 @@ def _ranges(p: FracParams) -> tuple[int, int, int, int]:
 
 
 def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
-    """Exact count of nearly coincident fraction pairs, O(b) time.
+    """Exact count of nearly coincident fraction pairs, O(a + b*eta) time.
 
-    For each admissible q the admissible p lie in an open window of length
-    below 4 around c + a*(q-d)/b, so at most six candidates are tested, each
-    with the strict inequality |(p-c)/a - (q-d)/b| < eta/a + xi/b.  A NaN
-    threshold is rejected.
+    For each admissible p the candidate q are the b-windows that can meet
+    the a-window of p, one run each; every candidate is tested with the
+    strict inequality |(p-c)/a - (q-d)/b| < eta/a + xi/b.  A threshold that
+    is NaN or infinite is rejected.
     """
-    if math.isnan(eta) or math.isnan(xi):
-        raise ValueError(f"thresholds must be numbers, got eta={eta}, xi={xi}")
+    if not (math.isfinite(eta) and math.isfinite(xi)):
+        raise ValueError(f"thresholds must be numbers, not inf or NaN: {eta}, {xi}")
     plo, phi, qlo, qhi = _ranges(p)
     check_size(qhi - qlo + 1, "q values")
     theta = eta / p.a + xi / p.b
-    q = np.arange(qlo, qhi + 1, dtype=float)
-    center = p.c + p.a * (q - p.d) / p.b
-    base = np.floor(center - p.a * theta)
-    total = 0
-    for off in range(6):
-        cand = base + off
-        ok = (cand >= plo) & (cand <= phi)
-        ok &= np.abs((cand - p.c) / p.a - (q - p.d) / p.b) < theta
-        total += int(np.count_nonzero(ok))
-    return total
+    pc = np.arange(plo, phi + 1, dtype=float) - p.c
+    first, last = _window_runs(p.b, p.d, xi, (pc - eta) / p.a, (pc + eta) / p.a)
+    y, runs = _expand_runs(first, last)
+    y -= p.d
+    y /= p.b
+    # (p-c)/a once per p, and |y - x| = |x - y|: the naive loop's bits, in place
+    y -= np.repeat(pc / p.a, runs)
+    return int(np.count_nonzero(np.abs(y, out=y) < theta))
 
 
 def count_near_pairs_naive(p: FracParams, eta: float, xi: float) -> int:
@@ -56,11 +56,6 @@ def count_near_pairs_naive(p: FracParams, eta: float, xi: float) -> int:
     qv = np.arange(qlo, qhi + 1, dtype=float)[None, :]
     hit = np.abs((pv - p.c) / p.a - (qv - p.d) / p.b) < theta
     return int(np.count_nonzero(hit))
-
-
-def count_bound_ratio(p: FracParams, eta: float, xi: float) -> float:
-    """count / ((b*eta + a) * L), the quotient against the real-case bound."""
-    return count_near_pairs(p, eta, xi) / ((p.b * eta + p.a) * p.weight())
 
 
 def count_integer_bound(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
@@ -102,17 +97,11 @@ def lattice_fraction_points(p: FracParams) -> SamplePoints:
     return SamplePoints(points=np.mod(u, 1.0), Q=Q)
 
 
-def exp_sum(points: SamplePoints, k: int) -> float:
-    """|sum over the points of e(k u)| with e(x) = exp(2 pi i x)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    # numpy reduces contiguous float arrays pairwise, which keeps the error
-    # near 1e-9 even at Q ~ 1e6
-    return float(np.abs(np.sum(np.exp((2j * np.pi * k) * points.points))))
-
-
 def exp_sums(points: SamplePoints, kmax: int) -> np.ndarray:
-    """|sum e(k u)| for k = 1..kmax, via iterated phase multiplication."""
+    """|sum e(k u)| for k = 1..kmax, e(x) = exp(2 pi i x), by iterated phase products."""
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    check_size(kmax * points.Q, "exponential-sum terms")
     z = np.exp(2j * np.pi * points.points)
     acc = np.ones_like(z)
     out = np.empty(kmax)
@@ -190,8 +179,6 @@ def erdos_turan_rhs_table(points: SamplePoints, los, his,
     whole table costs one (intervals x kmax) pass.  It agrees with the
     scalar `erdos_turan_rhs` to a relative 1e-12, not bit for bit.
     """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
     lengths = _interval_lengths(los, his)
     s = exp_sums(points, kmax)
     k = np.arange(1, kmax + 1, dtype=float)

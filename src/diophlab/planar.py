@@ -10,12 +10,12 @@ seeded Monte Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .approx_sets import FracParams, _factor_set, dist_nearest_int, dyadic_annuli
-from .intervals import IntervalSet, lebesgue
+from .intervals import IntervalSet, lebesgue, mesh_piece_counts
 
 _MC_BLOCK = 1 << 20
 
@@ -36,9 +36,6 @@ class BoxSet:
         lx = self.x_set.his - self.x_set.los
         ly = self.y_set.his - self.y_set.los
         return float(np.sum(np.outer(lx, ly)))
-
-    def boxes(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-        return [(xi, yi) for xi in self.x_set.pairs() for yi in self.y_set.pairs()]
 
     def contains(self, x, y) -> np.ndarray:
         return self.x_set.contains(x) & self.y_set.contains(y)
@@ -71,8 +68,7 @@ def cover_rectangles(p: FracParams, eta: float, xi: float, s: float) -> SquareCo
     if mesh <= 0.0 or not len(box.x_set) or not len(box.y_set):
         return SquareCover(squares=0, mesh=mesh, premeasure=0.0,
                            bound=0.0, ratio=0.0)
-    nx = int(np.sum(np.ceil((box.x_set.his - box.x_set.los) / mesh)))
-    ny = int(np.sum(np.ceil((box.y_set.his - box.y_set.los) / mesh)))
+    nx, ny = (int(mesh_piece_counts(f, mesh).sum()) for f in (box.x_set, box.y_set))
     squares = nx * ny
     bound = p.a * p.b * max(eta / p.a, xi / p.b) / mesh
     return SquareCover(squares=squares, mesh=mesh,
@@ -119,13 +115,11 @@ class PlanarDecomposition:
     remainders (first form far from integers, resp. second) are covered by
     box products over the dyadic annulus pairs (2^(j+1) delta, 2^-j delta);
     these unions are supersets, which is all the premeasure bounds need.
+    No box is stored: `product_rectangle_set` builds any of them.
     """
 
     delta: float
     params: FracParams
-    core: BoxSet
-    first_far: list[tuple[int, BoxSet]] = field(default_factory=list)
-    second_far: list[tuple[int, BoxSet]] = field(default_factory=list)
 
     def annulus_indices(self) -> list[int]:
         return dyadic_annuli(self.delta)
@@ -141,11 +135,12 @@ class PlanarDecomposition:
     def premeasure(self, s: float) -> dict:
         """Square-cover s-costs of the core and each annulus, plus the total."""
         p, d = self.params, self.delta
+        J = self.annulus_indices()
         core = cover_rectangles(p, d, d, s)
         first = [(j, cover_rectangles(p, 2.0 ** (j + 1) * d, 2.0 ** (-j) * d, s).premeasure)
-                 for j, _ in self.first_far]
+                 for j in J]
         second = [(j, cover_rectangles(p, 2.0 ** (-j) * d, 2.0 ** (j + 1) * d, s).premeasure)
-                  for j, _ in self.second_far]
+                  for j in J]
         total = core.premeasure + sum(v for _, v in first) + sum(v for _, v in second)
         return {"core": core.premeasure, "first_far": first,
                 "second_far": second, "total": total}
@@ -155,14 +150,7 @@ def decompose_planar_product_set(p: FracParams, delta: float) -> PlanarDecomposi
     """Core plus dyadic-annulus covering unions for delta in (0, 1/2]."""
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    J = dyadic_annuli(delta)
-    first = [(j, product_rectangle_set(p, 2.0 ** (j + 1) * delta, 2.0 ** (-j) * delta))
-             for j in J]
-    second = [(j, product_rectangle_set(p, 2.0 ** (-j) * delta, 2.0 ** (j + 1) * delta))
-              for j in J]
-    return PlanarDecomposition(delta=delta, params=p,
-                               core=product_rectangle_set(p, delta, delta),
-                               first_far=first, second_far=second)
+    return PlanarDecomposition(delta=delta, params=p)
 
 
 def planar_premeasure_bound(p: FracParams, delta: float, s: float) -> float:

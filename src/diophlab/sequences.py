@@ -180,18 +180,6 @@ def eval_psi(spec: PsiSpec, n: int) -> float:
     return _table_at(spec.values, n, "psi")
 
 
-def clamped_psi(psi: PsiSpec, seq: SequenceSpec, s: float, n: int) -> float:
-    """max(psi(n), (a_n/b_n)**((2-s)/s)), the ratio-power floor on psi.
-
-    Raising psi to this floor absorbs the second series term of the
-    two-term dimension bound into the first.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must be in (0, 1), got {s}")
-    an, bn, _, _ = eval_sequence(seq, n)
-    return max(eval_psi(psi, n), (an / bn) ** ((2.0 - s) / s))
-
-
 # -- JSON config ------------------------------------------------------------
 
 

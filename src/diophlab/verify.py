@@ -449,6 +449,8 @@ def _eval_annulus_indices(inst):
     j1 = [j for j in J if 4.0 ** j <= ratio]
     j2 = [j for j in J if 4.0 ** j >= ratio]
     ok &= sorted(set(j1) | set(j2)) == J and len(set(j1) & set(j2)) <= 1
+    p = FracParams(inst["a"], inst["a"] * ratio)
+    ok &= decompose_planar_product_set(p, delta).index_split() == (j1, j2)
     return {"ok": ok, "J": J, "J1": j1, "J2": j2}
 
 
@@ -464,81 +466,77 @@ class CheckDef:
     evaluate: callable = field(compare=False)
 
 
-# property ids name the module invariants the checks are wired to
-PROPERTIES = {
-    "lattice.count-oracle-equivalence": "fast count equals the naive double loop",
-    "lattice.large-regime-cap": "count <= 4(b+2) when eta + (a/b) xi > 1/2",
-    "lattice.erdos-turan": "discrepancy never exceeds the exponential-sum bound",
-    "lattice.integer-orthogonality": "full-period sums are 0 or b by gcd divisibility",
-    "lattice.count-bound-ratio": "count / ((b eta + a) L) stays bounded",
-    "lattice.integer-count-ratio": "count / (b eta + gcd) stays bounded",
-    "lattice.shift-invariance": "integer shifts of c leave the count unchanged",
-    "lattice.uq-rhs-bound": "discrepancy bound at K = floor(b/a) tracks (a + delta b) L",
-    "approx.membership-agreement": "pointwise test matches interval containment",
-    "approx.decompose-reconstruction": "core and remainders reassemble the product set",
-    "approx.measure-bound-ratio": "product-set measure tracks its bound",
-    "approx.premeasure-bound-ratio": "multi-scale cover cost tracks the premeasure bound",
-    "approx.cover-count-ratio": "cover piece count tracks (b eta + a) L",
-    "approx.cover-containment": "covers contain the sets they are built from",
-    "approx.monotonicity": "product sets grow with delta",
-    "approx.simultaneous-in-product": "simultaneous set sits inside the product set",
-    "dimension.tau-agreement": "bisection tau matches closed form within 1e-3",
-    "dimension.single-series-zero": "threshold is exactly 0 when a^2 <= b",
-    "planar.product-area": "box-sum area equals the product of 1-D measures",
-    "planar.mc-oracle": "Monte Carlo area matches the closed-form oracle",
-    "planar.premeasure-ratio": "annulus premeasure tracks b^(1-s) delta^(2s)",
-    "planar.cover-count-ratio": "square count tracks a b max/min",
-    "planar.annulus-indices": "dyadic index sets are computed by direct inequality",
-}
-
-# (check id, kind, property id, sampler, evaluator)
+# (check id, kind, property id, sampler, evaluator), each under its property
 _TABLE = [
+    # fast count equals the naive double loop
     ("count-oracle", "exact", "lattice.count-oracle-equivalence",
      _COUNT_PAIRS, _eval_count_oracle),
+    # count <= 4(b+2) when eta + (a/b) xi > 1/2
     ("count-regime", "exact", "lattice.large-regime-cap",
      _sample_count_regime, _eval_count_regime),
+    # discrepancy never exceeds the exponential-sum bound
     ("erdos-turan", "exact", "lattice.erdos-turan",
      _sample_erdos_turan, _eval_erdos_turan),
+    # full-period sums are 0 or b by gcd divisibility
     ("exp-sum-orthogonality", "exact", "lattice.integer-orthogonality",
      _sample_exp_sum, _eval_exp_sum_integer),
+    # count / ((b eta + a) L) stays bounded
     ("count-bound-ratio", "ratio", "lattice.count-bound-ratio",
      _draw(A_MAX, B_MAX, eta=_uniform(1e-4, 1.0), xi=_uniform(1e-4, 1.0)),
      _eval_count_ratio),
+    # count / (b eta + gcd) stays bounded
     ("integer-count-ratio", "ratio", "lattice.integer-count-ratio",
      _sample_integer_count, _eval_integer_count_ratio),
+    # integer shifts of c leave the count unchanged
     ("count-shift-invariance", "exact", "lattice.shift-invariance",
      _COUNT_PAIRS, _eval_shift_invariance),
+    # discrepancy bound at K = floor(b/a) tracks (a + delta b) L
     ("uq-rhs-bound", "ratio", "lattice.uq-rhs-bound",
      _draw(A_MAX, 500.0, delta=_delta), _eval_uq_rhs),
+    # pointwise test matches interval containment
     ("membership-agreement", "exact", "approx.membership-agreement",
      _draw(A_MAX, 1e4, delta=_delta, seed=_seed), _eval_membership),
+    # core and remainders reassemble the product set
     ("decompose-exact", "exact", "approx.decompose-reconstruction",
      _PRODUCT_DELTA, _eval_decompose),
+    # product-set measure tracks its bound
     ("measure-bound-ratio", "ratio", "approx.measure-bound-ratio",
      _PRODUCT_DELTA, _eval_measure_ratio),
+    # multi-scale cover cost tracks the premeasure bound
     ("premeasure-bound-ratio", "ratio", "approx.premeasure-bound-ratio",
      _PRODUCT_DELTA, _eval_premeasure_ratio),
+    # cover piece count tracks (b eta + a) L
     ("cover-count-ratio", "ratio", "approx.cover-count-ratio",
      _COVER_ETA_XI, _eval_cover_ratio),
+    # covers contain the sets they are built from
     ("cover-containment", "exact", "approx.cover-containment",
      _COVER_ETA_XI, _eval_cover_containment),
+    # product sets grow with delta
     ("set-monotonicity", "exact", "approx.monotonicity",
      _sample_monotonicity, _eval_monotonicity),
+    # simultaneous set sits inside the product set
     ("simultaneous-in-product", "exact", "approx.simultaneous-in-product",
      _draw(A_MAX, 1e4, eta=_uniform(1e-4, 0.5), xi=_uniform(1e-4, 0.5)),
      _eval_simultaneous_in_product),
+    # bisection tau matches closed form within 1e-3
     ("tau-bisection-agreement", "exact", "dimension.tau-agreement",
      _sample_tau, _eval_tau_agreement),
+    # threshold is exactly 0 when a^2 <= b
     ("single-series-threshold-zero", "exact", "dimension.single-series-zero",
      _sample_single_series, _eval_single_series_zero),
+    # box-sum area equals the product of 1-D measures
     ("planar-product-area", "exact", "planar.product-area",
      _PLANAR_ETA_XI, _eval_planar_product),
+    # Monte Carlo area matches the closed-form oracle
     ("planar-mc-oracle", "exact", "planar.mc-oracle",
      _sample_planar_mc, _eval_planar_mc),
+    # annulus premeasure tracks b^(1-s) delta^(2s)
     ("planar-premeasure-ratio", "ratio", "planar.premeasure-ratio",
      _draw(50.0, 5000.0, delta=_delta), _eval_planar_premeasure),
+    # square count tracks a b max/min
     ("planar-cover-ratio", "ratio", "planar.cover-count-ratio",
      _PLANAR_ETA_XI, _eval_planar_cover_ratio),
+    # PlanarDecomposition's dyadic index split equals the direct inequalities
     ("annulus-indices", "exact", "planar.annulus-indices",
      _sample_annulus, _eval_annulus_indices),
 ]
@@ -546,17 +544,6 @@ _TABLE = [
 CHECKS: dict[str, CheckDef] = {
     cid: CheckDef(cid, kind, prop, partial(_generate, sample), evaluate)
     for cid, kind, prop, sample, evaluate in _TABLE}
-
-
-def verify_coverage() -> None:
-    """Refuse to run when a property lacks a check or a check is unwired."""
-    wired = {c.property_id for c in CHECKS.values()}
-    missing = sorted(set(PROPERTIES) - wired)
-    unknown = sorted(wired - set(PROPERTIES))
-    if missing or unknown:
-        raise RuntimeError(
-            f"coverage guard: properties without checks {missing}, "
-            f"checks wired to unknown properties {unknown}")
 
 
 # -- campaign ------------------------------------------------------------------
@@ -580,7 +567,6 @@ def run_campaign(dist: InstanceDistribution, checks: list[str] | None = None,
     The returned/persisted report is a pure function of (seed, config):
     wall-clock timings go to `echo` only.
     """
-    verify_coverage()
     selected = sorted(CHECKS) if not checks or checks == ["all"] else list(checks)
     for cid in selected:
         if cid not in CHECKS:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diophlab.approx_sets import (CellCapExceeded, FracParams, _factor_set,
+from diophlab.approx_sets import (FracParams, _factor_set,
                                   decompose_product_set, dist_nearest_int,
                                   dyadic_annuli, measure_bound,
                                   premeasure_bound, product_membership,
                                   product_set, product_set_cover_cost,
                                   cover_simultaneous, simultaneous_set)
-from diophlab.intervals import (difference, intersect, lebesgue, mesh_cover,
-                                symmetric_difference)
+from diophlab.intervals import (CellCapExceeded, difference, intersect,
+                                lebesgue, mesh_cover, symmetric_difference)
 from diophlab.sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence
 
 

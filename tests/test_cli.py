@@ -165,6 +165,8 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
      "b must be a finite number"),
     (("count", "--a", "2", "--b", "11", "--eta", "nan", "--xi", "0.1"),
      "thresholds must be numbers"),
+    (("count", "--a", "2", "--b", "6", "--eta", "inf", "--xi", "0.1"),
+     "not inf or NaN"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
     # a NaN or infinite coefficient or count threshold is bad input: exit 1
@@ -193,6 +195,9 @@ _BIG = ("--a", "2", "--b", "1000")
                  "1001 lattice points exceed the cap 100", id="discrepancy"),
     pytest.param(("set", *_BIG, "--delta", "0.1"),
                  "cell cuts exceed the cap 100", id="set-product"),
+    # 91 windows are under the cap, their cover's pieces are not
+    pytest.param(("cover", "--a", "1", "--b", "90", "--eta", "0.45", "--xi", "0.45"),
+                 "cover pieces exceed the cap 100", id="cover-pieces"),
 ])
 def test_size_cap_exits_with_message(argv, message):
     # an array above DIOPHLAB_CELL_CAP is refused before it is allocated:
@@ -200,6 +205,22 @@ def test_size_cap_exits_with_message(argv, message):
     env = {**os.environ, "DIOPHLAB_CELL_CAP": "100"}
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
                           capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("K, message", [
+    ("0", "K must be >= 1, got 0"),
+    ("30000000", "360000000 exponential-sum terms exceed the cap 100000000"),
+])
+def test_discrepancy_bad_K_exits_with_message(K, message):
+    # K = 0 used to fall back to floor(b/a), and K = 3e7 to loop for minutes;
+    # both now end at once, under the default cap
+    env = {k: v for k, v in os.environ.items() if k != "DIOPHLAB_CELL_CAP"}
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", "discrepancy",
+                           "--a", "2", "--b", "11", "--K", K],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diophlab.approx_sets import FracParams
-from diophlab.lattice import (SamplePoints, count_bound_ratio,
-                              count_integer_bound, count_near_pairs,
-                              count_near_pairs_naive, default_K, discrepancies,
-                              discrepancy, erdos_turan_rhs,
-                              erdos_turan_rhs_table, exp_sum, exp_sums,
+from diophlab.intervals import CellCapExceeded
+from diophlab.lattice import (SamplePoints, count_integer_bound,
+                              count_near_pairs, count_near_pairs_naive,
+                              default_K, discrepancies, discrepancy,
+                              erdos_turan_rhs, erdos_turan_rhs_table, exp_sums,
                               large_regime, lattice_fraction_points)
 
 
@@ -20,8 +21,10 @@ def test_count_two_six_case():
     assert count_near_pairs(FracParams(2, 6), 0.1, 0.1) == 3
 
 
-@pytest.mark.parametrize("eta, xi", [(math.nan, 0.1), (0.1, math.nan)])
+@pytest.mark.parametrize("eta, xi", [(math.nan, 0.1), (0.1, math.nan),
+                                     (math.inf, 0.1), (0.1, -math.inf)])
 def test_count_rejects_nan_threshold(eta, xi):
+    # an infinite threshold is rejected too; it used to give a count of 0
     with pytest.raises(ValueError, match="thresholds must be numbers"):
         count_near_pairs(FracParams(2, 11), eta, xi)
 
@@ -58,7 +61,75 @@ def test_count_shift_invariance():
 
 
 def test_bound_ratio_example():
-    assert count_bound_ratio(FracParams(1, 1), 0.25, 0.25) == pytest.approx(1.6)
+    # the quotient `diophlab count` prints: count / ((b eta + a) L)
+    p = FracParams(1, 1)
+    ratio = count_near_pairs(p, 0.25, 0.25) / ((p.b * 0.25 + p.a) * p.weight())
+    assert ratio == pytest.approx(1.6)
+
+
+def count_six_candidates(p, eta, xi):
+    """Oracle: the O(b) count the window-run kernel replaced.
+
+    For each q it tests the six p from floor(c + a (q-d)/b - a theta) on,
+    which holds every admissible p while the p-window 2 a theta =
+    2 eta + 2 xi a/b is shorter than 5, so for eta, xi <= 1.2.
+    """
+    plo, phi = math.floor(p.c), math.ceil(p.a + p.c)
+    q = np.arange(math.floor(p.d), math.ceil(p.b + p.d) + 1, dtype=float)
+    theta = eta / p.a + xi / p.b
+    base = np.floor(p.c + p.a * (q - p.d) / p.b - p.a * theta)
+    total = 0
+    for off in range(6):
+        cand = base + off
+        ok = (cand >= plo) & (cand <= phi)
+        ok &= np.abs((cand - p.c) / p.a - (q - p.d) / p.b) < theta
+        total += int(np.count_nonzero(ok))
+    return total
+
+
+def test_count_matches_six_candidate_oracle_at_large_b():
+    rng = np.random.default_rng(606)
+    for i in range(60):
+        a = float(rng.uniform(1, 100))
+        b = float(np.exp(rng.uniform(np.log(a), np.log(1e6))))
+        if i % 10 == 0:
+            b = a
+        c, d = rng.uniform(-2, 2, size=2)
+        if i % 3 == 0:
+            c, d = np.round([c, d])
+        p = FracParams(a, b, float(c), float(d))
+        eta, xi = (float(t) for t in rng.uniform(0.0, 1.2, size=2))
+        assert count_near_pairs(p, eta, xi) == count_six_candidates(p, eta, xi)
+    for p, eta, xi in [(FracParams(3.7, 1e6, 0.3, -1.2), 1.2, 1.2),
+                       (FracParams(97.3, 9.7e5, 0.4, -1.3), 1e-4, 0.5),
+                       (FracParams(2e5, 2e5, 1.0, -2.0), 0.5, 0.5),
+                       (FracParams(2.0, 1e6), 0.0, 1.2)]:
+        assert count_near_pairs(p, eta, xi) == count_six_candidates(p, eta, xi)
+
+
+# thresholds on the domain boundaries (0, 1/2 and next to it) and inside
+_COUNT_THRESHOLD = st.one_of(
+    st.sampled_from([0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]),
+    st.floats(0.0, 1.2))
+_COUNT_SHIFT = st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _count_params(draw):
+    a = draw(st.one_of(st.integers(1, 40).map(float), st.floats(1.0, 40.0)))
+    b = draw(st.one_of(st.just(a), st.integers(math.ceil(a), 300).map(float),
+                       st.floats(a, 300.0)))
+    return FracParams(a, b, draw(_COUNT_SHIFT), draw(_COUNT_SHIFT))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=_count_params(), eta=_COUNT_THRESHOLD, xi=_COUNT_THRESHOLD)
+@example(p=FracParams(1, 1), eta=0.0, xi=0.0)
+@example(p=FracParams(7, 7, 1, -2), eta=0.5, xi=0.5)
+@example(p=FracParams(3, 12, 0, 0), eta=0.5, xi=0.0)
+@example(p=FracParams(2, 6), eta=1.2, xi=1.2)
+def test_count_equals_naive_on_domain_boundaries(p, eta, xi):
+    assert count_near_pairs(p, eta, xi) == count_near_pairs_naive(p, eta, xi)
 
 
 def test_large_regime_cap():
@@ -118,23 +189,34 @@ def test_build_points_count_with_shift():
 def test_exp_sum_uniform_points():
     Q = 16
     pts = SamplePoints(points=np.arange(Q) / Q, Q=Q)
-    assert exp_sum(pts, 5) < 1e-9
-    assert exp_sum(pts, Q) == pytest.approx(Q)
-    assert exp_sum(pts, 3 * Q) == pytest.approx(Q)
+    sums = exp_sums(pts, 3 * Q)
+    assert sums[5 - 1] < 1e-9
+    assert sums[Q - 1] == pytest.approx(Q)
+    assert sums[3 * Q - 1] == pytest.approx(Q)
 
 
 def test_exp_sum_rejects_bad_k():
     pts = SamplePoints(points=np.array([0.1]), Q=1)
-    with pytest.raises(ValueError):
-        exp_sum(pts, 0)
+    with pytest.raises(ValueError, match="kmax must be >= 1"):
+        exp_sums(pts, 0)
 
 
 def test_exp_sums_match_exp_sum():
+    # each k against its own direct sum |sum e(k u)|
     rng = np.random.default_rng(8)
     pts = SamplePoints(points=rng.random(100), Q=100)
     batch = exp_sums(pts, 20)
-    singles = [exp_sum(pts, k) for k in range(1, 21)]
+    singles = [abs(np.sum(np.exp((2j * np.pi * k) * pts.points)))
+               for k in range(1, 21)]
     np.testing.assert_allclose(batch, singles, atol=1e-10)
+
+
+def test_exp_sums_checks_the_cap_before_the_loop(monkeypatch):
+    monkeypatch.setenv("DIOPHLAB_CELL_CAP", "1000")
+    pts = SamplePoints(points=np.zeros(12), Q=12)
+    assert len(exp_sums(pts, 83)) == 83
+    with pytest.raises(CellCapExceeded, match="1008 exponential-sum terms"):
+        exp_sums(pts, 84)
 
 
 def test_integer_orthogonality_four_six():

@@ -37,7 +37,7 @@ def test_vacuous_threshold_keeps_full_factor():
 def test_empty_threshold_gives_empty_set():
     box = product_rectangle_set(FracParams(1, 2), 0.0, 0.3)
     assert box.area() == 0.0
-    assert not box.boxes()
+    assert box.x_set.is_empty() and box.y_set.is_empty()
 
 
 def test_cover_counts_balanced_case():
@@ -116,7 +116,8 @@ def test_unit_area_formula_sanity():
 def test_decompose_annulus_indices():
     dec = decompose_planar_product_set(FracParams(2, 5), 0.1)
     assert dec.annulus_indices() == [0, 1, 2]
-    assert len(dec.first_far) == 3 and len(dec.second_far) == 3
+    for side in ("first_far", "second_far"):
+        assert [j for j, _ in dec.premeasure(0.5)[side]] == [0, 1, 2]
 
 
 def test_decompose_index_split_covers_everything():
@@ -134,10 +135,10 @@ def test_decompose_index_split_covers_everything():
 def test_decompose_core_membership_spot_check():
     p = FracParams(2.5, 11.0, 0.3, 0.7)
     delta = 0.12
-    dec = decompose_planar_product_set(p, delta)
+    core = product_rectangle_set(p, delta, delta)
     rng = np.random.default_rng(8)
     x, y = rng.random(100_000), rng.random(100_000)
-    in_core = dec.core.contains(x, y)
+    in_core = core.contains(x, y)
     in_product = planar_membership(p, delta, x, y)
     assert not np.any(in_core & ~in_product)
 
@@ -166,7 +167,9 @@ def test_annulus_cover_is_superset_of_remainder():
     x, y = rng.random(200_000), rng.random(200_000)
     members = planar_membership(p, delta, x, y)
     x, y = x[members], y[members]
-    covered = dec.core.contains(x, y)
-    for _, box in dec.first_far + dec.second_far:
-        covered |= box.contains(x, y)
+    covered = product_rectangle_set(p, delta, delta).contains(x, y)
+    for j in dec.annulus_indices():
+        big, small = 2.0 ** (j + 1) * delta, 2.0 ** (-j) * delta
+        covered |= product_rectangle_set(p, big, small).contains(x, y)
+        covered |= product_rectangle_set(p, small, big).contains(x, y)
     assert covered.all()

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from diophlab.sequences import (PsiSpec, SequenceSpec, clamped_psi, eval_psi,
+from diophlab.sequences import (PsiSpec, SequenceSpec, eval_psi,
                                 eval_sequence, load_config, log_weight,
                                 parse_psi, parse_sequence, refined_log,
                                 sequence_gcd)
@@ -100,39 +100,6 @@ def test_refined_log():
     assert refined_log(1.0) == 1.0
     assert refined_log(math.e) == 1.0
     assert refined_log(math.e ** 2) == pytest.approx(2.0)
-
-
-def test_clamped_psi_zero_psi():
-    seq = SequenceSpec(kind="explicit-table", a_table=(2,), b_table=(8,))
-    psi = PsiSpec(kind="explicit-table", values=(0.0,))
-    assert clamped_psi(psi, seq, 0.5, 1) == pytest.approx(1 / 64)
-
-
-def test_clamped_psi_keeps_large_psi():
-    # (1/2)**3 = 0.125 < 0.9 so psi itself survives the max
-    seq = SequenceSpec(kind="explicit-table", a_table=(2,), b_table=(4,))
-    psi = PsiSpec(kind="explicit-table", values=(0.9,))
-    assert clamped_psi(psi, seq, 0.5, 1) == 0.9
-
-
-def test_clamped_psi_equal_bases_reaches_one():
-    seq = SequenceSpec(kind="explicit-table", a_table=(3,), b_table=(3,))
-    psi = PsiSpec(kind="explicit-table", values=(0.2,))
-    assert clamped_psi(psi, seq, 0.3, 1) >= 1.0
-
-
-def test_clamped_psi_dominates_psi():
-    seq = SequenceSpec(kind="exponential", a=2, b=3)
-    psi = PsiSpec(kind="exponential", lam=1.0)
-    for n in range(1, 10):
-        for s in (0.2, 0.5, 0.8):
-            assert clamped_psi(psi, seq, s, n) >= eval_psi(psi, n)
-
-
-def test_clamped_psi_domain_error():
-    seq = SequenceSpec(kind="exponential", a=2, b=3)
-    with pytest.raises(ValueError):
-        clamped_psi(PsiSpec(kind="power", t=1), seq, 1.0, 1)
 
 
 def test_sequence_gcd():

@@ -9,29 +9,20 @@ import diophlab.lattice as L
 import diophlab.verify as V
 from diophlab.lattice import SamplePoints, discrepancy, erdos_turan_rhs
 from diophlab.verify import (CHECKS, CheckFailure, InstanceDistribution,
-                             PROPERTIES, _rng_for, replay, run_campaign,
-                             serialize_report, verify_coverage)
+                             _rng_for, replay, run_campaign, serialize_report)
 
 
 def quiet(*args, **kwargs):
     pass
 
 
-def test_coverage_guard_passes():
-    verify_coverage()
-
-
-def test_coverage_guard_catches_unwired_property(monkeypatch):
-    patched = dict(PROPERTIES)
-    patched["phantom.untested-invariant"] = "nothing checks this"
-    monkeypatch.setattr("diophlab.verify.PROPERTIES", patched)
-    with pytest.raises(RuntimeError, match="phantom.untested-invariant"):
-        verify_coverage()
-
-
 def test_every_check_has_a_known_property():
+    # one property per check, named after the module it holds for
+    props = [cdef.property_id for cdef in CHECKS.values()]
+    assert len(set(props)) == len(props)
     for cdef in CHECKS.values():
-        assert cdef.property_id in PROPERTIES
+        module, _, name = cdef.property_id.partition(".")
+        assert module in ("lattice", "approx", "dimension", "planar") and name
         assert cdef.kind in ("exact", "ratio")
 
 
