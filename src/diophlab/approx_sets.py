@@ -26,9 +26,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import (Cover, IntervalSet, check_size, intersect, mesh_cover,
-                        mesh_piece_counts, normalize, union_many)
-from .sequences import log_weight
+from .intervals import (Cover, IntervalSet, check_size, complement, intersect,
+                        mesh_cover, mesh_piece_counts, normalize, union_many)
+from .sequences import log_weight, require_finite
 
 _CHUNK = 1 << 19
 
@@ -43,10 +43,7 @@ class FracParams:
     d: float = 0.0
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value}")
+        require_finite(self, ("a", "b", "c", "d"))
         if not (1.0 <= self.a <= self.b):
             raise ValueError(f"need 1 <= a <= b, got a={self.a}, b={self.b}")
 
@@ -163,13 +160,11 @@ def _cell_bounds(p: FracParams, cap: int | None = None) -> np.ndarray:
     return np.unique(np.concatenate(cuts))
 
 
-def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray,
-                 constraint: str | None, delta: float):
+def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray):
     """Solve |u v| < d2 on cells [lo, hi], u = a x + c - p0, v = b x + d - q0.
 
     Returns candidate piece arrays (plo, phi); entries with phi <= plo are
-    to be discarded by the caller.  `constraint` adds |u| >= delta
-    ("first") or |v| >= delta ("second") for the one-sided remainders.
+    to be discarded by the caller.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
     mid = 0.5 * (lo + hi)
@@ -197,32 +192,11 @@ def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray,
     hi1 = np.where(ok1, np.minimum(hi, r2), 0.0)
     excl_lo = np.where(ok2, s1, np.inf)
     excl_hi = np.where(ok2, s2, np.inf)
-
-    pieces = [(lo1, np.minimum(hi1, excl_lo)),
-              (np.maximum(lo1, excl_hi), hi1)]
-
-    if constraint is not None:
-        # one-sided distance floor: keep x with the chosen form at least
-        # delta from its nearest integer
-        if constraint == "first":
-            left = ((p0 - c) - delta) / a
-            right = ((p0 - c) + delta) / a
-        else:
-            left = ((q0 - d) - delta) / b
-            right = ((q0 - d) + delta) / b
-        split = []
-        for plo, phi in pieces:
-            split.append((plo, np.minimum(phi, left)))
-            split.append((np.maximum(plo, right), phi))
-        pieces = split
-
-    plo = np.concatenate([pl for pl, _ in pieces])
-    phi = np.concatenate([ph for _, ph in pieces])
-    return plo, phi
+    return (np.concatenate([lo1, np.maximum(lo1, excl_hi)]),
+            np.concatenate([np.minimum(hi1, excl_lo), hi1]))
 
 
 def _product_pieces(p: FracParams, delta: float,
-                    constraint: str | None = None,
                     cap: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream solution pieces of the product condition, in x order per chunk."""
     bounds = _cell_bounds(p, cap)
@@ -230,20 +204,9 @@ def _product_pieces(p: FracParams, delta: float,
     d2 = delta * delta
     for i0 in range(0, ncells, _CHUNK):
         i1 = min(i0 + _CHUNK, ncells)
-        plo, phi = _solve_chunk(p, d2, bounds[i0:i1], bounds[i0 + 1:i1 + 1],
-                                constraint, delta)
+        plo, phi = _solve_chunk(p, d2, bounds[i0:i1], bounds[i0 + 1:i1 + 1])
         keep = phi > plo
         yield plo[keep], phi[keep]
-
-
-def _solve_product(p: FracParams, delta: float, constraint: str | None = None,
-                   cap: int | None = None) -> IntervalSet:
-    """Normalized union of all pieces `_product_pieces` streams."""
-    chunks = list(_product_pieces(p, delta, constraint=constraint, cap=cap))
-    if not chunks:
-        return IntervalSet.empty()
-    return normalize((np.concatenate([c[0] for c in chunks]),
-                      np.concatenate([c[1] for c in chunks])))
 
 
 def product_set(p: FracParams, delta: float,
@@ -259,7 +222,8 @@ def product_set(p: FracParams, delta: float,
         return IntervalSet.empty()
     if delta > 0.5:
         return IntervalSet.full()
-    return _solve_product(p, delta, cap=cap)
+    los, his = zip(*_product_pieces(p, delta, cap=cap))
+    return normalize((np.concatenate(los), np.concatenate(his)))
 
 
 @dataclass
@@ -281,13 +245,27 @@ class ProductDecomposition:
 
 def decompose_product_set(p: FracParams, delta: float,
                           cap: int | None = None) -> ProductDecomposition:
-    """Exact core/remainder split of product_set(delta) for delta in (0, 1/2]."""
+    """Core/remainder split of E = product_set(delta), for delta in (0, 1/2].
+
+    With A the O(a) windows where u = ||a x + c|| < delta, and the core
+    simultaneous_set(delta, delta) where also v = ||b x + d|| < delta:
+
+      first_far  = E minus A
+      second_far = (E intersect A) minus core
+
+    A point of E with v >= delta has u < delta**2 / v <= delta, so second_far
+    needs no set built from the b-form.  E is solved once.  Each `intersect`
+    takes the smaller set first, because its sweep runs over that argument.
+    """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
+    e = product_set(p, delta, cap)
+    near = _factor_set(p.a, p.c, delta)
+    core = simultaneous_set(p, delta, delta)
     return ProductDecomposition(
-        simultaneous=simultaneous_set(p, delta, delta),
-        first_far=_solve_product(p, delta, "first", cap),
-        second_far=_solve_product(p, delta, "second", cap),
+        simultaneous=core,
+        first_far=intersect(complement(near), e),
+        second_far=intersect(complement(core), intersect(near, e)),
     )
 
 

@@ -183,6 +183,14 @@ def intersect(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     return normalize((lo, hi))
 
 
+def complement(x: IntervalSet) -> IntervalSet:
+    """[0,1] minus x; its endpoints are those of x, plus 0 and 1."""
+    los = np.concatenate([[0.0], x.his])
+    his = np.concatenate([x.los, [1.0]])
+    keep = his > los
+    return IntervalSet(los[keep], his[keep])
+
+
 def union(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     return _combine(x, y, lambda a, b: a | b)
 
@@ -220,9 +228,9 @@ def premeasure_upper(x: IntervalSet, s: float, mesh: float) -> float:
     radius = length/2 convention.  Valid as an upper bound for any cover
     radius above mesh/2.
     """
-    if s <= 0.0 or s > 1.0:
+    if not 0.0 < s <= 1.0:
         raise ValueError(f"s must be in (0, 1], got {s}")
-    if mesh <= 0.0:
+    if not mesh > 0.0:
         raise ValueError(f"mesh must be positive, got {mesh}")
     if x.is_empty():
         return 0.0
@@ -295,7 +303,7 @@ def mesh_cover(x: IntervalSet, mesh: float) -> Cover:
     piece is stretched to the component's hi when rounding left it a few
     ulp short, so the union provably contains the component.
     """
-    if mesh <= 0.0:
+    if not mesh > 0.0:
         raise ValueError("mesh must be positive")
     if x.is_empty():
         return Cover(mesh=mesh, piece_los=np.empty(0), piece_his=np.empty(0),

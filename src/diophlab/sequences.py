@@ -32,6 +32,15 @@ def log_weight(a: float, b: float) -> float:
     return max(1.0, refined_log(b) / a)
 
 
+def require_finite(obj, names: tuple) -> None:
+    """Reject a NaN or infinite field of obj, or entry of a tuple field, by name."""
+    for name in names:
+        value = getattr(obj, name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v}")
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """One of the supported (a_n, b_n, c_n, d_n) families.
@@ -58,6 +67,8 @@ class SequenceSpec:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        require_finite(self, ("a", "b", "c", "d", "a_table", "b_table",
+                              "c_table", "d_table"))
         if self.kind not in SEQ_KINDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "exponential":
@@ -151,6 +162,7 @@ class PsiSpec:
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "lam", float(self.lam))
+        require_finite(self, ("t", "lam", "values"))
         if self.kind not in PSI_KINDS:
             raise ValueError(f"unknown psi kind {self.kind!r}")
         if self.kind == "explicit-table":

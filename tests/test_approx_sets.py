@@ -133,16 +133,29 @@ def test_decompose_remainders_vanish_for_equal_forms():
 
 
 def test_decompose_core_inside_product_set():
+    # each part keeps its definition: the core lies in E, the second
+    # remainder lies where the first distance is below delta, the first
+    # remainder does not
     rng = np.random.default_rng(31)
+    cases = []
     for _ in range(10):
         a = float(rng.uniform(1, 15))
         p = FracParams(a, float(rng.uniform(a, 300)),
                        float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        delta = float(rng.uniform(0.01, 0.5))
+        cases.append((p, float(rng.uniform(0.01, 0.5))))
+    # b near 4e5, with remainder pieces about 1e-12 wide where both
+    # distances are close to delta
+    cases.append((FracParams(82.80290049524143, 376819.18030899105,
+                             -1.439003644005557, 0.2161445741561976),
+                  0.0019635531823466493))
+    for p, delta in cases:
         dec = decompose_product_set(p, delta)
         e = product_set(p, delta)
         assert lebesgue(dec.simultaneous) <= lebesgue(e) + 1e-15
         assert difference(dec.simultaneous, e).is_empty()
+        near = simultaneous_set(p, delta, 0.5)
+        assert difference(dec.second_far, near).is_empty()
+        assert lebesgue(intersect(dec.first_far, near)) == 0
 
 
 def test_decompose_rejects_bad_delta():

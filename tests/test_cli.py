@@ -151,9 +151,11 @@ def test_domain_error_exit_code(capsys):
     ("set", "--a", "2", "--b", "11", "--eta", "nan", "--xi", "0.1"),
     ("planar", "area", "--a", "2", "--b", "11", "--eta", "nan", "--xi", "0.1"),
     ("measure", "--a", "2", "--b", "11", "--delta", "0.1", "--s", "1.5"),
+    ("measure", "--a", "3", "--b", "7", "--delta", "0.05", "--s", "0.5", "--mesh", "nan"),
+    ("measure", "--a", "3", "--b", "7", "--delta", "0.6", "--s", "nan", "--mesh", "0.01"),
 ])
 def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
-    # a NaN threshold or s > 1 is bad input, not an empty set or a value
+    # a NaN threshold, mesh or s, or s > 1, is bad input, not an empty set or a value
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and "error" in err
 
@@ -167,10 +169,16 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
      "thresholds must be numbers"),
     (("count", "--a", "2", "--b", "6", "--eta", "inf", "--xi", "0.1"),
      "not inf or NaN"),
+    (("tau", "--a", "2", "--b", "3", "--psi", "pow:nan"), "t must be a finite number"),
+    (("tau", "--a", "2", "--b", "3", "--psi", "exp:inf"), "lam must be a finite number"),
+    (("tau", "--a", "2", "--b", "3", "--psi", "sb:inf"), "t must be a finite number"),
+    (("tau", "--a", "2", "--b", "inf", "--psi", "pow:1"), "b must be a finite number"),
+    (("scan", "--a", "2", "--b", "3", "--t", "nan"), "t must be a finite number"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
-    # a NaN or infinite coefficient or count threshold is bad input: exit 1
-    # with a message that names it, not a traceback or a count of 0
+    # a NaN or infinite coefficient, count threshold or psi parameter is bad
+    # input: exit 1 with a message that names it, not a traceback, a count
+    # of 0 or a tau
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from diophlab.intervals import (IntervalSet, box_count, difference, intersect,
-                                lebesgue, mesh_cover, normalize,
+from diophlab.intervals import (IntervalSet, box_count, complement, difference,
+                                intersect, lebesgue, mesh_cover, normalize,
                                 premeasure_upper, symmetric_difference, union,
                                 union_many)
 
@@ -58,6 +58,8 @@ def test_inclusion_exclusion_randomized():
         lhs = lebesgue(union(x, y)) + lebesgue(intersect(x, y))
         rhs = lebesgue(x) + lebesgue(y)
         assert abs(lhs - rhs) < 1e-12
+        assert complement(complement(x)) == x
+        assert abs(lebesgue(x) + lebesgue(complement(x)) - 1.0) < 1e-12
 
 
 def test_lebesgue_examples():

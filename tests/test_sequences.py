@@ -80,6 +80,16 @@ def test_psi_rejects_negative_values():
         PsiSpec(kind="explicit-table", values=(0.1, -0.2))
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: PsiSpec(kind="explicit-table", values=(0.1, math.nan)), "values"),
+    (lambda: SequenceSpec(kind="explicit-table", a_table=(1.5,), b_table=(4.2,),
+                          d_table=(math.inf,)), "d_table"),
+])
+def test_table_entries_must_be_finite(make, name):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        make()
+
+
 def test_log_weight_examples():
     assert log_weight(1.0, math.e ** 3) == pytest.approx(3.0)
     assert log_weight(10.0, 20.0) == 1.0
