@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("measure", help="product-set measure and premeasures")
     _add_params(sp, delta=True)
-    sp.add_argument("--s", type=float, nargs="*", default=[0.3, 0.5, 0.7, 0.9])
+    sp.add_argument("--s", type=float, nargs="+", default=[0.3, 0.5, 0.7, 0.9])
     sp.add_argument("--mesh", type=float, default=None,
                     help="also report the canonical equal-mesh premeasure")
     _add_io(sp)
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("planar", help="planar product-set operations")
     sp.add_argument("op", choices=("area", "cover", "decompose", "mc"))
     _add_params(sp, eta_xi=True, delta=True)
-    sp.add_argument("--s", type=float, nargs="*", default=[0.5])
+    sp.add_argument("--s", type=float, nargs="+", default=[0.5])
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
     _add_io(sp)

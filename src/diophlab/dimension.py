@@ -5,40 +5,61 @@ A series family assigns to each index n a nonnegative term built from
 the family's series converges; the dimension of the underlying limsup set
 is bounded by min(1, tau).
 
-Families:
-  plain      b_n (psi/b_n)^s
-  two-term   plain + a_n (psi/(a_n b_n))^(s/2)
-  gcd        plain + gcd(a_n, b_n) (psi/(a_n b_n))^(s/2)   (integer sequences)
-  four-term  plain * (1 + log(b_n)/a_n) + a_n (psi/(a_n b_n))^(s/2)
-             + (psi/(a_n b_n))^(s/2) * log(b_n)
-  lebesgue   psi log(1/psi) + (psi/a_n) log(b_n) log(1/psi)
-             + (psi a_n/b_n)^(1/2) + (psi/(a_n b_n))^(1/2) log(b_n),
-             evaluated at s = 1 over indices with psi > 0
+`_TERMS` is the one definition of the families (plain, two-term, gcd,
+four-term, lebesgue): each is a list of terms, each term a weighted sum
+of log features such as log b_n and log psi(n).  Exact feature growth
+gives the closed-form rates, sampled feature logs give the tail fits,
+term values and ratio tests.
 
 For exponential and linear sequences with power, exponential or
-scaled-base psi every term has log t_n = R(s) n + E(s) log n + const with
-R, E affine in s, so thresholds are solved in closed form.  Explicit
-tables fall back to tail heuristics and numeric bisection.
+scaled-base psi every feature grows as rate * n + poly * log n, so every
+term has log t_n = R(s) n + E(s) log n + const with R, E affine in s,
+and thresholds are solved in closed form.  Explicit tables fall back to
+tail heuristics and numeric bisection.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .approx_sets import FracParams, _product_pieces
 from .intervals import _check_dyadic
-from .sequences import (PsiSpec, SequenceSpec, eval_psi, eval_sequence,
-                        refined_log, sequence_gcd)
-
-FAMILIES = ("plain", "two-term", "gcd", "four-term", "lebesgue")
+from .sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence, sequence_gcd
 
 BISECT_LO = 1e-3
 BISECT_HI = 1.0 - 1e-3
 N_MAX = 10_000
 RATIO_BAND = 1e-3
+
+# family -> terms; the rows (f, u, v) of a term give log t_n as the sum of
+# (u + s v) * f_n in row order, over the log features f
+#   a = log a_n, b = log b_n, g = log gcd(a_n, b_n), psi = log psi(n),
+#   q = log(psi/(a_n b_n)), llb = log log b_n, llpsi = log refined_log(1/psi)
+_FIRST = (("b", 1.0, -1.0), ("psi", 0.0, 1.0))        # b_n (psi/b_n)^s
+_HALF = ("q", 0.0, 0.5)                                # (psi/(a_n b_n))^(s/2)
+_TERMS = {
+    "plain": (_FIRST,),
+    "two-term": (_FIRST, (("a", 1.0, 0.0), _HALF)),    # + a_n (psi/(a_n b_n))^(s/2)
+    "gcd": (_FIRST, (("g", 1.0, 0.0), _HALF)),         # + gcd(a_n, b_n) (...)^(s/2)
+    "four-term": (_FIRST,
+                  # b_n (psi/b_n)^s log(b_n)/a_n
+                  _FIRST + (("llb", 1.0, 0.0), ("a", -1.0, 0.0)),
+                  (("a", 1.0, 0.0), _HALF),          # a_n (psi/(a_n b_n))^(s/2)
+                  (_HALF, ("llb", 1.0, 0.0))),       # (psi/(a_n b_n))^(s/2) log b_n
+    # at s = 1 only, over the indices with psi > 0
+    "lebesgue": ((("psi", 1.0, 0.0), ("llpsi", 1.0, 0.0)),      # psi log(1/psi)
+                 (("psi", 1.0, 0.0), ("a", -1.0, 0.0),           # (psi/a_n) log(b_n)
+                  ("llpsi", 1.0, 0.0), ("llb", 1.0, 0.0)),       #   * log(1/psi)
+                 (("psi", 0.5, 0.0), ("a", 0.5, 0.0),            # (psi a_n/b_n)^(1/2)
+                  ("b", -0.5, 0.0)),
+                 (("psi", 0.5, 0.0), ("a", -0.5, 0.0),           # (psi/(a_n b_n))^(1/2)
+                  ("b", -0.5, 0.0), ("llb", 1.0, 0.0))),         #   * log b_n
+}
 
 
 @dataclass(frozen=True)
@@ -48,7 +69,7 @@ class SeriesSpec:
     family: str = "two-term"
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _TERMS:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "gcd" and not self.seq.is_integer():
             raise ValueError("gcd family needs an integer-valued sequence")
@@ -62,61 +83,117 @@ def _check_s(spec: SeriesSpec, s: float) -> None:
         raise ValueError(f"s must be in (0, 1), got {s}")
 
 
-def term_value(spec: SeriesSpec, s: float, n: int) -> float:
-    """The n-th term of the selected series; zero wherever psi(n) = 0."""
-    _check_s(spec, s)
-    an, bn, _, _ = eval_sequence(spec.seq, n)
-    psi = eval_psi(spec.psi, n)
-    if psi == 0.0:
-        return 0.0
-    first = bn * (psi / bn) ** s
-    if spec.family == "plain":
-        return first
-    if spec.family == "two-term":
-        return first + an * (psi / (an * bn)) ** (s / 2.0)
-    if spec.family == "gcd":
-        g = sequence_gcd(spec.seq, n)
-        return first + g * (psi / (an * bn)) ** (s / 2.0)
-    if spec.family == "four-term":
-        half = (psi / (an * bn)) ** (s / 2.0)
-        return (first * (1.0 + math.log(bn) / an)
-                + an * half + half * math.log(bn))
-    # lebesgue
-    root = (psi / (an * bn)) ** 0.5
-    return (psi * refined_log(1.0 / psi)
-            + (psi / an) * math.log(bn) * refined_log(1.0 / psi)
-            + (psi * an / bn) ** 0.5
-            + root * math.log(bn))
+class _Features(dict):
+    """Feature name -> value for one spec (and index array), each computed
+    on its first lookup as make[name](self) and kept."""
+
+    def __init__(self, make: dict, spec: SeriesSpec, ns: np.ndarray | None = None):
+        super().__init__()
+        self.make, self.spec, self.ns = make, spec, ns
+
+    def __missing__(self, name):
+        value = self[name] = self.make[name](self)
+        return value
 
 
-# -- closed-form threshold algebra --------------------------------------------
-
-
-def _growth(seq: SequenceSpec) -> dict | None:
-    """(rate, poly, const) descriptors of log a_n, log b_n, log gcd_n."""
+def _ab_growth(seq: SequenceSpec, i: int) -> tuple[float, float]:
     if seq.kind == "exponential":
-        out = {"a": (math.log(seq.a), 0.0), "b": (math.log(seq.b), 0.0)}
-        if seq.is_integer():
-            out["g"] = (math.log(math.gcd(int(seq.a), int(seq.b))), 0.0)
-        return out
-    if seq.kind == "linear":
-        return {"a": (0.0, 1.0), "b": (0.0, 1.0)}
-    return None
+        return (math.log((seq.a, seq.b)[i]), 0.0)
+    return (0.0, 1.0)
 
 
-def _psi_growth(psi: PsiSpec) -> tuple[float, float] | None:
-    """(rate, poly) of log psi(n); rate is negative for decaying psi."""
+def _psi_growth(psi: PsiSpec) -> tuple[float, float]:
     if psi.kind == "power":
         return (0.0, -psi.t)
     if psi.kind == "exponential":
         return (-psi.lam, 0.0)
+    gb, pb = _ab_growth(psi.seq, 1)
+    return (-psi.t * gb, -psi.t * pb)
+
+
+# exact (rate, poly) with f_n = rate n + poly log n + O(1); the log log
+# features have no rate, and one power of log n when their argument grows
+# geometrically
+_EXACT = {
+    "a": lambda f: _ab_growth(f.spec.seq, 0),
+    "b": lambda f: _ab_growth(f.spec.seq, 1),
+    "g": lambda f: (math.log(math.gcd(int(f.spec.seq.a), int(f.spec.seq.b))), 0.0),
+    "psi": lambda f: _psi_growth(f.spec.psi),
+    "q": lambda f: tuple(p - (a + b) for p, a, b in zip(f["psi"], f["a"], f["b"])),
+    "llb": lambda f: (None, 1.0 if f["b"][0] > 0.0 else 0.0),
+    "llpsi": lambda f: (None, 1.0 if f["psi"][0] != 0.0 else 0.0),
+}
+
+
+def _exact_features(spec: SeriesSpec) -> _Features | None:
+    """The exact feature map, or None unless both sequences are exponential
+    or linear and psi is not a table."""
+    base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
+    if (spec.psi.kind == "explicit-table"
+            or not {spec.seq.kind, base.kind} <= {"exponential", "linear"}):
+        return None
+    return _Features(_EXACT, spec)
+
+
+def _log0(x) -> np.ndarray:
+    """np.log, with log 0 = -inf and no warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+def _log_ab(seq: SequenceSpec, i: int, ns: np.ndarray) -> np.ndarray:
+    if seq.kind == "exponential":
+        return ns * math.log((seq.a, seq.b)[i])
+    if seq.kind == "linear":
+        return math.log((seq.a, seq.b)[i]) + np.log(ns)
+    return np.log([(seq.a_table, seq.b_table)[i][n - 1] for n in ns])
+
+
+def _log_psi(psi: PsiSpec, ns: np.ndarray) -> np.ndarray:
+    if psi.kind == "power":
+        return -psi.t * np.log(ns)
+    if psi.kind == "exponential":
+        return -psi.lam * ns
     if psi.kind == "scaled-base":
-        g = _growth(psi.seq)
-        if g is None:
-            return None
-        gb, pb = g["b"]
-        return (-psi.t * gb, -psi.t * pb)
-    return None
+        return -psi.t * _log_ab(psi.seq, 1, ns)
+    return _log0([psi.values[n - 1] for n in ns])
+
+
+def _log_gcd(seq: SequenceSpec, ns: np.ndarray) -> np.ndarray:
+    if seq.kind == "exponential":
+        return ns * math.log(math.gcd(int(seq.a), int(seq.b)))
+    return np.log([float(sequence_gcd(seq, int(n))) for n in ns])
+
+
+# sampled values over an index array, never forming b_n itself
+_SAMPLED = {
+    "a": lambda f: _log_ab(f.spec.seq, 0, f.ns),
+    "b": lambda f: _log_ab(f.spec.seq, 1, f.ns),
+    "g": lambda f: _log_gcd(f.spec.seq, f.ns),
+    "psi": lambda f: _log_psi(f.spec.psi, f.ns),
+    "q": lambda f: f["psi"] - f["a"] - f["b"],
+    "llb": lambda f: _log0(f["b"]),  # -inf where b_n = 1, dropping the term
+    # finite where psi = 0, so that the psi factor's -inf drops the term
+    "llpsi": lambda f: np.log(np.clip(-f["psi"], 1.0, np.finfo(float).max)),
+}
+
+
+def _log_terms(f: _Features, s: float) -> np.ndarray:
+    """log of the family's series term at each index of the sampled map f."""
+    logs = [reduce(operator.add, ((u + s * v) * f[name] for name, u, v in term))
+            for term in _TERMS[f.spec.family]]
+    return reduce(np.logaddexp, logs)
+
+
+def term_value(spec: SeriesSpec, s: float, n: int) -> float:
+    """The n-th term of the selected series; zero wherever psi(n) = 0."""
+    _check_s(spec, s)
+    if n < 1:
+        raise IndexError(f"series index must be >= 1, got {n}")
+    return float(np.exp(_log_terms(_Features(_SAMPLED, spec, np.array([n])), s)[0]))
+
+
+# -- closed-form threshold algebra --------------------------------------------
 
 
 def _threshold(A: float, B: float, C: float, D: float) -> float:
@@ -136,125 +213,52 @@ def _threshold(A: float, B: float, C: float, D: float) -> float:
     return -math.inf if C < -1.0 else math.inf
 
 
+def _sum(parts) -> float:
+    """Left-to-right sum with no 0.0 start, so a lone -0.0 keeps its sign."""
+    parts = list(parts)
+    return reduce(operator.add, parts) if parts else 0.0
+
+
 def _term_descriptors(spec: SeriesSpec) -> list[tuple[float, float, float, float]] | None:
-    """(A, B, C, D) per term, or None when no closed form applies."""
-    g = _growth(spec.seq)
-    pg = _psi_growth(spec.psi)
-    if g is None or pg is None:
+    """(A, B, C, D) per term, R(s) = A - s B and E(s) = C - s D, or None
+    when no closed form applies."""
+    grow = _exact_features(spec)
+    if grow is None:
         return None
-    ga, pa = g["a"]
-    gb, pb = g["b"]
-    gpsi, ppsi = pg
-    logb_poly = 1.0 if gb > 0.0 else 0.0   # log(b_n) factor behaves like n or log n
-
-    first = (gb, gb - gpsi, pb, pb - ppsi)
-    second = (ga, (ga + gb - gpsi) / 2.0, pa, (pa + pb - ppsi) / 2.0)
-    if spec.family == "plain":
-        return [first]
-    if spec.family == "two-term":
-        return [first, second]
-    if spec.family == "gcd":
-        gg, pgc = g["g"]
-        return [first, (gg, (ga + gb - gpsi) / 2.0, pgc, (pa + pb - ppsi) / 2.0)]
-    if spec.family == "four-term":
-        first_log = (gb - ga, gb - gpsi, pb + logb_poly - pa, pb - ppsi)
-        fourth = (0.0, (ga + gb - gpsi) / 2.0, logb_poly, (pa + pb - ppsi) / 2.0)
-        return [first, first_log, second, fourth]
-    return None  # lebesgue has no s-threshold
-
-
-def _lebesgue_rates(seq: SequenceSpec, psi: PsiSpec) -> list[tuple[float, float]] | None:
-    """(rate, poly exponent) of each lebesgue-family term, or None.
-
-    Log factors such as log(1/psi) and log(b_n) contribute one power of n
-    when their argument grows geometrically, else only log n (which never
-    moves a p-series verdict off criticality).
-    """
-    g = _growth(seq)
-    pg = _psi_growth(psi)
-    if g is None or pg is None:
-        return None
-    ga, pa = g["a"]
-    gb, pb = g["b"]
-    gpsi, ppsi = pg
-    log_psi_poly = 1.0 if gpsi != 0.0 else 0.0
-    log_b_poly = 1.0 if gb != 0.0 else 0.0
-    return [
-        (gpsi, ppsi + log_psi_poly),
-        (gpsi - ga, ppsi - pa + log_psi_poly + log_b_poly),
-        ((gpsi + ga - gb) / 2.0, (ppsi + pa - pb) / 2.0),
-        ((gpsi - ga - gb) / 2.0, (ppsi - pa - pb) / 2.0 + log_b_poly),
-    ]
+    out = []
+    for term in _TERMS[spec.family]:
+        rows = [(grow[name], u, v) for name, u, v in term]
+        out.append((_sum(u * r for (r, _), u, _ in rows if u and r is not None),
+                    _sum(-v * r for (r, _), _, v in rows if v and r is not None),
+                    _sum(u * p for (_, p), u, _ in rows if u),
+                    _sum(-v * p for (_, p), _, v in rows if v)))
+    return out
 
 
 # -- numeric tail analysis -----------------------------------------------------
 
 
-def _log_seq(seq: SequenceSpec, ns: np.ndarray):
-    """log a_n, log b_n, log gcd_n (or None) over an index array."""
-    nf = ns.astype(float)
-    if seq.kind == "exponential":
-        la, lb = nf * math.log(seq.a), nf * math.log(seq.b)
-        lg = nf * math.log(math.gcd(int(seq.a), int(seq.b))) if seq.is_integer() else None
-        return la, lb, lg
-    if seq.kind == "linear":
-        return (math.log(seq.a) + np.log(nf), math.log(seq.b) + np.log(nf), None)
-    la = np.log([seq.a_table[n - 1] for n in ns])
-    lb = np.log([seq.b_table[n - 1] for n in ns])
-    lg = None
-    if seq.kind == "integer-table":
-        lg = np.log([float(sequence_gcd(seq, int(n))) for n in ns])
-    return la, lb, lg
+def _table_limit(spec: SeriesSpec, n_max: int) -> int:
+    """The last index every table of the spec covers, at most n_max."""
+    base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
+    lengths = (spec.seq.length, spec.psi.length, base.length)
+    return min([n_max] + [n for n in lengths if n is not None])
 
 
-def _log_psi(psi: PsiSpec, ns: np.ndarray, lb: np.ndarray):
-    nf = ns.astype(float)
-    if psi.kind == "power":
-        return -psi.t * np.log(nf)
-    if psi.kind == "exponential":
-        return -psi.lam * nf
-    if psi.kind == "scaled-base":
-        return -psi.t * lb
-    with np.errstate(divide="ignore"):
-        return np.log([psi.values[n - 1] for n in ns])
-
-
-def _log_terms(spec: SeriesSpec, s: float, ns: np.ndarray) -> np.ndarray:
-    """log of the family's terms, safe for huge n (never forms b_n itself)."""
-    la, lb, lg = _log_seq(spec.seq, ns)
-    lpsi = _log_psi(spec.psi, ns, lb)
-    first = (1.0 - s) * lb + s * lpsi
-    if spec.family == "plain":
-        return first
-    half = (s / 2.0) * (lpsi - la - lb)
-    if spec.family == "two-term":
-        return np.logaddexp(first, la + half)
-    if spec.family == "gcd":
-        return np.logaddexp(first, lg + half)
-    if spec.family == "four-term":
-        with np.errstate(divide="ignore"):
-            llb = np.log(lb)  # -inf when b_n <= 1, dropping that term
-        parts = np.stack([first, first + llb - la, la + half, half + llb])
-        return np.logaddexp.reduce(parts, axis=0)
-    raise ValueError(f"no log-term form for family {spec.family!r}")
-
-
-def _tail_fit(spec: SeriesSpec, s: float, n_max: int) -> tuple[float, float]:
-    """Fit log t_n ~ R n + E log n + c on the tail; returns (R, E)."""
-    lo = max(2, n_max // 2)
-    ns = np.unique(np.round(np.geomspace(lo, n_max, 48)).astype(int))
-    logs = _log_terms(spec, s, ns)
+def _tail_fit(tail: _Features, s: float) -> tuple[float, float]:
+    """Fit log t_n ~ R n + E log n + c on the sampled tail; returns (R, E)."""
+    logs = _log_terms(tail, s)
     keep = np.isfinite(logs)
     if int(np.count_nonzero(keep)) < 4:
         raise ValueError("tail is all zero or non-finite; cannot fit")
-    x = ns[keep].astype(float)
+    x = tail.ns[keep].astype(float)
     M = np.column_stack([x, np.log(x), np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(M, logs[keep], rcond=None)
     return float(coef[0]), float(coef[1])
 
 
-def _tail_converges(spec: SeriesSpec, s: float, n_max: int) -> bool:
-    R, E = _tail_fit(spec, s, n_max)
+def _tail_converges(tail: _Features, s: float) -> bool:
+    R, E = _tail_fit(tail, s)
     if R < -1e-9:
         return True
     if R > 1e-9:
@@ -276,17 +280,7 @@ class ConvergenceVerdict:
 def converges(spec: SeriesSpec, s: float) -> ConvergenceVerdict:
     """Decide convergence of the family's series at exponent s."""
     _check_s(spec, s)
-    if spec.family == "lebesgue":
-        pairs = _lebesgue_rates(spec.seq, spec.psi)
-        if pairs is not None:
-            verdict = all(r < 0.0 or (r == 0.0 and e < -1.0) for r, e in pairs)
-            return ConvergenceVerdict(verdict, {
-                "method": "closed-form",
-                "rates": [r for r, _ in pairs],
-                "poly_exponents": [e for _, e in pairs]})
-        desc = None
-    else:
-        desc = _term_descriptors(spec)
+    desc = _term_descriptors(spec)
     if desc is not None:
         rates = [A - s * B for A, B, _, _ in desc]
         polys = [C - s * D for _, _, C, D in desc]
@@ -294,24 +288,19 @@ def converges(spec: SeriesSpec, s: float) -> ConvergenceVerdict:
                       for r, e in zip(rates, polys))
         return ConvergenceVerdict(verdict, {
             "method": "closed-form", "rates": rates, "poly_exponents": polys})
-    # table (or lebesgue) input: ratio heuristic on the available tail
-    length = spec.seq.length or spec.psi.length or N_MAX
-    if spec.psi.length is not None:
-        length = min(length, spec.psi.length)
-    if spec.seq.length is not None:
-        length = min(length, spec.seq.length)
-    terms = [term_value(spec, s, n) for n in range(1, length + 1)]
-    nz = [t for t in terms if t > 0.0]
-    if not nz:
+    # table input: ratio heuristic on the available tail
+    ns = np.arange(1, _table_limit(spec, N_MAX) + 1)
+    logs = _log_terms(_Features(_SAMPLED, spec, ns), s)
+    nz = logs[logs > -np.inf]
+    if not nz.size:
         return ConvergenceVerdict(True, {"method": "all-zero"})
-    tail = nz[-min(10, len(nz)):]
+    tail = nz[-10:]
     if len(tail) < 2:
         return ConvergenceVerdict(None, {"method": "ratio-test", "reason": "tail too short"})
-    ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-    r = float(np.mean(ratios))
-    cert = {"method": "ratio-test", "tail_ratio": r, "terms_used": len(nz)}
+    r = float(np.mean(np.exp(np.diff(tail))))
+    cert = {"method": "ratio-test", "tail_ratio": r, "terms_used": int(nz.size)}
     # terms settling on a positive value cannot sum to a finite series
-    if max(tail) <= 1.001 * min(tail) and min(tail) > 0.0:
+    if tail.max() - tail.min() <= math.log(1.001):
         cert["reason"] = "terms do not vanish"
         return ConvergenceVerdict(False, cert)
     if r < 1.0 - RATIO_BAND:
@@ -346,23 +335,23 @@ def compute_tau(spec: SeriesSpec, numeric: bool = False,
         raw = max(thresholds)
         return TauResult(tau=min(max(raw, 0.0), 1.0), method="closed-form",
                          thresholds=tuple(thresholds), diagnostics={"raw_max": raw})
-    # bisection on the tail-fit convergence predicate
-    limit = n_max
-    for length in (spec.seq.length, spec.psi.length):
-        if length is not None:
-            limit = min(limit, length)
+    # bisection on the tail-fit convergence predicate; the features are
+    # sampled once and only re-weighted for each s
+    limit = _table_limit(spec, n_max)
     if limit < 8:
         raise ValueError("table too short for numeric tau")
+    ns = np.unique(np.round(np.geomspace(max(2, limit // 2), limit, 48)).astype(int))
+    tail = _Features(_SAMPLED, spec, ns)
     lo, hi = BISECT_LO, BISECT_HI
-    if _tail_converges(spec, lo, limit):
+    if _tail_converges(tail, lo):
         return TauResult(tau=lo, method="numeric-bisection", thresholds=(lo, lo),
                          diagnostics={"note": "converges at bracket floor"})
-    if not _tail_converges(spec, hi, limit):
+    if not _tail_converges(tail, hi):
         return TauResult(tau=hi, method="numeric-bisection", thresholds=(hi, hi),
                          diagnostics={"note": "diverges at bracket ceiling"})
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _tail_converges(spec, mid, limit):
+        if _tail_converges(tail, mid):
             hi = mid
         else:
             lo = mid

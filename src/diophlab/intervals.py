@@ -139,18 +139,28 @@ def normalize(raw, eps: float = MERGE_EPS) -> IntervalSet:
 # -- boolean combinations ---------------------------------------------------
 
 
+def _starts_in(x: IntervalSet, pts: np.ndarray) -> np.ndarray:
+    """Whether each point lies in a half-open component lo <= p < hi of x."""
+    if x.is_empty():
+        return np.zeros(pts.shape, dtype=bool)
+    idx = np.searchsorted(x.los, pts, side="right") - 1
+    return (idx >= 0) & (pts < x.his[np.maximum(idx, 0)])
+
+
 def _combine(x: IntervalSet, y: IntervalSet, keep) -> IntervalSet:
     """Boolean combination via a sweep over all original endpoints.
 
-    `keep(in_x, in_y)` receives membership masks for the midpoints of the
-    elementary segments and selects which segments survive.  Endpoints of
-    the result are always endpoints of the inputs, never new arithmetic.
+    No endpoint lies inside an elementary segment [p_i, p_(i+1)), so each
+    segment is inside or outside each input as its left end p_i is;
+    `keep(in_x, in_y)` receives those membership masks and selects the
+    segments that survive.  (A midpoint test would not do: the midpoint of
+    adjacent floats rounds onto one of them.)  Endpoints of the result are
+    always endpoints of the inputs, never new arithmetic.
     """
     pts = np.unique(np.concatenate([x.los, x.his, y.los, y.his]))
     if pts.size < 2:
         return IntervalSet.empty()
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    sel = keep(x.contains(mids), y.contains(mids))
+    sel = keep(_starts_in(x, pts[:-1]), _starts_in(y, pts[:-1]))
     if not sel.any():
         return IntervalSet.empty()
     # run-length merge of consecutive selected segments

@@ -247,10 +247,19 @@ def test_memory_error_exits_with_message(capsys, monkeypatch):
     assert err == "error: Unable to allocate 745. GiB\n"
 
 
-def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "diophlab.cli", "count", "--bogus-flag", "1"],
-        capture_output=True, text=True)
+@pytest.mark.parametrize("argv", [
+    pytest.param(["count", "--bogus-flag", "1"], id="bogus-flag"),
+    # --s with no value: an empty premeasure, or an IndexError, before
+    pytest.param(["planar", "cover", "--a", "2", "--b", "5", "--eta", "0.1",
+                  "--xi", "0.1", "--s"], id="planar-cover-empty-s"),
+    pytest.param(["measure", "--a", "3", "--b", "7", "--delta", "0.05", "--s"],
+                 id="measure-empty-s"),
+    pytest.param(["planar", "decompose", "--a", "2", "--b", "5", "--delta", "0.1",
+                  "--s"], id="planar-decompose-empty-s"),
+])
+def test_usage_error_exit_code(argv):
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
+                          capture_output=True, text=True)
     assert proc.returncode == 2
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from diophlab.sequences import PsiSpec, SequenceSpec
 
 EXP23 = SequenceSpec(kind="exponential", a=2, b=3)
 PSI_THIRD = PsiSpec(kind="exponential", lam=math.log(3))
+PINNED_TAU_DIGEST = ("82d690c0f1462c8bcfed1541363b1340"
+                     "85a1b4e16c60416b0fee144d8adde0b8")
 
 
 def spec(family, seq=EXP23, psi=PSI_THIRD):
@@ -126,18 +129,79 @@ def test_two_term_collapses_when_a_squared_below_b():
                 assert two.tau == pytest.approx(plain.tau, abs=1e-12)
 
 
+def _tau_grid_reprs():
+    """repr of compute_tau (closed form and numeric) and of each convergence
+    verdict, with its certificate when closed-form, over families x
+    sequence kinds x psi kinds."""
+    tab = SequenceSpec(kind="explicit-table", a_table=tuple(2.0 ** n for n in range(1, 25)),
+                       b_table=tuple(3.0 ** n for n in range(1, 25)))
+    itab = SequenceSpec(kind="integer-table", a_table=tuple(2.0 ** n for n in range(1, 25)),
+                        b_table=tuple(6.0 ** n for n in range(1, 25)))
+    seqs = [EXP23, SequenceSpec(kind="exponential", a=2, b=6),
+            SequenceSpec(kind="exponential", a=1.5, b=4.2),
+            SequenceSpec(kind="linear", a=1, b=2), tab, itab]
+    out = []
+    for seq in seqs:
+        psis = [PsiSpec(kind="power", t=0.5), PsiSpec(kind="power", t=2.0),
+                PsiSpec(kind="exponential", lam=0.0), PSI_THIRD,
+                PsiSpec(kind="scaled-base", t=0.5, seq=seq),
+                PsiSpec(kind="scaled-base", t=1.5, seq=seq),
+                PsiSpec(kind="explicit-table", values=tuple(3.0 ** -n for n in range(1, 25)))]
+        for psi in psis:
+            for family in ("plain", "two-term", "gcd", "four-term", "lebesgue"):
+                if family == "gcd" and not seq.is_integer():
+                    continue
+                s = SeriesSpec(seq=seq, psi=psi, family=family)
+                for numeric in (False, True):
+                    try:
+                        out.append(repr(compute_tau(s, numeric=numeric)))
+                    except ValueError as exc:
+                        out.append(repr(exc))
+                for x in ((1.0,) if family == "lebesgue" else (0.3, 0.6, 0.9)):
+                    v = converges(s, x)
+                    closed = v.certificate.get("method") == "closed-form"
+                    out.append(repr(v) if closed else repr(v.verdict))
+    return out
+
+
+def test_tau_results_are_pinned():
+    # every bit of tau, its thresholds and the closed-form certificates,
+    # signs of zero included; `diophlab tau` prints them in full
+    text = "\n".join(_tau_grid_reprs())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TAU_DIGEST
+
+
 def test_bisection_matches_closed_form():
     rng = np.random.default_rng(42)
-    for _ in range(15):
-        a = float(rng.uniform(1.2, 10))
-        b = float(rng.uniform(a * 1.01, 100))
-        seq = SequenceSpec(kind="exponential", a=a, b=b)
-        psi = PsiSpec(kind="scaled-base", t=float(rng.uniform(0.2, 3)), seq=seq)
-        s = SeriesSpec(seq=seq, psi=psi, family="two-term")
-        closed = compute_tau(s)
-        numeric = compute_tau(s, numeric=True)
-        assert numeric.method == "numeric-bisection"
-        assert abs(closed.tau - numeric.tau) <= 1e-3
+    for family in ("two-term", "plain", "four-term", "gcd"):
+        for _ in range(15):
+            if family == "gcd":  # integer bases
+                a = float(rng.integers(2, 11))
+                b = float(rng.integers(a + 1, 101))
+            else:
+                a = float(rng.uniform(1.2, 10))
+                b = float(rng.uniform(a * 1.01, 100))
+            seq = SequenceSpec(kind="exponential", a=a, b=b)
+            psi = PsiSpec(kind="scaled-base", t=float(rng.uniform(0.2, 3)), seq=seq)
+            s = SeriesSpec(seq=seq, psi=psi, family=family)
+            closed = compute_tau(s)
+            numeric = compute_tau(s, numeric=True)
+            assert numeric.method == "numeric-bisection"
+            assert abs(closed.tau - numeric.tau) <= 1e-3
+
+
+def test_scaled_base_psi_reads_its_own_sequence():
+    # psi(n) = 5^-n over b_n = 3^n: the bisection reads psi's bound
+    # sequence, as the closed form does, and a table bound sequence sets the
+    # last index either reads
+    other = SequenceSpec(kind="exponential", a=2, b=5)
+    s = spec("plain", psi=PsiSpec(kind="scaled-base", t=1.0, seq=other))
+    assert compute_tau(s).tau == pytest.approx(math.log(3) / math.log(15), abs=1e-12)
+    assert compute_tau(s, numeric=True).tau == pytest.approx(compute_tau(s).tau, abs=1e-6)
+    tab = SequenceSpec(kind="explicit-table", a_table=(2.0,) * 10, b_table=(3.0,) * 10)
+    s = spec("plain", psi=PsiSpec(kind="scaled-base", t=1.0, seq=tab))
+    assert compute_tau(s).diagnostics == {"note": "diverges at bracket ceiling"}
+    assert converges(s, 0.5).certificate["terms_used"] == 10
 
 
 def test_four_term_matches_two_term_for_exponential():

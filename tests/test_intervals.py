@@ -50,6 +50,39 @@ def test_union_difference_symdiff_examples():
         [(0.0, 0.4), (0.6, 1.0)]
 
 
+def test_boolean_ops_keep_one_ulp_segments():
+    # a midpoint test drops [0.9, 0.9 + ulp): the midpoint of two adjacent
+    # floats rounds onto one of them
+    x = normalize([(0.9, 0.95)])
+    y = normalize([(math.nextafter(0.9, 1.0), 0.95)])
+    assert difference(x, y).pairs() == [(0.9, math.nextafter(0.9, 1.0))]
+    assert symmetric_difference(x, y) == difference(x, y)
+    assert difference(y, x).is_empty() and union(x, y) == x
+    empty = IntervalSet.empty()
+    assert difference(x, empty) == x and union(empty, x) == x
+    assert difference(empty, x).is_empty() and symmetric_difference(empty, empty).is_empty()
+
+
+def test_difference_and_symdiff_match_intersect_of_complement():
+    # y's endpoints are x's endpoints and random points, each moved by
+    # -1, 0 or +1 ulp, so that elementary segments one ulp wide abound
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        xs = np.sort(rng.random(12))
+        x = normalize((xs[0::2], xs[1::2]))
+        pool = np.concatenate([x.los, x.his, rng.random(4)])
+        step = rng.integers(-1, 2, pool.size)
+        pool[step < 0] = np.nextafter(pool[step < 0], -np.inf)
+        pool[step > 0] = np.nextafter(pool[step > 0], np.inf)
+        ys = np.sort(pool)
+        y = normalize((ys[0::2], ys[1::2]))
+        x_minus_y = intersect(x, complement(y))
+        y_minus_x = intersect(y, complement(x))
+        assert difference(x, y) == x_minus_y
+        assert difference(y, x) == y_minus_x
+        assert symmetric_difference(x, y) == union(x_minus_y, y_minus_x)
+
+
 def test_inclusion_exclusion_randomized():
     rng = np.random.default_rng(7)
     for _ in range(100):
