@@ -141,7 +141,7 @@ def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
 # -- product condition: cell decomposition ------------------------------------
 
 
-def _cell_bounds(p: FracParams, cap: int | None = None) -> np.ndarray:
+def _cell_bounds(p: FracParams) -> np.ndarray:
     """Sorted cut points of [0,1] where either nearest integer switches.
 
     Both factors' candidate indices are checked against the cap together,
@@ -151,7 +151,7 @@ def _cell_bounds(p: FracParams, cap: int | None = None) -> np.ndarray:
     """
     ranges = [(coef, shift, math.floor(shift - 0.5), math.ceil(coef + shift + 0.5))
               for coef, shift in ((p.a, p.c), (p.b, p.d))]
-    check_size(sum(hi - lo + 1 for _, _, lo, hi in ranges), "cell cuts", cap)
+    check_size(sum(hi - lo + 1 for _, _, lo, hi in ranges), "cell cuts")
     cuts = [np.array([0.0, 1.0])]
     for coef, shift, lo, hi in ranges:
         k = np.arange(lo, hi + 1, dtype=float)
@@ -196,10 +196,10 @@ def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray):
             np.concatenate([np.minimum(hi1, excl_lo), hi1]))
 
 
-def _product_pieces(p: FracParams, delta: float,
-                    cap: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _product_pieces(p: FracParams,
+                    delta: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream solution pieces of the product condition, in x order per chunk."""
-    bounds = _cell_bounds(p, cap)
+    bounds = _cell_bounds(p)
     ncells = len(bounds) - 1
     d2 = delta * delta
     for i0 in range(0, ncells, _CHUNK):
@@ -209,8 +209,7 @@ def _product_pieces(p: FracParams, delta: float,
         yield plo[keep], phi[keep]
 
 
-def product_set(p: FracParams, delta: float,
-                cap: int | None = None) -> IntervalSet:
+def product_set(p: FracParams, delta: float) -> IntervalSet:
     """Exact set where the product of the two distances is below delta**2.
 
     For delta > 1/2 the product never reaches delta**2 apart from a finite
@@ -222,7 +221,7 @@ def product_set(p: FracParams, delta: float,
         return IntervalSet.empty()
     if delta > 0.5:
         return IntervalSet.full()
-    los, his = zip(*_product_pieces(p, delta, cap=cap))
+    los, his = zip(*_product_pieces(p, delta))
     return normalize((np.concatenate(los), np.concatenate(his)))
 
 
@@ -243,8 +242,7 @@ class ProductDecomposition:
         return union_many([self.simultaneous, self.first_far, self.second_far])
 
 
-def decompose_product_set(p: FracParams, delta: float,
-                          cap: int | None = None) -> ProductDecomposition:
+def decompose_product_set(p: FracParams, delta: float) -> ProductDecomposition:
     """Core/remainder split of E = product_set(delta), for delta in (0, 1/2].
 
     With A the O(a) windows where u = ||a x + c|| < delta, and the core
@@ -259,7 +257,7 @@ def decompose_product_set(p: FracParams, delta: float,
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    e = product_set(p, delta, cap)
+    e = product_set(p, delta)
     near = _factor_set(p.a, p.c, delta)
     core = simultaneous_set(p, delta, delta)
     return ProductDecomposition(

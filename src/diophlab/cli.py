@@ -30,41 +30,41 @@ from .lattice import (count_integer_bound, count_near_pairs, default_K,
 from .planar import (cover_rectangles, decompose_planar_product_set,
                      mc_planar_product_area, planar_premeasure_bound,
                      product_rectangle_set)
-from .sequences import PsiSpec, SequenceSpec, load_config, parse_psi
+from .sequences import PsiSpec, SequenceSpec, parse_psi, parse_sequence
 from .verify import CheckFailure, InstanceDistribution, replay, run_campaign
 
 EXIT_OK, EXIT_ERROR, EXIT_USAGE, EXIT_CHECK = 0, 1, 2, 3
 
 
+# psi mini-syntax kind -> (JSON kind, JSON parameter key)
+_PSI_SYNTAX = {"pow": ("power", "t"), "power": ("power", "t"),
+               "exp": ("exponential", "lambda"),
+               "sb": ("scaled-base", "t"), "scaled-base": ("scaled-base", "t")}
+
+
 def _parse_psi_flag(text: str, seq: SequenceSpec | None = None) -> PsiSpec:
     """Mini-syntax kind:param, e.g. pow:2, exp:0.5, sb:1.2, table:@file.json."""
     kind, _, param = text.partition(":")
-    if kind in ("pow", "power"):
-        return PsiSpec(kind="power", t=float(param))
-    if kind == "exp":
-        return PsiSpec(kind="exponential", lam=float(param))
-    if kind in ("sb", "scaled-base"):
-        return PsiSpec(kind="scaled-base", t=float(param), seq=seq)
-    if kind == "table":
-        if not param.startswith("@"):
-            raise ValueError("table psi expects table:@file.json")
+    if kind == "table" and param.startswith("@"):
         with open(param[1:], encoding="utf-8") as fh:
             return parse_psi(json.load(fh), seq=seq)
-    raise ValueError(f"unknown psi syntax {text!r} (pow:T, exp:L, sb:T, table:@file)")
+    if kind not in _PSI_SYNTAX:
+        raise ValueError(f"unknown psi syntax {text!r} (pow:T, exp:L, sb:T, table:@file)")
+    json_kind, key = _PSI_SYNTAX[kind]
+    return parse_psi({"kind": json_kind, key: param}, seq=seq)
 
 
 def _grid(text: str) -> list[float]:
     """lo:hi:count inclusive grid, or a single value."""
     parts = text.split(":")
     if len(parts) == 1:
-        return [float(parts[0])]
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    return list(np.linspace(lo, hi, n))
+        return [float(text)]
+    return list(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
     """Write JSON (default) or CSV to stdout or --out."""
-    if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+    if args.format == "csv" and csv_rows is not None:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
@@ -72,115 +72,113 @@ def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _merge_config(args, keys) -> None:
-    """Fill unset flags from a --config JSON document; flags win."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, encoding="utf-8") as fh:
+def _read_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    for key in keys:
-        if getattr(args, key, None) is None and key in doc:
-            setattr(args, key, doc[key])
-    args.config_doc = doc
+    if not isinstance(doc, dict):
+        raise ValueError(f"--config {path}: expected a JSON object, "
+                         f"got {type(doc).__name__}")
+    return doc
+
+
+def _config_argv(doc: dict, flags) -> list[str]:
+    """The entries of a config document that name one of `flags`, as argv.
+
+    A list gives several values, true a bare switch, and false or null
+    nothing; objects are not flags (they are tau's seq/psi schema).
+    """
+    argv = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if key.replace("-", "_") not in flags or value is False or value is None \
+                or isinstance(value, dict):
+            continue
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        else:
+            argv.append(f"{flag}={value}")  # "=" keeps a value like -1e-05 a value
+    return argv
 
 
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required "
-                             "(flag or config)")
+            raise ValueError(f"--{name} is required (flag or config)")
 
 
 def _frac_params(args) -> FracParams:
     _require(args, "a", "b")
-    return FracParams(float(args.a), float(args.b),
-                      float(args.c or 0.0), float(args.d or 0.0))
+    return FracParams(args.a, args.b, args.c, args.d)
 
 
 # -- subcommand handlers --------------------------------------------------------
 
 
 def _cmd_set(args) -> int:
-    _merge_config(args, ("a", "b", "c", "d", "eta", "xi", "delta"))
     p = _frac_params(args)
     if args.delta is not None:
-        x = product_set(p, float(args.delta))
-        label = {"condition": "product", "delta": float(args.delta)}
+        x = product_set(p, args.delta)
+        label = {"condition": "product", "delta": args.delta}
     else:
         _require(args, "eta", "xi")
-        x = simultaneous_set(p, float(args.eta), float(args.xi))
-        label = {"condition": "simultaneous", "eta": float(args.eta),
-                 "xi": float(args.xi)}
-    payload = {**label, "intervals": to_json_pairs(x),
+        x = simultaneous_set(p, args.eta, args.xi)
+        label = {"condition": "simultaneous", "eta": args.eta, "xi": args.xi}
+    pairs = to_json_pairs(x)
+    payload = {**label, "intervals": pairs,
                "summary": {"measure": lebesgue(x), "components": len(x)}}
-    _emit(args, payload, csv_rows=to_json_pairs(x), csv_header=["lo", "hi"])
+    _emit(args, payload, csv_rows=pairs, csv_header=["lo", "hi"])
     return EXIT_OK
 
 
 def _cmd_cover(args) -> int:
-    _merge_config(args, ("a", "b", "c", "d", "eta", "xi"))
     p = _frac_params(args)
     _require(args, "eta", "xi")
-    cov = cover_simultaneous(p, float(args.eta), float(args.xi))
-    row = [p.a, p.b, p.c, p.d, float(args.eta), float(args.xi),
-           cov.count, cov.bound, cov.ratio]
-    payload = {"a": p.a, "b": p.b, "c": p.c, "d": p.d,
-               "eta": float(args.eta), "xi": float(args.xi),
-               "mesh": cov.mesh, "pieces": cov.count,
-               "bound": cov.bound, "ratio": cov.ratio}
-    _emit(args, payload, csv_rows=[row],
-          csv_header=["a", "b", "c", "d", "eta", "xi", "pieces", "bound", "ratio"])
+    cov = cover_simultaneous(p, args.eta, args.xi)
+    row = {"a": p.a, "b": p.b, "c": p.c, "d": p.d, "eta": args.eta, "xi": args.xi,
+           "pieces": cov.count, "bound": cov.bound, "ratio": cov.ratio}
+    _emit(args, {**row, "mesh": cov.mesh}, [list(row.values())], list(row))
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
-    _merge_config(args, ("a", "b", "c", "d", "eta", "xi"))
     p = _frac_params(args)
     _require(args, "eta", "xi")
-    eta, xi = float(args.eta), float(args.xi)
     if args.integer_bound:
-        n, ratio = count_integer_bound(p, eta, xi)
-        bound = p.b * eta + math.gcd(int(p.a), int(p.b))
+        n, ratio = count_integer_bound(p, args.eta, args.xi)
+        bound = p.b * args.eta + math.gcd(int(p.a), int(p.b))
     else:
-        n = count_near_pairs(p, eta, xi)
-        bound = (p.b * eta + p.a) * p.weight()
+        n = count_near_pairs(p, args.eta, args.xi)
+        bound = (p.b * args.eta + p.a) * p.weight()
         ratio = n / bound
-    print(f"count:  {n}")
-    print(f"bound:  {bound:.6g}")
-    print(f"ratio:  {ratio:.6g}")
+    print(f"count:  {n}\nbound:  {bound:.6g}\nratio:  {ratio:.6g}")
     return EXIT_OK
 
 
 def _cmd_discrepancy(args) -> int:
-    _merge_config(args, ("a", "b", "c", "d"))
     p = _frac_params(args)
     pts = lattice_fraction_points(p)
     K = args.K if args.K is not None else default_K(p)
-    interval = (float(args.lo), float(args.hi))
+    interval = (args.lo, args.hi)
     d = discrepancy(pts, interval)
     rhs = erdos_turan_rhs(pts, interval, K)
     ok = abs(d) <= rhs + 1e-9
-    print(f"Q:    {pts.Q}")
-    print(f"D:    {d:.6g}")
-    print(f"RHS:  {rhs:.6g}")
-    print(f"K:    {K}")
-    print(f"pass: {ok}")
+    print(f"Q:    {pts.Q}\nD:    {d:.6g}\nRHS:  {rhs:.6g}\nK:    {K}\npass: {ok}")
     return EXIT_OK if ok else EXIT_CHECK
 
 
 def _cmd_measure(args) -> int:
-    _merge_config(args, ("a", "b", "c", "d", "delta"))
     p = _frac_params(args)
     _require(args, "delta")
-    delta = float(args.delta)
+    delta = args.delta
     e = product_set(p, delta)
     leb = lebesgue(e)
     mbound = measure_bound(p, delta)
@@ -191,33 +189,31 @@ def _cmd_measure(args) -> int:
     if 0.0 < delta <= 0.5:
         cost = product_set_cover_cost(p, delta)
         for s in args.s:
-            pm = cost.premeasure(float(s))
-            pb = premeasure_bound(p, delta, float(s))
-            payload["premeasure"][str(s)] = {
-                "value": pm, "bound": pb, "ratio": pm / pb}
-    if args.mesh:
+            pm, pb = cost.premeasure(s), premeasure_bound(p, delta, s)
+            payload["premeasure"][str(s)] = {"value": pm, "bound": pb, "ratio": pm / pb}
+    if args.mesh is not None:
         payload["canonical_premeasure"] = {
-            str(s): premeasure_upper(e, float(s), float(args.mesh))
-            for s in args.s}
+            str(s): premeasure_upper(e, s, args.mesh) for s in args.s}
     _emit(args, payload)
     return EXIT_OK
 
 
 def _cmd_tau(args) -> int:
-    _merge_config(args, ("a", "b", "family", "psi"))
-    seq = None
-    if getattr(args, "config_doc", None) and "seq" in args.config_doc:
-        seq, psi = load_config(args.config_doc)
+    doc = args.config_doc
+    if isinstance(doc.get("seq"), dict):
+        seq = parse_sequence(doc["seq"])
     else:
         _require(args, "a", "b")
-        seq = SequenceSpec(kind="exponential", a=float(args.a), b=float(args.b))
+        seq = SequenceSpec(kind="exponential", a=args.a, b=args.b)
+    if args.psi is None and isinstance(doc.get("psi"), dict):
+        psi = parse_psi(doc["psi"], seq=seq)
+    else:
         _require(args, "psi")
         psi = _parse_psi_flag(args.psi, seq=seq)
-    spec = SeriesSpec(seq=seq, psi=psi, family=args.family)
-    res = compute_tau(spec, numeric=args.numeric)
-    payload = {"family": args.family, "tau": res.tau, "method": res.method,
-               "thresholds": list(res.thresholds), "diagnostics": res.diagnostics}
-    _emit(args, payload)
+    res = compute_tau(SeriesSpec(seq=seq, psi=psi, family=args.family),
+                      numeric=args.numeric)
+    _emit(args, {"family": args.family, "tau": res.tau, "method": res.method,
+                 "thresholds": list(res.thresholds), "diagnostics": res.diagnostics})
     return EXIT_OK
 
 
@@ -243,53 +239,46 @@ def _cmd_scan(args) -> int:
                 rows.append([f"{a:.6g}", f"{b:.6g}", f"{t:.6g}",
                              f"{plain.tau:.6g}", f"{two.tau:.6g}",
                              f"{single_series_threshold(a, b):.6g}", boxdim])
-    args.format = "csv"
     _emit(args, None, csv_rows=rows, csv_header=header)
     return EXIT_OK
 
 
 def _cmd_planar(args) -> int:
-    _merge_config(args, ("a", "b", "c", "d", "eta", "xi", "delta"))
     p = _frac_params(args)
     if args.op == "area":
         _require(args, "eta", "xi")
-        box = product_rectangle_set(p, float(args.eta), float(args.xi))
-        row = [p.a, p.b, p.c, p.d, float(args.eta), float(args.xi),
-               box.area(), box.area_by_boxes()]
-        _emit(args, {"area": box.area(), "area_by_boxes": box.area_by_boxes(),
-                     "x_components": len(box.x_set), "y_components": len(box.y_set)},
-              csv_rows=[row],
-              csv_header=["a", "b", "c", "d", "eta", "xi", "area", "area_by_boxes"])
+        box = product_rectangle_set(p, args.eta, args.xi)
+        area = {"area": box.area(), "area_by_boxes": box.area_by_boxes()}
+        row = {"a": p.a, "b": p.b, "c": p.c, "d": p.d, "eta": args.eta, "xi": args.xi,
+               **area}
+        _emit(args, {**area, "x_components": len(box.x_set),
+                     "y_components": len(box.y_set)}, [list(row.values())], list(row))
     elif args.op == "cover":
         _require(args, "eta", "xi")
-        cov = cover_rectangles(p, float(args.eta), float(args.xi), float(args.s[0]))
-        row = [p.a, p.b, float(args.eta), float(args.xi), float(args.s[0]),
-               cov.squares, cov.mesh, cov.premeasure, cov.bound, cov.ratio]
-        _emit(args, {"squares": cov.squares, "mesh": cov.mesh,
-                     "premeasure": cov.premeasure, "bound": cov.bound,
-                     "ratio": cov.ratio},
-              csv_rows=[row],
-              csv_header=["a", "b", "eta", "xi", "s", "squares", "mesh",
-                          "premeasure", "bound", "ratio"])
+        if len(args.s) != 1:
+            raise ValueError(f"planar cover takes one --s value, got {len(args.s)}")
+        s = args.s[0]
+        cov = cover_rectangles(p, args.eta, args.xi, s)
+        result = {"squares": cov.squares, "mesh": cov.mesh, "premeasure": cov.premeasure,
+                  "bound": cov.bound, "ratio": cov.ratio}
+        row = {"a": p.a, "b": p.b, "eta": args.eta, "xi": args.xi, "s": s, **result}
+        _emit(args, result, [list(row.values())], list(row))
     elif args.op == "decompose":
         _require(args, "delta")
-        delta = float(args.delta)
-        dec = decompose_planar_product_set(p, delta)
+        dec = decompose_planar_product_set(p, args.delta)
         j1, j2 = dec.index_split()
         per_s = {}
         for s in args.s:
-            pm = dec.premeasure(float(s))
-            per_s[str(s)] = {"total": pm["total"],
-                             "bound": planar_premeasure_bound(p, delta, float(s)),
-                             "ratio": pm["total"] / planar_premeasure_bound(p, delta, float(s))}
-        _emit(args, {"delta": delta, "J": dec.annulus_indices(),
+            total = dec.premeasure(s)["total"]
+            bound = planar_premeasure_bound(p, args.delta, s)
+            per_s[str(s)] = {"total": total, "bound": bound, "ratio": total / bound}
+        _emit(args, {"delta": args.delta, "J": dec.annulus_indices(),
                      "J1": j1, "J2": j2, "premeasure": per_s})
     else:  # mc
         _require(args, "delta")
-        est, se = mc_planar_product_area(p, float(args.delta),
-                                         int(args.samples), seed=int(args.seed))
-        _emit(args, {"estimate": est, "stderr": se, "samples": int(args.samples),
-                     "seed": int(args.seed)})
+        est, se = mc_planar_product_area(p, args.delta, args.samples, seed=args.seed)
+        _emit(args, {"estimate": est, "stderr": se, "samples": args.samples,
+                     "seed": args.seed})
     return EXIT_OK
 
 
@@ -307,19 +296,20 @@ def _cmd_verify(args) -> int:
 
 def _cmd_replay(args) -> int:
     result = replay(args.instance_file, verbose=not args.quiet)
-    if result.get("ok", True):
-        return EXIT_OK
-    return EXIT_CHECK
+    return EXIT_OK if result.get("ok", True) else EXIT_CHECK
 
 
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_params(sp, *, eta_xi=False, delta=False) -> None:
+def _add_params(sp, *, shifts=True, eta_xi=False, delta=False) -> None:
+    sp.add_argument("--config", default=None,
+                    help="JSON object of flag values; command-line flags win")
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--d", type=float, default=None)
+    if shifts:
+        sp.add_argument("--c", type=float, default=0.0)
+        sp.add_argument("--d", type=float, default=0.0)
     if eta_xi:
         sp.add_argument("--eta", type=float, default=None)
         sp.add_argument("--xi", type=float, default=None)
@@ -330,8 +320,6 @@ def _add_params(sp, *, eta_xi=False, delta=False) -> None:
 def _add_io(sp) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None, help="write output to this path")
-    sp.add_argument("--config", default=None,
-                    help="JSON config; explicit flags take precedence")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(sp, eta_xi=True)
     sp.add_argument("--integer-bound", action="store_true",
                     help="use the gcd bound (integer a, b)")
-    sp.add_argument("--config", default=None)
     sp.set_defaults(fn=_cmd_count)
 
     sp = sub.add_parser("discrepancy", help="discrepancy against its bound")
@@ -364,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--K", type=int, default=None, help="default floor(b/a)")
     sp.add_argument("--lo", type=float, default=-0.1)
     sp.add_argument("--hi", type=float, default=0.1)
-    sp.add_argument("--config", default=None)
     sp.set_defaults(fn=_cmd_discrepancy)
 
     sp = sub.add_parser("measure", help="product-set measure and premeasures")
@@ -376,10 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_measure)
 
     sp = sub.add_parser("tau", help="convergence exponent of a series family")
+    _add_params(sp, shifts=False)
     sp.add_argument("--family", default="two-term",
                     choices=("plain", "two-term", "gcd", "four-term"))
-    sp.add_argument("--a", type=float, default=None, help="exponential base of a_n")
-    sp.add_argument("--b", type=float, default=None, help="exponential base of b_n")
     sp.add_argument("--psi", default=None, help="pow:T | exp:L | sb:T | table:@f")
     sp.add_argument("--numeric", action="store_true", help="force bisection")
     _add_io(sp)
@@ -393,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--boxdim-n-lo", type=int, default=4)
     sp.add_argument("--boxdim-n-hi", type=int, default=8)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_scan, format="csv", config=None)
+    sp.set_defaults(fn=_cmd_scan, format="csv")
 
     sp = sub.add_parser("planar", help="planar product-set operations")
     sp.add_argument("op", choices=("area", "cover", "decompose", "mc"))
@@ -421,8 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        doc = _read_config(args.config) if getattr(args, "config", None) else {}
+        if doc:
+            # config entries go in right after the subcommand name, so the
+            # command line's own flags, parsed later, win; `op` is planar's
+            # positional, and the trailing --config keeps a list flag from
+            # taking it
+            flags = vars(args).keys() - {"fn", "command", "config", "op"}
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(doc, flags)
+                                     + ["--config", args.config] + argv[at:])
+        args.config_doc = doc
         return args.fn(args)
     except CheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

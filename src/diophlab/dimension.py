@@ -238,11 +238,11 @@ def _term_descriptors(spec: SeriesSpec) -> list[tuple[float, float, float, float
 # -- numeric tail analysis -----------------------------------------------------
 
 
-def _table_limit(spec: SeriesSpec, n_max: int) -> int:
-    """The last index every table of the spec covers, at most n_max."""
+def _table_limit(spec: SeriesSpec) -> int:
+    """The last index every table of the spec covers, at most N_MAX."""
     base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
     lengths = (spec.seq.length, spec.psi.length, base.length)
-    return min([n_max] + [n for n in lengths if n is not None])
+    return min([N_MAX] + [n for n in lengths if n is not None])
 
 
 def _tail_fit(tail: _Features, s: float) -> tuple[float, float]:
@@ -289,7 +289,7 @@ def converges(spec: SeriesSpec, s: float) -> ConvergenceVerdict:
         return ConvergenceVerdict(verdict, {
             "method": "closed-form", "rates": rates, "poly_exponents": polys})
     # table input: ratio heuristic on the available tail
-    ns = np.arange(1, _table_limit(spec, N_MAX) + 1)
+    ns = np.arange(1, _table_limit(spec) + 1)
     logs = _log_terms(_Features(_SAMPLED, spec, ns), s)
     nz = logs[logs > -np.inf]
     if not nz.size:
@@ -324,8 +324,7 @@ class TauResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def compute_tau(spec: SeriesSpec, numeric: bool = False,
-                n_max: int = N_MAX) -> TauResult:
+def compute_tau(spec: SeriesSpec, numeric: bool = False) -> TauResult:
     """inf{s > 0 : the family's series converges}, clamped to [0, 1]."""
     if spec.family == "lebesgue":
         raise ValueError("lebesgue family has no s-threshold")
@@ -337,7 +336,7 @@ def compute_tau(spec: SeriesSpec, numeric: bool = False,
                          thresholds=tuple(thresholds), diagnostics={"raw_max": raw})
     # bisection on the tail-fit convergence predicate; the features are
     # sampled once and only re-weighted for each s
-    limit = _table_limit(spec, n_max)
+    limit = _table_limit(spec)
     if limit < 8:
         raise ValueError("table too short for numeric tau")
     ns = np.unique(np.round(np.geomspace(max(2, limit // 2), limit, 48)).astype(int))
@@ -411,7 +410,7 @@ def _fit_slope(scales, counts) -> tuple[float, float]:
 
 
 def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int,
-                           scales, cap: int | None = None) -> BoxDimEstimate:
+                           scales) -> BoxDimEstimate:
     """Box-count slope of the truncated union, streamed without materializing it.
 
     Dyadic boxes are marked at the finest scale while the per-n solution
@@ -450,7 +449,7 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
         if delta > 0.5:
             mark(np.array([0.0]), np.array([1.0]))
             continue
-        for plo, phi in _product_pieces(params, delta, cap=cap):
+        for plo, phi in _product_pieces(params, delta):
             if plo.size:
                 mark(plo, phi)
 

@@ -26,10 +26,10 @@ class CellCapExceeded(RuntimeError):
     """Raised when a construction would enumerate too many cells."""
 
 
-def check_size(n: int, what: str, cap: int | None = None) -> None:
-    """Refuse, before allocating, n entries above `cap`, DIOPHLAB_CELL_CAP or default."""
+def check_size(n: int, what: str) -> None:
+    """Refuse, before allocating, n entries above DIOPHLAB_CELL_CAP or its default."""
     raw = os.environ.get("DIOPHLAB_CELL_CAP")
-    limit = cap if cap is not None else int(float(raw)) if raw else DEFAULT_CELL_CAP
+    limit = int(float(raw)) if raw else DEFAULT_CELL_CAP
     if n > limit:
         raise CellCapExceeded(
             f"{n} {what} exceed the cap {limit} (set DIOPHLAB_CELL_CAP to raise)")
@@ -101,7 +101,7 @@ class IntervalSet:
         return np.minimum(np.abs(x - pts[idx - 1]), np.abs(x - pts[idx]))
 
 
-def normalize(raw, eps: float = MERGE_EPS) -> IntervalSet:
+def normalize(raw) -> IntervalSet:
     """Sort, clip to [0,1], drop empty pieces and fuse near-adjacent ones.
 
     Accepts a list of (lo, hi) pairs or a pair of arrays.  Reversed pairs
@@ -129,7 +129,7 @@ def normalize(raw, eps: float = MERGE_EPS) -> IntervalSet:
     reach = np.maximum.accumulate(his)
     starts = np.empty(los.size, dtype=bool)
     starts[0] = True
-    starts[1:] = los[1:] > reach[:-1] + eps
+    starts[1:] = los[1:] > reach[:-1] + MERGE_EPS
     first = np.flatnonzero(starts)
     out_lo = los[first]
     out_hi = np.maximum.reduceat(his, first)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SEQ_KINDS = ("exponential", "linear", "explicit-table", "integer-table")
 PSI_KINDS = ("power", "exponential", "scaled-base", "explicit-table")
@@ -157,7 +157,7 @@ class PsiSpec:
     t: float = 0.0
     lam: float = 0.0
     values: tuple = ()
-    seq: SequenceSpec | None = field(default=None, compare=False)
+    seq: SequenceSpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "t", float(self.t))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ from diophlab.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -111,16 +115,228 @@ def test_planar_decompose(capsys):
     assert code == 0 and doc["J"] == [0, 1, 2]
 
 
-def test_config_merges_under_flags(capsys, tmp_path):
+def run_with_config(capsys, tmp_path, config, *argv):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"a": 2, "b": 6, "eta": 0.1, "xi": 0.1}))
-    code, out, _ = run_cli(capsys, "count", "--config", str(cfg))
+    cfg.write_text(json.dumps(config))
+    return run_cli(capsys, *argv, "--config", str(cfg))
+
+
+def test_config_merges_under_flags(capsys, tmp_path):
+    cfg = {"a": 2, "b": 6, "eta": 0.1, "xi": 0.1}
+    code, out, _ = run_with_config(capsys, tmp_path, cfg, "count")
     assert code == 0 and "count:  3" in out
-    # explicit flag wins over the config value
-    code, out, _ = run_cli(capsys, "count", "--config", str(cfg),
-                           "--eta", "0.25", "--xi", "0.25", "--a", "1",
-                           "--b", "1")
+    # explicit flags win over the config values
+    code, out, _ = run_with_config(capsys, tmp_path, cfg, "count",
+                                   "--eta", "0.25", "--xi", "0.25", "--a", "1",
+                                   "--b", "1")
     assert code == 0 and "count:  2" in out
+    # one config can serve several subcommands: keys that are not flags of
+    # this one (delta, family) are ignored
+    code, out, _ = run_with_config(capsys, tmp_path,
+                                   {**cfg, "delta": 0.1, "family": "plain"}, "count")
+    assert code == 0 and "count:  3" in out
+    # false (or null) sets no switch
+    code, out, _ = run_with_config(capsys, tmp_path,
+                                   {"a": 4, "b": 6, "eta": 0.2, "xi": 0.2,
+                                    "integer-bound": False, "K": None}, "count")
+    assert code == 0 and "bound:  5.2\n" in out
+    # a negative value in scientific notation is a value, not a flag
+    code, out, _ = run_with_config(capsys, tmp_path, {"c": -1e-05}, "cover", "--a", "2",
+                                   "--b", "9", "--eta", "0.2", "--xi", "0.3")
+    assert code == 0 and json.loads(out)["c"] == -1e-05
+
+
+def _reads(key, value):
+    return lambda out: json.loads(out)[key] == value
+
+
+# Each case fails at a parent whose config reached only some flags, untyped
+@pytest.mark.parametrize("argv, config, code, check", [
+    pytest.param(("tau", "--a", "2", "--b", "3", "--psi", "sb:1"),
+                 {"family": "plain"}, 0,
+                 lambda out: json.loads(out)["family"] == "plain"
+                 and json.loads(out)["tau"] == pytest.approx(0.5),
+                 id="tau-family"),
+    pytest.param(("tau", "--family", "plain"),
+                 {"a": 2, "b": 3, "psi": {"kind": "exponential", "lambda": 1.0986}}, 0,
+                 lambda out: abs(json.loads(out)["tau"] - 0.5) < 1e-3,
+                 id="tau-psi-object-without-seq"),
+    pytest.param(("tau", "--a", "2", "--b", "3", "--psi", "sb:1"),
+                 {"numeric": True}, 0, _reads("method", "numeric-bisection"),
+                 id="tau-numeric"),
+    pytest.param(("discrepancy", "--a", "3", "--b", "17"), {"K": 2}, 0,
+                 lambda out: "K:    2\n" in out, id="discrepancy-K"),
+    pytest.param(("discrepancy", "--a", "3", "--b", "17"), {"lo": -0.2, "hi": 0.3}, 0,
+                 lambda out: "D:    1\n" in out, id="discrepancy-lo-hi"),
+    pytest.param(("count", "--a", "4", "--b", "6", "--eta", "0.2", "--xi", "0.2"),
+                 {"integer_bound": True}, 0, lambda out: "bound:  3.2\n" in out,
+                 id="count-integer-bound"),
+    pytest.param(("measure", "--a", "3", "--b", "7", "--delta", "0.05"),
+                 {"s": [0.5, 0.7], "mesh": 0.01}, 0,
+                 lambda out: sorted(json.loads(out)["premeasure"]) == ["0.5", "0.7"]
+                 and sorted(json.loads(out)["canonical_premeasure"]) == ["0.5", "0.7"],
+                 id="measure-s-mesh"),
+    # the list goes in before planar's positional op, which it must not take
+    pytest.param(("planar", "decompose", "--a", "2", "--b", "5", "--delta", "0.1"),
+                 {"s": [0.3, 0.7]}, 0,
+                 lambda out: sorted(json.loads(out)["premeasure"]) == ["0.3", "0.7"],
+                 id="list-before-positional"),
+    pytest.param(("planar", "mc", "--a", "1", "--b", "1", "--delta", "0.2"),
+                 {"samples": 20000, "seed": 7}, 0,
+                 lambda out: json.loads(out)["samples"] == 20000
+                 and json.loads(out)["seed"] == 7, id="planar-samples-seed"),
+    pytest.param(("cover", "--a", "2", "--b", "9", "--eta", "0.2", "--xi", "0.3"),
+                 {"format": "csv"}, 0,
+                 lambda out: out.startswith("a,b,c,d,eta,xi,pieces"), id="format"),
+    pytest.param(("set", "--a", "1", "--b", "2", "--eta", "0.1"), {"xi": [0.1]}, 0,
+                 _reads("xi", 0.1), id="one-element-list"),
+    pytest.param(("set", "--a", "1", "--b", "2", "--xi", "0.1"), {"eta": [0.1, 0.2]}, 2,
+                 lambda out: out == "", id="list-for-one-value"),
+    pytest.param(("tau", "--a", "2", "--b", "3", "--psi", "sb:1"),
+                 {"family": "three-term"}, 2, lambda out: out == "",
+                 id="choice-outside-choices"),
+])
+def test_config_reaches_every_flag(capsys, tmp_path, argv, config, code, check):
+    got, out, err = run_with_config(capsys, tmp_path, config, *argv)
+    assert got == code and check(out)
+    assert "Traceback" not in err
+
+
+def test_config_out_key_writes_file(capsys, tmp_path):
+    target = tmp_path / "set.json"
+    code, out, _ = run_with_config(capsys, tmp_path, {"out": str(target)}, "set",
+                                   "--a", "1", "--b", "2", "--eta", "0.1", "--xi", "0.1")
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["summary"]["components"] == 2
+
+
+def test_config_wrong_type_is_usage_error(capsys, tmp_path):
+    code, out, err = run_with_config(capsys, tmp_path,
+                                     {"a": 1, "b": 2, "eta": "abc", "xi": 0.1}, "set")
+    assert code == 2 and out == ""
+    assert "argument --eta: invalid float value: 'abc'" in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "0.5", "not json"])
+def test_config_not_an_object_exits_with_message(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "count", "--a", "2", "--b", "6", "--eta", "0.1",
+                             "--xi", "0.1", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and ("JSON object" in err or "Expecting" in err)
+
+
+# stdout of the README examples (all but verify and replay), CSV variants
+# and configs, measured before --config entries were parsed as flags:
+# (argv, config or None, sha256 of stdout)
+PINNED = {
+    "set-simultaneous": ("set --a 1 --b 2 --eta 0.1 --xi 0.1",
+        None,
+        "0c7f945f5d3114fba13c08a896ff640e164af9a36ff51d2e8b5639019a4885da"),
+    "set-product": ("set --a 3 --b 7 --c 0.3 --d 0.6 --delta 0.1",
+        None,
+        "accae25f63a7fa4f41cf62e00a0ee898aba6737ddd285d3a0ec91102cacbbc14"),
+    "set-product-csv": ("set --a 3 --b 7 --c 0.3 --d 0.6 --delta 0.1 --format csv",
+        None,
+        "420b234f99023a1fd440f00934a2851520adfbb48005f47027c0cd41c423e43e"),
+    "count": ("count --a 2 --b 6 --eta 0.1 --xi 0.1",
+        None,
+        "9d143e4c1ede398e142cfd88ab26d48c8a032333b3a6f14e879a3498e6e7a7d3"),
+    "count-integer-bound": ("count --a 4 --b 6 --eta 0.2 --xi 0.2 --integer-bound",
+        None,
+        "3ea0be4ce35e00c78436e926e5665db4d3e54204ec6da1e316fd4d10ce657408"),
+    "cover-csv": ("cover --a 2 --b 9 --eta 0.2 --xi 0.3 --format csv",
+        None,
+        "4cfb646755e1780b2efdffad7b6c6304b874303ae6fb4c6278bbdf73c71ac1c4"),
+    "cover": ("cover --a 2 --b 9 --eta 0.2 --xi 0.3",
+        None,
+        "d0f05cc679525c08f3f180ac3b9a7b036989be4b6b21ceaf83f6e09dd78394d9"),
+    "discrepancy": ("discrepancy --a 3 --b 17 --c 0.4 --d 0.2",
+        None,
+        "56baf0494df9088b361a07cee07f0720ebe976ec1930693f76df3129f0833e20"),
+    "measure": ("measure --a 3 --b 7 --delta 0.05 --s 0.3 0.5 0.7 0.9",
+        None,
+        "54dcfc577f17d3f20257260924bdc1818180d4883465c5de7cae5b8af64b3806"),
+    "measure-mesh": ("measure --a 3 --b 7 --delta 0.05 --s 0.5 --mesh 0.01",
+        None,
+        "51fdc3c308eed42c573c7ddc3c14d02e045387101f427363da1620b1349e51ed"),
+    "tau-two-term": ("tau --family two-term --a 2 --b 3 --psi exp:1.0986",
+        None,
+        "bcb3bf60569b75af9225b3fbe9715d8006efa254396ab1f1ee558ff06eed38d4"),
+    "tau-plain-numeric": ("tau --family plain --a 2 --b 3 --psi sb:1 --numeric",
+        None,
+        "7760930d5e499cfd8a6fab4904cf69a772ade7c5409e793508817a0ae7142b32"),
+    "tau-pow": ("tau --a 2 --b 3 --psi pow:2",
+        None,
+        "616e09e60048deafa4072dcf4499ce8983f094e7e5d3016c18548453abbcd4c0"),
+    "scan": ("scan --a 2:4:3 --b 5:30:4 --t 0.5:2:4",
+        None,
+        "b293e13f57a0f5bfb4fd69dc3b7a3944cfe0c89da6a42c94cbf91fc74d50cd3c"),
+    "planar-area": ("planar area --a 1 --b 2 --eta 0.1 --xi 0.1",
+        None,
+        "a7470edcf5b0e794b6a3db55d7209398da3c6b6c9bb7e7ff9083daa37a6cb7b5"),
+    "planar-area-csv": ("planar area --a 1 --b 2 --eta 0.1 --xi 0.1 --format csv",
+        None,
+        "0e2ebf95178cd28d1026fc830b6f5cb0e42ce99ece9fe066385e31ccaa2c495f"),
+    "planar-cover-csv": (
+        "planar cover --a 2 --b 5 --eta 0.1 --xi 0.1 --s 0.7 --format csv",
+        None,
+        "615227233763b69cdae2e540db8cf7381e2d5bd6e37130629dca0baec28f1b82"),
+    "planar-mc": ("planar mc --a 1 --b 1 --delta 0.2 --samples 1000000 --seed 7",
+        None,
+        "865bb4ef02da32ddd84e4b399add6e418b0dec48f8969c2182d8d4950d2d4fdf"),
+    "planar-decompose": ("planar decompose --a 2 --b 5 --delta 0.1 --s 0.5",
+        None,
+        "646e57aa9c5a4b335bb004fb77a656a7f9904eecb49f766a9c2f779333b79072"),
+    "config-set": ("set",
+        {"a": 3, "b": 7, "c": 0.3, "d": 0.6, "delta": 0.1},
+        "accae25f63a7fa4f41cf62e00a0ee898aba6737ddd285d3a0ec91102cacbbc14"),
+    "config-count": ("count",
+        {"a": 2, "b": 6, "eta": 0.1, "xi": 0.1},
+        "9d143e4c1ede398e142cfd88ab26d48c8a032333b3a6f14e879a3498e6e7a7d3"),
+    "config-count-flags-win": ("count --eta 0.25 --xi 0.25 --a 1 --b 1",
+        {"a": 2, "b": 6, "eta": 0.1, "xi": 0.1},
+        "223ee8e2694129fc811c36affdbe022a19dfcb3b606563da3f501f62cbe1d5f5"),
+    "config-cover": ("cover --format csv",
+        {"a": 2, "b": 9, "eta": 0.2, "xi": 0.3},
+        "4cfb646755e1780b2efdffad7b6c6304b874303ae6fb4c6278bbdf73c71ac1c4"),
+    "config-discrepancy": ("discrepancy",
+        {"a": 3, "b": 17, "c": 0.4, "d": 0.2},
+        "56baf0494df9088b361a07cee07f0720ebe976ec1930693f76df3129f0833e20"),
+    "config-measure": ("measure --s 0.3 0.7",
+        {"a": 3, "b": 7, "delta": 0.05, "eta": 0.1},
+        "b8ee48f33ba54fff675d007f3d1138c39fb843276bab1cbde782fbc833b98423"),
+    "config-tau-psi-string": ("tau",
+        {"a": 2, "b": 3, "psi": "exp:1.0986"},
+        "bcb3bf60569b75af9225b3fbe9715d8006efa254396ab1f1ee558ff06eed38d4"),
+    "config-tau-seq-psi": ("tau --family plain",
+        {"seq": {"kind": "exponential", "a": 2, "b": 3},
+         "psi": {"kind": "exponential", "lambda": 1.0986}},
+        "c530c29ac561b78364f93bf2b164df72b6751607b3f384123a7ac4d073fa183c"),
+    "config-planar-area": ("planar area",
+        {"a": 1, "b": 2, "eta": 0.1, "xi": 0.1},
+        "a7470edcf5b0e794b6a3db55d7209398da3c6b6c9bb7e7ff9083daa37a6cb7b5"),
+    "config-planar-decompose": ("planar decompose --s 0.5",
+        {"a": 2, "b": 5, "delta": 0.1},
+        "646e57aa9c5a4b335bb004fb77a656a7f9904eecb49f766a9c2f779333b79072"),
+}
+
+
+def stdout_digest(capsys, tmp_path, argv, config):
+    argv = argv.split()
+    if config is not None:
+        code, out, _ = run_with_config(capsys, tmp_path, config, *argv)
+    else:
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_cli_outputs_are_pinned(capsys, tmp_path, case):
+    argv, config, digest = PINNED[case]
+    assert stdout_digest(capsys, tmp_path, argv, config) == digest
 
 
 def test_tau_reads_seq_psi_config(capsys, tmp_path):
@@ -153,9 +369,13 @@ def test_domain_error_exit_code(capsys):
     ("measure", "--a", "2", "--b", "11", "--delta", "0.1", "--s", "1.5"),
     ("measure", "--a", "3", "--b", "7", "--delta", "0.05", "--s", "0.5", "--mesh", "nan"),
     ("measure", "--a", "3", "--b", "7", "--delta", "0.6", "--s", "nan", "--mesh", "0.01"),
+    ("measure", "--a", "3", "--b", "7", "--delta", "0.05", "--s", "0.5", "--mesh", "0"),
+    ("planar", "cover", "--a", "2", "--b", "5", "--eta", "0.1", "--xi", "0.1",
+     "--s", "0.3", "0.7"),
 ])
 def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
-    # a NaN threshold, mesh or s, or s > 1, is bad input, not an empty set or a value
+    # a NaN threshold, mesh or s, s > 1, mesh 0, or a second s where one is
+    # used, is bad input, not an empty set, a value or a dropped value
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and "error" in err
 

@@ -21,6 +21,17 @@ def spec(family, seq=EXP23, psi=PSI_THIRD):
     return SeriesSpec(seq=seq, psi=psi, family=family)
 
 
+def test_scaled_base_specs_over_different_sequences_differ():
+    # psi = 3^-n and psi = 5^-n, both scaled-base with t = 1, differ only in
+    # the bound sequence they scale, so equality and hash must cover it
+    third = spec("plain", psi=PsiSpec(kind="scaled-base", t=1.0, seq=EXP23))
+    fifth = spec("plain", psi=PsiSpec(kind="scaled-base", t=1.0,
+                                      seq=SequenceSpec(kind="exponential", a=2, b=5)))
+    assert third != fifth and hash(third) != hash(fifth)
+    assert compute_tau(third).tau == pytest.approx(0.5)
+    assert compute_tau(fifth).tau == pytest.approx(math.log(3) / math.log(15))
+
+
 def test_term_zero_psi_gives_zero():
     psi0 = PsiSpec(kind="explicit-table", values=(0.0,) * 5)
     for family in ("plain", "two-term", "four-term"):
