@@ -14,8 +14,9 @@ premeasure bound.
 The product set is solved cell by cell: [0,1] is cut at every half-integer
 crossing of both linear forms, on each cell both nearest integers are
 constant and the condition is a pair of quadratic inequalities solved in
-closed form with the cancellation-safe root formula.  Cells are processed
-in chunks so b up to the cell cap stays memory-light.
+closed form with the cancellation-safe root formula.  Cells are solved in
+cache-sized chunks, so the solve's working memory is small; the sorted
+array of cell cuts is still built whole, O(a + b) for b up to the cell cap.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .intervals import (Cover, IntervalSet, check_size, complement, intersect,
                         mesh_cover, mesh_piece_counts, normalize, union_many)
 from .sequences import log_weight, require_finite
 
-_CHUNK = 1 << 19
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -152,61 +153,97 @@ def _cell_bounds(p: FracParams) -> np.ndarray:
     ranges = [(coef, shift, math.floor(shift - 0.5), math.ceil(coef + shift + 0.5))
               for coef, shift in ((p.a, p.c), (p.b, p.d))]
     check_size(sum(hi - lo + 1 for _, _, lo, hi in ranges), "cell cuts")
-    cuts = [np.array([0.0, 1.0])]
+    cuts = [np.array([0.0])]
     for coef, shift, lo, hi in ranges:
         k = np.arange(lo, hi + 1, dtype=float)
         x = (k + 0.5 - shift) / coef
         cuts.append(x[(x > 0.0) & (x < 1.0)])
-    return np.unique(np.concatenate(cuts))
+    cuts.append(np.array([1.0]))
+    # the cuts are two sorted runs, which the stable sort (a merge sort)
+    # joins in linear time; then drop the cuts both forms share
+    x = np.sort(np.concatenate(cuts), kind="stable")
+    return x[np.append(True, x[1:] != x[:-1])]
 
 
 def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray):
     """Solve |u v| < d2 on cells [lo, hi], u = a x + c - p0, v = b x + d - q0.
 
-    Returns candidate piece arrays (plo, phi); entries with phi <= plo are
-    to be discarded by the caller.
+    On a cell u v < d2 holds on one interval [lo1, hi1], and u v <= -d2 on
+    a subinterval that splits it into a left and a right piece.  Returns
+    piece arrays (plo, phi) of twice the cell count, interleaved: entries
+    2i and 2i + 1 are the left and right piece of cell i.  Entries with
+    phi <= plo are empty and to be discarded by the caller; the others are
+    in x order, as the cells are.  The work runs in place on a few buffers
+    of the cell count, so a chunk of cells stays in cache.
     """
     a, b, c, d = p.a, p.b, p.c, p.d
-    mid = 0.5 * (lo + hi)
-    p0 = np.round(a * mid + c)
-    q0 = np.round(b * mid + d)
-    em = c - p0          # u(x) = a x + em
-    en = d - q0          # v(x) = b x + en
     A = a * b
-    B = a * en + b * em
-    C0 = em * en
+    n = lo.size
+    mid = lo + hi
+    mid *= 0.5
+    em = np.multiply(a, mid)
+    em += c
+    np.round(em, out=em)
+    np.subtract(c, em, out=em)          # u(x) = a x + em
+    en = np.multiply(b, mid, out=mid)
+    en += d
+    np.round(en, out=en)
+    np.subtract(d, en, out=en)          # v(x) = b x + en
+    B = np.multiply(a, en)
+    tmp = np.multiply(b, em)
+    B += tmp
+    C0 = np.multiply(em, en, out=tmp)
+    below = np.subtract(C0, d2, out=em)  # u*v < d2 holds between its roots
+    above = np.add(C0, d2, out=en)       # u*v <= -d2 holds between its roots
+    qf, bad = np.empty(n), np.empty(n, dtype=bool)
 
-    def roots(const: np.ndarray):
-        disc = B * B - 4.0 * A * const
-        ok = disc > 0.0
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        qf = -0.5 * (B + np.copysign(sq, B))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(ok, qf / A, np.nan)
-            r2 = np.where(ok, const / qf, np.nan)
-        return ok, np.minimum(r1, r2), np.maximum(r1, r2)
+    def roots(const):
+        """Roots of A x^2 + B x + const into (qf, const), by the
+        cancellation-safe formula; `bad` marks the cells without two real
+        roots, whose values are junk."""
+        np.subtract(np.multiply(B, B, out=qf),
+                    np.multiply(4.0 * A, const, out=tmp), out=qf)
+        np.greater(qf, 0.0, out=bad)
+        np.logical_not(bad, out=bad)
+        np.sqrt(qf, out=qf)
+        np.add(B, np.copysign(qf, B, out=qf), out=qf)
+        np.multiply(-0.5, qf, out=qf)
+        np.divide(const, qf, out=const)
+        np.divide(qf, A, out=qf)
 
-    ok1, r1, r2 = roots(C0 - d2)          # u*v < d2 holds between r1, r2
-    ok2, s1, s2 = roots(C0 + d2)          # u*v <= -d2 holds between s1, s2
-    lo1 = np.where(ok1, np.maximum(lo, r1), 1.0)
-    hi1 = np.where(ok1, np.minimum(hi, r2), 0.0)
-    excl_lo = np.where(ok2, s1, np.inf)
-    excl_hi = np.where(ok2, s2, np.inf)
-    return (np.concatenate([lo1, np.maximum(lo1, excl_hi)]),
-            np.concatenate([np.minimum(hi1, excl_lo), hi1]))
+    plo, phi = np.empty(2 * n), np.empty(2 * n)
+    lo1, hi1 = plo[0::2], phi[1::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots(below)
+        np.maximum(lo, np.minimum(qf, below, out=lo1), out=lo1)
+        np.minimum(hi, np.maximum(qf, below, out=hi1), out=hi1)
+        lo1[bad] = 1.0
+        hi1[bad] = 0.0
+        roots(above)
+        excl = np.minimum(qf, above, out=tmp)
+        excl[bad] = np.inf
+        np.minimum(hi1, excl, out=phi[0::2])
+        np.maximum(qf, above, out=excl)
+        excl[bad] = np.inf
+        np.maximum(lo1, excl, out=plo[1::2])
+    return plo, phi
 
 
 def _product_pieces(p: FracParams,
                     delta: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream solution pieces of the product condition, in x order per chunk."""
+    """Stream solution pieces of the product condition, one chunk of cells
+    at a time; the pieces are non-empty and in x order, within and across
+    chunks."""
     bounds = _cell_bounds(p)
     ncells = len(bounds) - 1
     d2 = delta * delta
     for i0 in range(0, ncells, _CHUNK):
         i1 = min(i0 + _CHUNK, ncells)
         plo, phi = _solve_chunk(p, d2, bounds[i0:i1], bounds[i0 + 1:i1 + 1])
-        keep = phi > plo
-        yield plo[keep], phi[keep]
+        # about half the pieces are empty, in no pattern a branch predictor
+        # learns; indices and take() gather them without branching
+        keep = np.flatnonzero(phi > plo)
+        yield plo.take(keep), phi.take(keep)
 
 
 def product_set(p: FracParams, delta: float) -> IntervalSet:

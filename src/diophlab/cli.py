@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -105,7 +106,7 @@ def _config_argv(doc: dict, flags) -> list[str]:
         elif isinstance(value, list):
             argv += [flag, *map(str, value)]
         else:
-            argv.append(f"{flag}={value}")  # "=" keeps a value like -1e-05 a value
+            argv.append(f"{flag}={value}")  # "=" keeps a value like "-x" a value
     return argv
 
 
@@ -200,7 +201,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_tau(args) -> int:
     doc = args.config_doc
-    if isinstance(doc.get("seq"), dict):
+    if "seq" in doc:
         seq = parse_sequence(doc["seq"])
     else:
         _require(args, "a", "b")
@@ -302,6 +303,16 @@ def _cmd_replay(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-05, like -0.5, as a negative number
+    rather than an unknown option, so it can follow a flag without "="."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_params(sp, *, shifts=True, eta_xi=False, delta=False) -> None:
     sp.add_argument("--config", default=None,
                     help="JSON object of flag values; command-line flags win")
@@ -323,7 +334,7 @@ def _add_io(sp) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="diophlab",
         description="Exact sets, counting, discrepancy and dimension "
                     "experiments for multiplicative approximation conditions")

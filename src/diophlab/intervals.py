@@ -120,20 +120,22 @@ def normalize(raw) -> IntervalSet:
     los = np.clip(los, 0.0, 1.0)
     his = np.clip(his, 0.0, 1.0)
     keep = his > los
-    los, his = los[keep], his[keep]
+    if not keep.all():
+        los, his = los[keep], his[keep]
     if los.size == 0:
         return IntervalSet.empty()
     if np.any(los[1:] < los[:-1]):  # construction paths mostly emit sorted
         order = np.argsort(los, kind="stable")
         los, his = los[order], his[order]
-    reach = np.maximum.accumulate(his)
-    starts = np.empty(los.size, dtype=bool)
-    starts[0] = True
-    starts[1:] = los[1:] > reach[:-1] + MERGE_EPS
-    first = np.flatnonzero(starts)
-    out_lo = los[first]
-    out_hi = np.maximum.reduceat(his, first)
-    return IntervalSet(out_lo, out_hi)
+    # reach[i] = max(his[:i+1]); at the last piece of a component it is the
+    # component's hi, since every earlier component ends more than
+    # MERGE_EPS below this one's lo
+    reach = his if np.all(his[1:] >= his[:-1]) else np.maximum.accumulate(his)
+    # starts[i]: piece i begins a component, and so piece i - 1 ends one
+    starts = np.empty(los.size + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.greater(los[1:], reach[:-1] + MERGE_EPS, out=starts[1:-1])
+    return IntervalSet(los[starts[:-1]], reach[starts[1:]])
 
 
 # -- boolean combinations ---------------------------------------------------

@@ -195,41 +195,66 @@ def eval_psi(spec: PsiSpec, n: int) -> float:
 # -- JSON config ------------------------------------------------------------
 
 
+def _floats(value) -> tuple:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return tuple(float(x) for x in value)
+
+
+def _field(doc, key: str, what: str, convert=float, default=None):
+    """convert(doc[key]), or convert(default) when the key is absent.
+
+    A document that is not an object, a missing key without a default, or a
+    value that convert refuses is a ValueError naming the key, so that bad
+    JSON ends in a message rather than a KeyError or TypeError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc and default is None:
+        raise ValueError(f"{what} needs the key {key!r}")
+    value = doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} key {key!r} has a bad value {value!r}") from None
+
+
 def parse_sequence(doc: dict) -> SequenceSpec:
     """Build a SequenceSpec from its JSON form.
 
     Examples: {"kind": "exponential", "a": 2, "b": 3, "c": 0, "d": 0}
               {"kind": "explicit-table", "a": [1.5], "b": [4.2], "c": 0.3, "d": -0.7}
     """
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", "sequence", str)
+    what = f"sequence {kind}"
     if kind in ("exponential", "linear"):
-        return SequenceSpec(kind=kind, a=float(doc["a"]), b=float(doc["b"]),
-                            c=float(doc.get("c", 0.0)), d=float(doc.get("d", 0.0)))
+        return SequenceSpec(kind=kind, a=_field(doc, "a", what), b=_field(doc, "b", what),
+                            c=_field(doc, "c", what, default=0.0),
+                            d=_field(doc, "d", what, default=0.0))
     if kind in ("explicit-table", "integer-table"):
-        def shift(key):
-            v = doc.get(key, 0.0)
-            return (0.0, tuple(float(x) for x in v)) if isinstance(v, list) \
-                else (float(v), ())
-        c, c_table = shift("c")
-        d, d_table = shift("d")
-        return SequenceSpec(kind=kind,
-                            a_table=tuple(float(x) for x in doc["a"]),
-                            b_table=tuple(float(x) for x in doc["b"]),
+        def shift(v):
+            return (0.0, _floats(v)) if isinstance(v, list) else (float(v), ())
+        c, c_table = _field(doc, "c", what, shift, 0.0)
+        d, d_table = _field(doc, "d", what, shift, 0.0)
+        return SequenceSpec(kind=kind, a_table=_field(doc, "a", what, _floats),
+                            b_table=_field(doc, "b", what, _floats),
                             c=c, c_table=c_table, d=d, d_table=d_table)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
 def parse_psi(doc: dict, seq: SequenceSpec | None = None) -> PsiSpec:
     """Build a PsiSpec from its JSON form, e.g. {"kind": "exponential", "lambda": 1.1}."""
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", "psi", str)
+    what = f"psi {kind}"
     if kind == "power":
-        return PsiSpec(kind=kind, t=float(doc["t"]))
+        return PsiSpec(kind=kind, t=_field(doc, "t", what))
     if kind == "exponential":
-        return PsiSpec(kind=kind, lam=float(doc["lambda"]))
+        return PsiSpec(kind=kind, lam=_field(doc, "lambda", what))
     if kind == "scaled-base":
-        return PsiSpec(kind=kind, t=float(doc["t"]), seq=seq)
+        return PsiSpec(kind=kind, t=_field(doc, "t", what), seq=seq)
     if kind == "explicit-table":
-        return PsiSpec(kind=kind, values=tuple(float(x) for x in doc["values"]))
+        return PsiSpec(kind=kind, values=_field(doc, "values", what, _floats))
     raise ValueError(f"unknown psi kind {kind!r}")
 
 
@@ -240,6 +265,6 @@ def load_config(path_or_doc) -> tuple[SequenceSpec, PsiSpec]:
     else:
         with open(path_or_doc, encoding="utf-8") as fh:
             doc = json.load(fh)
-    seq = parse_sequence(doc["seq"])
-    psi = parse_psi(doc["psi"], seq=seq)
+    seq = parse_sequence(_field(doc, "seq", "config", lambda v: v))
+    psi = parse_psi(_field(doc, "psi", "config", lambda v: v), seq=seq)
     return seq, psi

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diophlab.approx_sets import (FracParams, _factor_set,
-                                  decompose_product_set, dist_nearest_int,
+from diophlab import approx_sets
+from diophlab.approx_sets import (FracParams, _cell_bounds, _factor_set,
+                                  _product_pieces, decompose_product_set, dist_nearest_int,
                                   dyadic_annuli, measure_bound,
                                   premeasure_bound, product_membership,
                                   product_set, product_set_cover_cost,
@@ -274,6 +275,65 @@ def test_cover_cost_counts_match_dense_covers(cases):
         assert cost.core == dense(p, delta, delta)
         assert cost.first_far == [dense(p, big, small) for big, small in annuli]
         assert cost.second_far == [dense(p, small, big) for big, small in annuli]
+
+
+def _unique_cuts(p):
+    """Oracle for _cell_bounds: the same cuts, sorted and deduplicated by np.unique."""
+    cuts = [np.array([0.0, 1.0])]
+    for coef, shift in ((p.a, p.c), (p.b, p.d)):
+        k = np.arange(math.floor(shift - 0.5), math.ceil(coef + shift + 0.5) + 1,
+                      dtype=float)
+        x = (k + 0.5 - shift) / coef
+        cuts.append(x[(x > 0.0) & (x < 1.0)])
+    return np.unique(np.concatenate(cuts))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=_params())
+# every cut of one form is a cut of the other: a = b with c = d, and b = 2a
+@example(p=FracParams(3, 3, 0.2, 0.2))
+@example(p=FracParams(41.9, 41.9, -0.2, -0.2))
+@example(p=FracParams(2, 4))
+@example(p=FracParams(2, 4, 0.5, 0.5))
+# cuts at exactly 0 and 1, which are dropped in favour of the edges
+@example(p=FracParams(5, 7, 0.5, -0.5))
+def test_cell_bounds_match_np_unique(p):
+    assert _cell_bounds(p).tobytes() == _unique_cuts(p).tobytes()
+
+
+def _chunked_cases():
+    # the last two solve more cells than the default chunk holds
+    rng = np.random.default_rng(1010)
+    for _ in range(8):
+        a = float(rng.uniform(1, 30))
+        p = FracParams(a, float(rng.uniform(a, 3000)),
+                       float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        yield p, float(np.exp(rng.uniform(np.log(1e-4), np.log(0.5))))
+    yield FracParams(2, 4), 0.1
+    yield from _worked_example([5, 9])
+    yield FracParams(3.3, 4e4 + 0.7, 0.1, 0.37), 1e-3
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 19])
+def test_product_set_independent_of_chunk_size(monkeypatch, chunk):
+    default = [product_set(p, delta) for p, delta in _chunked_cases()]
+    monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
+    for want, (p, delta) in zip(default, _chunked_cases()):
+        got = product_set(p, delta)
+        assert got.los.tobytes() == want.los.tobytes()
+        assert got.his.tobytes() == want.his.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+def test_product_pieces_are_nonempty_and_in_x_order(monkeypatch, chunk):
+    # the solver emits each cell's two pieces side by side, so the stream is
+    # sorted by lo without an argsort, within and across chunks
+    if chunk is not None:
+        monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
+    for p, delta in _chunked_cases():
+        los, his = map(np.concatenate, zip(*_product_pieces(p, delta)))
+        assert np.all(his > los)
+        assert np.all(los[1:] >= los[:-1])
 
 
 def test_dyadic_annuli():

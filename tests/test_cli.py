@@ -520,3 +520,47 @@ def test_out_flag_writes_file(capsys, tmp_path):
                            "--eta", "0.1", "--xi", "0.1", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["summary"]["components"] == 2
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    pytest.param({"a": 2, "b": 3, "psi": {"kind": "power"}}, [],
+                 "psi power needs the key 't'", id="psi-missing-key"),
+    pytest.param({"seq": {"kind": "exponential", "a": 2}, "psi": "pow:1"}, [],
+                 "sequence exponential needs the key 'b'", id="seq-missing-key"),
+    pytest.param([1], ["--a", "2", "--b", "3"],
+                 "psi must be a JSON object, got list", id="psi-table-not-object"),
+    # a seq that is not an object used to be skipped for --a/--b
+    pytest.param({"seq": [1], "a": 2, "b": 3, "psi": "pow:1"}, [],
+                 "sequence must be a JSON object, got list", id="seq-not-object"),
+])
+def test_malformed_seq_psi_json_exits_with_message(tmp_path, config, argv, message):
+    # a missing key or a non-object used to end in a KeyError or an
+    # AttributeError traceback; the last case is read through --psi table:@F
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(config))
+    source = ["--config", str(path)] if isinstance(config, dict) \
+        else ["--psi", f"table:@{path}"]
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", "tau", *argv, *source],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_negative_scientific_value_follows_flag(capsys):
+    # -1e-05 after a flag is a value, as -0.5 is, not an unknown option
+    code, out, err = run_cli(capsys, "set", "--a", "3", "--b", "7", "--c", "-1e-05",
+                             "--delta", "0.1")
+    assert code == 0, err
+    assert (0, out, "") == run_cli(capsys, "set", "--a", "3", "--b", "7",
+                                   "--c=-1e-05", "--delta", "0.1")
+    assert json.loads(out)["summary"]["components"] > 0
+
+
+def test_negative_scientific_value_in_config_list(capsys, tmp_path):
+    # the list becomes "--s -1e-05 0.5"; -1e-05 reaches the measure as a
+    # number and is refused there, where it used to be a usage error
+    code, out, err = run_with_config(capsys, tmp_path, {"s": [-1e-05, 0.5]}, "measure",
+                                     "--a", "3", "--b", "7", "--delta", "0.1")
+    assert code == 1 and out == ""
+    assert "s must be in (0, 1], got -1e-05" in err

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from diophlab.intervals import (IntervalSet, box_count, complement, difference,
-                                intersect, lebesgue, mesh_cover, normalize,
-                                premeasure_upper, symmetric_difference, union,
-                                union_many)
+from diophlab.intervals import (MERGE_EPS, IntervalSet, box_count, complement,
+                                difference, intersect, lebesgue, mesh_cover,
+                                normalize, premeasure_upper,
+                                symmetric_difference, union, union_many)
 
 
 def test_normalize_drops_reversed():
@@ -33,6 +34,74 @@ def test_normalize_idempotent():
         s = normalize(raw.tolist())
         again = normalize(s.pairs())
         assert s == again
+
+
+def _normalize_oracle(raw) -> IntervalSet:
+    """normalize as a sort, a running max of his and a maximum.reduceat over
+    each component, with no shortcut for sorted input."""
+    arr = np.asarray(list(raw), dtype=float).reshape(-1, 2)
+    los = np.clip(arr[:, 0], 0.0, 1.0)
+    his = np.clip(arr[:, 1], 0.0, 1.0)
+    keep = his > los
+    los, his = los[keep], his[keep]
+    if los.size == 0:
+        return IntervalSet.empty()
+    order = np.argsort(los, kind="stable")
+    los, his = los[order], his[order]
+    reach = np.maximum.accumulate(his)
+    starts = np.empty(los.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = los[1:] > reach[:-1] + MERGE_EPS
+    first = np.flatnonzero(starts)
+    return IntervalSet(los[first], np.maximum.reduceat(his, first))
+
+
+# endpoints on and outside the edges of [0, 1], signed zeros and NaN
+_ENDPOINT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.25, 1.25, math.nan]),
+    st.floats(-0.25, 1.25))
+# gaps after an earlier piece: overlaps, touches, and just below, at and just
+# above the fusion threshold
+_GAP = st.sampled_from([-0.05, -MERGE_EPS, 0.0, 5e-16, MERGE_EPS * (1 - 1e-3),
+                        MERGE_EPS, MERGE_EPS * (1 + 1e-3), 2 * MERGE_EPS, 0.01])
+
+
+@st.composite
+def _raw_pieces(draw):
+    pieces = []
+    for _ in range(draw(st.integers(0, 12))):
+        how = draw(st.sampled_from(["free", "after", "nested", "tied"]))
+        if how == "free" or not pieces:
+            pieces.append((draw(_ENDPOINT), draw(_ENDPOINT)))
+            continue
+        lo, hi = draw(st.sampled_from(pieces))
+        if how == "after":
+            start = hi + draw(_GAP)
+            pieces.append((start, start + draw(st.floats(0.0, 0.1))))
+        elif how == "nested":
+            pieces.append((lo + (hi - lo) / 3, hi - (hi - lo) / 3))
+        else:
+            pieces.append((lo, draw(_ENDPOINT)))
+    order = draw(st.sampled_from(["drawn", "by-lo", "reversed"]))
+    if order == "by-lo":
+        pieces.sort(key=lambda piece: (piece[0], piece[1]))
+    elif order == "reversed":
+        pieces.reverse()
+    return pieces
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(pieces=_raw_pieces())
+@example(pieces=[(0.1, 0.2), (0.2 + MERGE_EPS, 0.3), (0.3 + 2 * MERGE_EPS, 0.4)])
+@example(pieces=[(0.0, 0.9), (0.1, 0.2), (0.3, 0.4), (0.95, 1.0)])
+@example(pieces=[(-0.0, 0.5), (0.5, 0.5), (math.nan, 0.7), (0.6, math.nan)])
+def test_normalize_matches_reduceat_oracle(pieces):
+    # bit for bit, signed zeros included, from either input form
+    want = _normalize_oracle(pieces)
+    arr = np.array(pieces, dtype=float).reshape(-1, 2)
+    for got in (normalize(pieces), normalize((arr[:, 0], arr[:, 1]))):
+        assert got.los.tobytes() == want.los.tobytes()
+        assert got.his.tobytes() == want.his.tobytes()
 
 
 def test_intersect_examples():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -165,3 +166,20 @@ def test_parse_unknown_kinds():
         parse_sequence({"kind": "mystery"})
     with pytest.raises(ValueError):
         parse_psi({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    (parse_psi, [1], "psi must be a JSON object, got list"),
+    (parse_psi, {"kind": "power"}, "psi power needs the key 't'"),
+    (parse_psi, {"kind": "power", "t": [1]}, "psi power key 't' has a bad value [1]"),
+    (parse_sequence, {"kind": "exponential", "a": 2}, "sequence exponential needs the key 'b'"),
+    (parse_sequence, {"kind": "explicit-table", "a": 3, "b": [4]},
+     "sequence explicit-table key 'a' has a bad value 3"),
+    (parse_sequence, {"a": 2, "b": 3}, "sequence needs the key 'kind'"),
+    (load_config, {"psi": {"kind": "power", "t": 1}}, "config needs the key 'seq'"),
+])
+def test_parse_malformed_json_names_the_key(parse, doc, message):
+    # a KeyError, TypeError or AttributeError before, which the CLI reports
+    # as a traceback
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(doc)
