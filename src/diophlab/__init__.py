@@ -21,7 +21,6 @@ from .lattice import (SamplePoints, count_integer_bound, count_near_pairs,
                       erdos_turan_rhs_table, exp_sums, lattice_fraction_points)
 from .planar import (BoxSet, decompose_planar_product_set,
                      mc_planar_product_area, product_rectangle_set)
-from .sequences import (PsiSpec, SequenceSpec, eval_psi, eval_sequence,
-                        load_config, log_weight)
+from .sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence, log_weight
 
 __version__ = "0.1.0"

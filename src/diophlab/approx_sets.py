@@ -246,6 +246,14 @@ def _product_pieces(p: FracParams,
         yield plo.take(keep), phi.take(keep)
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a delta outside [2**-511, 1/2], where the decompositions and
+    covers are defined: below it delta**2, the product threshold, is not a
+    normal float, and the powers of 2 over the dyadic annuli overflow."""
+    if not 2.0 ** -511 <= delta <= 0.5:
+        raise ValueError(f"delta must be in [2**-511, 1/2], got {delta}")
+
+
 def product_set(p: FracParams, delta: float) -> IntervalSet:
     """Exact set where the product of the two distances is below delta**2.
 
@@ -292,8 +300,7 @@ def decompose_product_set(p: FracParams, delta: float) -> ProductDecomposition:
     needs no set built from the b-form.  E is solved once.  Each `intersect`
     takes the smaller set first, because its sweep runs over that argument.
     """
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 1/2], got {delta}")
+    check_delta(delta)
     e = product_set(p, delta)
     near = _factor_set(p.a, p.c, delta)
     core = simultaneous_set(p, delta, delta)
@@ -381,8 +388,7 @@ def product_set_cover_cost(p: FracParams, delta: float) -> AnnulusCoverCost:
     costs O(a + output), and O(b) for the last one when its larger
     threshold reaches 1/2.
     """
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 1/2], got {delta}")
+    check_delta(delta)
     first, second = [], []
     for j in dyadic_annuli(delta):
         big = 2.0 ** (j + 1) * delta
@@ -406,6 +412,8 @@ def premeasure_bound(p: FracParams, delta: float, s: float) -> float:
 def measure_bound(p: FracParams, delta: float) -> float:
     """delta^2 * L * log(1/delta) + sqrt(a/b) * delta * L (refined log)."""
     from .sequences import refined_log
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     L = p.weight()
     return (delta * delta * L * refined_log(1.0 / delta)
             + math.sqrt(p.a / p.b) * delta * L)

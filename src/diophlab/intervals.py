@@ -1,10 +1,12 @@
 """Exact algebra on finite unions of subintervals of [0,1].
 
 Sets are kept as sorted, pairwise-disjoint (lo, hi) pairs in two float64
-arrays.  Endpoints are never re-derived by arithmetic inside the set
-operations, so boolean combinations propagate the original endpoint values
-bit for bit.  Open/closed endpoints are not tracked: every set handled here
-differs from its closure by finitely many points.
+arrays.  Every boolean operation is one `intersect` sweep against a set or
+its complement, or a `normalize` of pieces already at hand, so endpoints
+are never re-derived by arithmetic and boolean combinations propagate the
+original endpoint values bit for bit.  Open/closed endpoints are not
+tracked: every set handled here differs from its closure by finitely many
+points.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def normalize(raw) -> IntervalSet:
 
     Accepts a list of (lo, hi) pairs or a pair of arrays.  Reversed pairs
     (lo >= hi) are dropped rather than rejected, so degenerate input yields
-    the empty set.
+    the empty set.  Fusing a gap of at most MERGE_EPS adds that gap to the
+    set, so a measure can grow by up to 1e-12 per fused gap.
     """
     if isinstance(raw, tuple) and len(raw) == 2 and isinstance(raw[0], np.ndarray):
         los, his = raw
@@ -141,47 +144,20 @@ def normalize(raw) -> IntervalSet:
 # -- boolean combinations ---------------------------------------------------
 
 
-def _starts_in(x: IntervalSet, pts: np.ndarray) -> np.ndarray:
-    """Whether each point lies in a half-open component lo <= p < hi of x."""
-    if x.is_empty():
-        return np.zeros(pts.shape, dtype=bool)
-    idx = np.searchsorted(x.los, pts, side="right") - 1
-    return (idx >= 0) & (pts < x.his[np.maximum(idx, 0)])
-
-
-def _combine(x: IntervalSet, y: IntervalSet, keep) -> IntervalSet:
-    """Boolean combination via a sweep over all original endpoints.
-
-    No endpoint lies inside an elementary segment [p_i, p_(i+1)), so each
-    segment is inside or outside each input as its left end p_i is;
-    `keep(in_x, in_y)` receives those membership masks and selects the
-    segments that survive.  (A midpoint test would not do: the midpoint of
-    adjacent floats rounds onto one of them.)  Endpoints of the result are
-    always endpoints of the inputs, never new arithmetic.
-    """
-    pts = np.unique(np.concatenate([x.los, x.his, y.los, y.his]))
-    if pts.size < 2:
-        return IntervalSet.empty()
-    sel = keep(_starts_in(x, pts[:-1]), _starts_in(y, pts[:-1]))
-    if not sel.any():
-        return IntervalSet.empty()
-    # run-length merge of consecutive selected segments
-    starts = np.flatnonzero(sel & ~np.concatenate([[False], sel[:-1]]))
-    ends = np.flatnonzero(sel & ~np.concatenate([sel[1:], [False]]))
-    return normalize((pts[starts], pts[ends + 1]))
-
-
 def intersect(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     """Set intersection by a sorted sweep, O(m + n + output).
 
     Both inputs are sorted and disjoint, so each component of x overlaps a
     contiguous run of components of y; output endpoints are max/min picks
-    of the original endpoint values, never new arithmetic.
+    of the original endpoint values, never new arithmetic.  This is the one
+    boolean sweep: difference and symmetric difference run it against a
+    complement, and union is a `normalize`.
     """
     if x.is_empty() or y.is_empty():
         return IntervalSet.empty()
-    start = np.searchsorted(y.his, x.los, side="left")
-    stop = np.searchsorted(y.los, x.his, side="right")
+    # only pairs that overlap in more than a point: y.his > x.lo, y.lo < x.hi
+    start = np.searchsorted(y.his, x.los, side="right")
+    stop = np.searchsorted(y.los, x.his, side="left")
     counts = np.maximum(stop - start, 0)
     total = int(counts.sum())
     if total == 0:
@@ -203,16 +179,21 @@ def complement(x: IntervalSet) -> IntervalSet:
     return IntervalSet(los[keep], his[keep])
 
 
+def _combine(x: IntervalSet, y: IntervalSet) -> IntervalSet:
+    """x minus y: one intersect sweep of x against the complement of y."""
+    return intersect(x, complement(y))
+
+
 def union(x: IntervalSet, y: IntervalSet) -> IntervalSet:
-    return _combine(x, y, lambda a, b: a | b)
+    return union_many([x, y])
 
 
 def difference(x: IntervalSet, y: IntervalSet) -> IntervalSet:
-    return _combine(x, y, lambda a, b: a & ~b)
+    return _combine(x, y)
 
 
 def symmetric_difference(x: IntervalSet, y: IntervalSet) -> IntervalSet:
-    return _combine(x, y, lambda a, b: a ^ b)
+    return union_many([_combine(x, y), _combine(y, x)])
 
 
 def union_many(sets: list[IntervalSet]) -> IntervalSet:

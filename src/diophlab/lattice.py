@@ -147,11 +147,10 @@ def discrepancy(points: SamplePoints, interval: tuple[float, float]) -> float:
 
 
 def erdos_turan_rhs(points: SamplePoints, interval: tuple[float, float],
-                    K: int, sums: np.ndarray | None = None) -> float:
+                    K: int) -> float:
     """Right-hand side of the Erdos-Turan inequality for the given I and K.
 
     Q/(K+1) + 2 * sum_{k<=K} (1/K + min(|I|, 1/(pi k))) * |sum e(k u)|.
-    Precomputed |sums| (from exp_sums) may be passed in when sweeping K.
 
     This scalar form stays for single values whose exact bits are written
     out (the uq-rhs-bound ratios, the `discrepancy` command): it sums the
@@ -163,7 +162,7 @@ def erdos_turan_rhs(points: SamplePoints, interval: tuple[float, float],
         raise ValueError(f"K must be >= 1, got {K}")
     lo, hi = interval
     length = float(_interval_lengths(lo, hi))
-    s = exp_sums(points, K) if sums is None else sums[:K]
+    s = exp_sums(points, K)
     k = np.arange(1, K + 1, dtype=float)
     weights = 1.0 / K + np.minimum(length, 1.0 / (np.pi * k))
     return points.Q / (K + 1.0) + 2.0 * float(np.sum(weights * s))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import FracParams, _factor_set, dist_nearest_int, dyadic_annuli
+from .approx_sets import (FracParams, _factor_set, check_delta, dist_nearest_int,
+                          dyadic_annuli)
 from .intervals import IntervalSet, lebesgue, mesh_piece_counts
 
 _MC_BLOCK = 1 << 20
@@ -147,9 +148,8 @@ class PlanarDecomposition:
 
 
 def decompose_planar_product_set(p: FracParams, delta: float) -> PlanarDecomposition:
-    """Core plus dyadic-annulus covering unions for delta in (0, 1/2]."""
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 1/2], got {delta}")
+    """Core plus dyadic-annulus covering unions for delta in [2**-511, 1/2]."""
+    check_delta(delta)
     return PlanarDecomposition(delta=delta, params=p)
 
 

@@ -7,7 +7,6 @@ standing requirement 1 <= a_n <= b_n.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -257,14 +256,3 @@ def parse_psi(doc: dict, seq: SequenceSpec | None = None) -> PsiSpec:
         return PsiSpec(kind=kind, values=_field(doc, "values", what, _floats))
     raise ValueError(f"unknown psi kind {kind!r}")
 
-
-def load_config(path_or_doc) -> tuple[SequenceSpec, PsiSpec]:
-    """Read a {"seq": {...}, "psi": {...}} config document or file."""
-    if isinstance(path_or_doc, dict):
-        doc = path_or_doc
-    else:
-        with open(path_or_doc, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    seq = parse_sequence(_field(doc, "seq", "config", lambda v: v))
-    psi = parse_psi(_field(doc, "psi", "config", lambda v: v), seq=seq)
-    return seq, psi

@@ -36,7 +36,7 @@ from .lattice import (SamplePoints, count_integer_bound, count_near_pairs,
 from .planar import (cover_rectangles, decompose_planar_product_set,
                      mc_planar_product_area, planar_premeasure_bound,
                      product_rectangle_set)
-from .sequences import PsiSpec, SequenceSpec
+from .sequences import PsiSpec, SequenceSpec, _field
 
 SCHEMA_VERSION = 1
 
@@ -616,14 +616,23 @@ def serialize_report(report: dict) -> str:
 
 
 def replay(instance_path: str, verbose: bool = True) -> dict:
-    """Re-run a single serialized instance; when verbose, print its record."""
+    """Re-run a single serialized instance; when verbose, print its record.
+
+    The file must name a check and hold every key that the check's sampler
+    draws; anything less is a ValueError naming the missing key.
+    """
     doc = json.loads(Path(instance_path).read_text())
-    cid = doc["check"]
+    what = f"replay file {instance_path}"
+    cid = _field(doc, "check", what, str)
     if cid not in CHECKS:
         raise ValueError(f"unknown check {cid!r} in {instance_path}")
-    result = CHECKS[cid].evaluate(doc["instance"])
+    inst = _field(doc, "instance", what, lambda v: v)
+    drawn = CHECKS[cid].generate(InstanceDistribution(count=1), np.random.default_rng(0))
+    for key in drawn[0]:
+        _field(inst, key, f"{cid} instance", lambda v: v)
+    result = CHECKS[cid].evaluate(inst)
     if verbose:
-        print(f"replaying {cid} on {doc['instance']}")
+        print(f"replaying {cid} on {inst}")
         print("result:")
         for key, value in result.items():
             print(f"  {key}={value}")

@@ -394,11 +394,15 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     (("tau", "--a", "2", "--b", "3", "--psi", "sb:inf"), "t must be a finite number"),
     (("tau", "--a", "2", "--b", "inf", "--psi", "pow:1"), "b must be a finite number"),
     (("scan", "--a", "2", "--b", "3", "--t", "nan"), "t must be a finite number"),
+    (("measure", "--a", "2", "--b", "3", "--delta", "0"), "delta must be positive, got 0.0"),
+    (("measure", "--a", "2", "--b", "3", "--delta", "1e-200"), "delta must be in [2**-511"),
+    (("measure", "--a", "2", "--b", "3", "--delta", "1e-320"), "got 1e-320"),
+    (("planar", "decompose", "--a", "2", "--b", "5", "--delta", "1e-200"), "got 1e-200"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
-    # a NaN or infinite coefficient, count threshold or psi parameter is bad
-    # input: exit 1 with a message that names it, not a traceback, a count
-    # of 0 or a tau
+    # a NaN or infinite coefficient, count threshold or psi parameter, or a
+    # delta whose square underflows, is bad input: exit 1 with a message that
+    # names it, not a traceback, a count of 0, a tau or a division by zero
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1
@@ -501,6 +505,15 @@ def test_replay_subcommand(capsys, tmp_path):
                       "eta": 0.1, "xi": 0.1}}))
     code, out, _ = run_cli(capsys, "replay", str(inst))
     assert code == 0 and "result" in out
+
+
+def test_replay_of_malformed_file_exits_with_message(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"check": "count-oracle", "instance": {"a": 2}}))
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", "replay", str(inst)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "needs the key 'b'" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_psi_table_syntax(capsys, tmp_path):

@@ -132,7 +132,47 @@ def test_boolean_ops_keep_one_ulp_segments():
     assert difference(empty, x).is_empty() and symmetric_difference(empty, empty).is_empty()
 
 
-def test_difference_and_symdiff_match_intersect_of_complement():
+def _sweep_oracle(x: IntervalSet, y: IntervalSet, keep) -> IntervalSet:
+    """Boolean combination by a sweep over every endpoint of x and y.
+
+    No endpoint lies inside an elementary segment [p_i, p_(i+1)), so each
+    segment is inside or outside each input as its left end p_i is, by the
+    half-open test lo <= p < hi; `keep(in_x, in_y)` selects the segments
+    that survive, and runs of them are merged.
+    """
+    pts = np.unique(np.concatenate([x.los, x.his, y.los, y.his]))
+    if pts.size < 2:
+        return IntervalSet.empty()
+    left = pts[:-1]
+
+    def starts_in(s):
+        if s.is_empty():
+            return np.zeros(left.shape, dtype=bool)
+        idx = np.searchsorted(s.los, left, side="right") - 1
+        return (idx >= 0) & (left < s.his[np.maximum(idx, 0)])
+
+    sel = keep(starts_in(x), starts_in(y))
+    if not sel.any():
+        return IntervalSet.empty()
+    starts = np.flatnonzero(sel & ~np.concatenate([[False], sel[:-1]]))
+    ends = np.flatnonzero(sel & ~np.concatenate([sel[1:], [False]]))
+    return normalize((pts[starts], pts[ends + 1]))
+
+
+_BOOLEAN_OPS = [(intersect, lambda a, b: a & b), (union, lambda a, b: a | b),
+                (difference, lambda a, b: a & ~b),
+                (symmetric_difference, lambda a, b: a ^ b)]
+
+
+def _assert_ops_match_sweep(x, y):
+    for first, second in ((x, y), (y, x)):
+        for op, keep in _BOOLEAN_OPS:
+            got, want = op(first, second), _sweep_oracle(first, second, keep)
+            assert got.los.tobytes() == want.los.tobytes(), op.__name__
+            assert got.his.tobytes() == want.his.tobytes(), op.__name__
+
+
+def test_boolean_ops_match_endpoint_sweep_on_jittered_pairs():
     # y's endpoints are x's endpoints and random points, each moved by
     # -1, 0 or +1 ulp, so that elementary segments one ulp wide abound
     rng = np.random.default_rng(11)
@@ -145,11 +185,58 @@ def test_difference_and_symdiff_match_intersect_of_complement():
         pool[step > 0] = np.nextafter(pool[step > 0], np.inf)
         ys = np.sort(pool)
         y = normalize((ys[0::2], ys[1::2]))
-        x_minus_y = intersect(x, complement(y))
-        y_minus_x = intersect(y, complement(x))
-        assert difference(x, y) == x_minus_y
-        assert difference(y, x) == y_minus_x
-        assert symmetric_difference(x, y) == union(x_minus_y, y_minus_x)
+        _assert_ops_match_sweep(x, y)
+
+
+def _set_from(points) -> IntervalSet:
+    pts = np.sort(np.asarray(points, dtype=float))
+    return normalize((pts[0:-1:2], pts[1::2]))
+
+
+# moves of a shared endpoint: none, one ulp either way, and to either side
+# of the fusion threshold
+_SHIFT = st.sampled_from([0.0, "up", "down", MERGE_EPS, -MERGE_EPS,
+                          2 * MERGE_EPS, -2 * MERGE_EPS, 1e-3])
+
+
+@st.composite
+def _set_pairs(draw):
+    unit = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+    x = _set_from(draw(st.lists(unit, max_size=10)))
+    pool = []
+    for _ in range(draw(st.integers(0, 10))):
+        how = draw(st.sampled_from(["shared", "nested", "free"]))
+        if how == "free" or x.is_empty():
+            pool.append(draw(unit))
+            continue
+        i = draw(st.integers(0, len(x) - 1))
+        lo, hi = float(x.los[i]), float(x.his[i])
+        if how == "nested":
+            pool.append(lo + (hi - lo) * draw(st.sampled_from([0.25, 0.5, 0.75])))
+            continue
+        p, shift = draw(st.sampled_from([lo, hi])), draw(_SHIFT)
+        if shift == "up":
+            p = math.nextafter(p, 2.0)
+        elif shift == "down":
+            p = math.nextafter(p, -1.0)
+        else:
+            p += shift
+        pool.append(p)
+    return x, _set_from(pool)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(pair=_set_pairs())
+@example(pair=(IntervalSet.empty(), IntervalSet.empty()))
+@example(pair=(IntervalSet.empty(), IntervalSet.full()))
+@example(pair=(IntervalSet.full(), IntervalSet.full()))
+@example(pair=(IntervalSet.full(), normalize([(0.2, 0.4), (0.6, 0.8)])))
+@example(pair=(normalize([(0.0, 0.5)]), normalize([(0.5, 1.0)])))
+@example(pair=(normalize([(0.1, 0.3), (0.5, 0.7)]), normalize([(0.3, 0.5)])))
+@example(pair=(normalize([(0.1, 0.9)]), normalize([(0.1, 0.2), (0.8, 0.9)])))
+def test_boolean_ops_match_endpoint_sweep_oracle(pair):
+    # touching, nested and shared endpoints, the empty set and [0, 1]
+    _assert_ops_match_sweep(*pair)
 
 
 def test_inclusion_exclusion_randomized():

@@ -271,14 +271,13 @@ def test_rhs_table_matches_scalar_rhs():
     rng = np.random.default_rng(31)
     for Q in (1, 9, 300, 4096):
         pts = SamplePoints(points=rng.random(Q), Q=Q)
-        sums = exp_sums(pts, 50)
         los = rng.uniform(0.0, 1.0, 20)
         his = los + rng.uniform(1e-6, 1.0, 20)
         table = erdos_turan_rhs_table(pts, los, his, 50)
         assert table.shape == (20, 50)
         for row, (lo, hi) in enumerate(zip(los, his)):
             for K in range(1, 51):
-                scalar = erdos_turan_rhs(pts, (lo, hi), K, sums=sums)
+                scalar = erdos_turan_rhs(pts, (lo, hi), K)
                 assert table[row, K - 1] == pytest.approx(scalar, rel=1e-12)
 
 
@@ -299,13 +298,12 @@ def test_erdos_turan_inequality_randomized():
     for _ in range(20):
         Q = int(rng.integers(5, 400))
         pts = SamplePoints(points=rng.random(Q), Q=Q)
-        sums = exp_sums(pts, 30)
         for _ in range(20):
             lo = float(rng.uniform(0, 1))
             length = float(rng.uniform(1e-4, 1.0))
             d = abs(discrepancy(pts, (lo, lo + length)))
             for K in (1, 5, 17, 30):
-                assert d <= erdos_turan_rhs(pts, (lo, lo + length), K, sums=sums) + 1e-9
+                assert d <= erdos_turan_rhs(pts, (lo, lo + length), K) + 1e-9
 
 
 def test_erdos_turan_rhs_nonnegative():

@@ -4,9 +4,8 @@ import re
 
 import pytest
 
-from diophlab.sequences import (PsiSpec, SequenceSpec, eval_psi,
-                                eval_sequence, load_config, log_weight,
-                                parse_psi, parse_sequence, refined_log,
+from diophlab.sequences import (PsiSpec, SequenceSpec, eval_psi, eval_sequence,
+                                log_weight, parse_psi, parse_sequence, refined_log,
                                 sequence_gcd)
 
 
@@ -139,12 +138,12 @@ def test_single_series_series_partial_sums_bounded():
         assert float(np.max(np.cumsum(terms))) <= terms[0] / (1.0 - r) + 1e-9
 
 
-def test_config_roundtrip(tmp_path):
-    doc = {"seq": {"kind": "exponential", "a": 2, "b": 3, "c": 0, "d": 0},
-           "psi": {"kind": "exponential", "lambda": 1.0986}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    seq, psi = load_config(str(path))
+def test_config_roundtrip():
+    doc = json.loads(json.dumps(
+        {"seq": {"kind": "exponential", "a": 2, "b": 3, "c": 0, "d": 0},
+         "psi": {"kind": "exponential", "lambda": 1.0986}}))
+    seq = parse_sequence(doc["seq"])
+    psi = parse_psi(doc["psi"], seq=seq)
     assert seq.kind == "exponential" and seq.a == 2.0 and seq.b == 3.0
     assert psi.kind == "exponential" and psi.lam == pytest.approx(1.0986)
 
@@ -176,7 +175,6 @@ def test_parse_unknown_kinds():
     (parse_sequence, {"kind": "explicit-table", "a": 3, "b": [4]},
      "sequence explicit-table key 'a' has a bad value 3"),
     (parse_sequence, {"a": 2, "b": 3}, "sequence needs the key 'kind'"),
-    (load_config, {"psi": {"kind": "power", "t": 1}}, "config needs the key 'seq'"),
 ])
 def test_parse_malformed_json_names_the_key(parse, doc, message):
     # a KeyError, TypeError or AttributeError before, which the CLI reports

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,7 +93,8 @@ def test_report_bytes_are_pinned(seed, count, digest):
 
 # -- oracles: the per-(interval, K) and per-k loops the batched evaluators
 # replaced, kept verbatim apart from looking up exp_sums through the lattice
-# module, so that a monkeypatch reaches both
+# module, so that a monkeypatch reaches both, and from sharing one exp_sums
+# sweep across K
 
 
 def erdos_turan_oracle(inst):
@@ -100,16 +102,19 @@ def erdos_turan_oracle(inst):
     pts = SamplePoints(points=sub.random(inst["Q"]), Q=inst["Q"])
     sums = L.exp_sums(pts, V._ET_KMAX)
     worst = -math.inf
-    for _ in range(V._ET_INTERVALS):
-        lo = float(sub.uniform(0.0, 1.0))
-        length = float(sub.uniform(1e-6, 1.0))
-        d = abs(discrepancy(pts, (lo, lo + length)))
-        for K in range(1, V._ET_KMAX + 1):
-            rhs = erdos_turan_rhs(pts, (lo, lo + length), K, sums=sums)
-            worst = max(worst, d - rhs)
-            if d > rhs + 1e-9:
-                return {"ok": False, "excess": d - rhs, "K": K,
-                        "discrepancy": d, "rhs": rhs, "interval": [lo, lo + length]}
+    # exp_sums(pts, K) is sums[:K] bit for bit (the same loop), so the scalar
+    # reads the one sweep rather than redoing it for every K
+    with mock.patch.object(L, "exp_sums", lambda points, kmax: sums[:kmax]):
+        for _ in range(V._ET_INTERVALS):
+            lo = float(sub.uniform(0.0, 1.0))
+            length = float(sub.uniform(1e-6, 1.0))
+            d = abs(discrepancy(pts, (lo, lo + length)))
+            for K in range(1, V._ET_KMAX + 1):
+                rhs = erdos_turan_rhs(pts, (lo, lo + length), K)
+                worst = max(worst, d - rhs)
+                if d > rhs + 1e-9:
+                    return {"ok": False, "excess": d - rhs, "K": K, "discrepancy": d,
+                            "rhs": rhs, "interval": [lo, lo + length]}
     return {"ok": True, "worst_excess": worst}
 
 
@@ -216,7 +221,16 @@ def test_replay_verbose_dumps_intermediates(tmp_path, capsys):
 
 
 def test_replay_rejects_malformed_file(tmp_path):
+    # an unknown check, a file that is not an object, and a missing key in
+    # the file or in its instance (a KeyError or TypeError before)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"check": "not-a-check", "instance": {}}))
-    with pytest.raises(ValueError, match="unknown check"):
-        replay(str(path), verbose=False)
+    for doc, message in [
+            ({"check": "not-a-check", "instance": {}}, "unknown check"),
+            ({"check": "count-oracle"}, "needs the key 'instance'"),
+            ([1], "must be a JSON object, got list"),
+            ({"check": "count-oracle", "instance": [1]}, "must be a JSON object"),
+            ({"check": "count-oracle", "instance": {"a": 2}},
+             "count-oracle instance needs the key 'b'")]:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            replay(str(path), verbose=False)
