@@ -9,7 +9,7 @@ interval sets over [0,1]:
 together with the split of the product set into a simultaneous core and
 two one-sided remainders, equal-mesh covers with counting diagnostics, and
 a multi-scale dyadic cover whose s-cost realizes the product-set
-premeasure bound.
+premeasure bound; its core/annulus walk also serves the planar covers.
 
 The product set is solved cell by cell: [0,1] is cut at every half-integer
 crossing of both linear forms, on each cell both nearest integers are
@@ -258,7 +258,8 @@ def product_set(p: FracParams, delta: float) -> IntervalSet:
     """Exact set where the product of the two distances is below delta**2.
 
     For delta > 1/2 the product never reaches delta**2 apart from a finite
-    set of points, so the result is all of [0,1].
+    set of points, so the result is all of [0,1]; delta = 0 gives the empty
+    set, and `check_delta` refuses delta in (0, 2**-511).
     """
     if not delta >= 0.0:
         raise ValueError(f"delta must be a nonnegative number, got {delta}")
@@ -266,6 +267,7 @@ def product_set(p: FracParams, delta: float) -> IntervalSet:
         return IntervalSet.empty()
     if delta > 0.5:
         return IntervalSet.full()
+    check_delta(delta)
     los, his = zip(*_product_pieces(p, delta))
     return normalize((np.concatenate(los), np.concatenate(his)))
 
@@ -358,7 +360,7 @@ def dyadic_annuli(delta: float) -> list[int]:
 
 @dataclass
 class AnnulusCoverCost:
-    """Per-scale piece counts of the multi-scale cover of the product set."""
+    """Per-scale (pieces, mesh) counts of a multi-scale cover of a product set."""
 
     core: tuple[int, float]                 # (pieces, mesh) covering the core
     first_far: list[tuple[int, float]]      # per dyadic annulus
@@ -374,29 +376,39 @@ class AnnulusCoverCost:
         return float(total)
 
 
+def annulus_cover_cost(delta: float, count) -> AnnulusCoverCost:
+    """`count(eta, xi) -> (pieces, mesh)` once per threshold pair of the
+    core (delta, delta) and the dyadic annuli, for delta in [2**-511, 1/2].
+
+    A point of the product set outside the core has one distance in
+    [2**j delta, 2**(j+1) delta), so the other is below 2**-j delta: the
+    pair (2**(j+1) delta, 2**-j delta) covers annulus j on the first side,
+    its mirror on the second.
+    """
+    check_delta(delta)
+    core = count(delta, delta)
+    first, second = [], []
+    for j in dyadic_annuli(delta):
+        big = 2.0 ** (j + 1) * delta
+        small = 2.0 ** (-j) * delta
+        first.append(count(big, small))
+        second.append(count(small, big))
+    return AnnulusCoverCost(core=core, first_far=first, second_far=second)
+
+
 def product_set_cover_cost(p: FracParams, delta: float) -> AnnulusCoverCost:
     """Multi-scale cover of the product set via dyadic annuli.
 
-    The core is covered at mesh delta/b.  Points with the first distance in
-    [2**j delta, 2**(j+1) delta) have the second below 2**-j delta, so each
-    remainder is covered through the simultaneous sets of the annulus pair
-    (2**(j+1) delta, 2**-j delta), each at its own mesh.  A single global
-    mesh cannot reproduce the two-term premeasure bound; the per-annulus
-    meshes are what make the bound hold with an absolute constant.
+    Each pair of `annulus_cover_cost` is covered through its simultaneous
+    set at its own mesh min(eta/a, xi/b).  A single global mesh cannot
+    reproduce the two-term premeasure bound; the per-annulus meshes are
+    what make the bound hold with an absolute constant.
 
     Only piece counts are read, so no cover pieces are built.  Each annulus
     costs O(a + output), and O(b) for the last one when its larger
     threshold reaches 1/2.
     """
-    check_delta(delta)
-    first, second = [], []
-    for j in dyadic_annuli(delta):
-        big = 2.0 ** (j + 1) * delta
-        small = 2.0 ** (-j) * delta
-        first.append(_cover_count(p, big, small))
-        second.append(_cover_count(p, small, big))
-    return AnnulusCoverCost(core=_cover_count(p, delta, delta),
-                            first_far=first, second_far=second)
+    return annulus_cover_cost(delta, lambda eta, xi: _cover_count(p, eta, xi))
 
 
 # -- displayed bound values ---------------------------------------------------

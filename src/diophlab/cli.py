@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .approx_sets import (FracParams, measure_bound, premeasure_bound,
-                          product_set, product_set_cover_cost,
+from .approx_sets import (FracParams, dyadic_annuli, measure_bound,
+                          premeasure_bound, product_set, product_set_cover_cost,
                           cover_simultaneous, simultaneous_set)
 from .dimension import (SeriesSpec, compute_tau, single_series_threshold,
                         estimate_box_dimension)
@@ -28,9 +28,9 @@ from .intervals import (CellCapExceeded, lebesgue, premeasure_upper,
                         to_json_pairs)
 from .lattice import (count_integer_bound, count_near_pairs, default_K,
                       discrepancy, erdos_turan_rhs, lattice_fraction_points)
-from .planar import (cover_rectangles, decompose_planar_product_set,
-                     mc_planar_product_area, planar_premeasure_bound,
-                     product_rectangle_set)
+from .planar import (cover_rectangles, decompose_planar_product_set, index_split,
+                     mc_planar_product_area, planar_premeasure,
+                     planar_premeasure_bound, product_rectangle_set)
 from .sequences import PsiSpec, SequenceSpec, parse_psi, parse_sequence
 from .verify import CheckFailure, InstanceDistribution, replay, run_campaign
 
@@ -64,8 +64,8 @@ def _grid(text: str) -> list[float]:
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
-    """Write JSON (default) or CSV to stdout or --out."""
-    if args.format == "csv" and csv_rows is not None:
+    """Write JSON, or the CSV rows under --format csv, to stdout or --out."""
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(csv_header)
@@ -266,14 +266,14 @@ def _cmd_planar(args) -> int:
         _emit(args, result, [list(row.values())], list(row))
     elif args.op == "decompose":
         _require(args, "delta")
-        dec = decompose_planar_product_set(p, args.delta)
-        j1, j2 = dec.index_split()
+        cost = decompose_planar_product_set(p, args.delta)
+        j1, j2 = index_split(p, args.delta)
         per_s = {}
         for s in args.s:
-            total = dec.premeasure(s)["total"]
+            total = planar_premeasure(cost, s)
             bound = planar_premeasure_bound(p, args.delta, s)
             per_s[str(s)] = {"total": total, "bound": bound, "ratio": total / bound}
-        _emit(args, {"delta": args.delta, "J": dec.annulus_indices(),
+        _emit(args, {"delta": args.delta, "J": dyadic_annuli(args.delta),
                      "J1": j1, "J2": j2, "premeasure": per_s})
     else:  # mc
         _require(args, "delta")
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, nargs="+", default=[0.3, 0.5, 0.7, 0.9])
     sp.add_argument("--mesh", type=float, default=None,
                     help="also report the canonical equal-mesh premeasure")
-    _add_io(sp)
+    sp.add_argument("--out", default=None, help="write output to this path")
     sp.set_defaults(fn=_cmd_measure)
 
     sp = sub.add_parser("tau", help="convergence exponent of a series family")
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("plain", "two-term", "gcd", "four-term"))
     sp.add_argument("--psi", default=None, help="pow:T | exp:L | sb:T | table:@f")
     sp.add_argument("--numeric", action="store_true", help="force bisection")
-    _add_io(sp)
+    sp.add_argument("--out", default=None, help="write output to this path")
     sp.set_defaults(fn=_cmd_tau)
 
     sp = sub.add_parser("scan", help="sweep (a, b, t) grids to CSV")
@@ -431,6 +431,8 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_argv(doc, flags)
                                      + ["--config", args.config] + argv[at:])
+        if getattr(args, "op", None) in ("decompose", "mc") and args.format == "csv":
+            parser.error(f"planar {args.op} writes JSON only, not --format csv")
         args.config_doc = doc
         return args.fn(args)
     except CheckFailure as exc:

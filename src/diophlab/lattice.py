@@ -5,7 +5,8 @@ window whose fractions (p-c)/a and (q-d)/b lie within eta/a + xi/b of each
 other, i.e. whose windows ((p-c) -+ eta)/a and ((q-d) -+ xi)/b overlap: the
 components of the simultaneous set.  The fast count enumerates them with
 the window runs of `simultaneous_set` and tests each with the naive double
-loop's float predicate, so the two agree bit for bit.
+loop's float predicate, so the two agree bit for bit.  The Erdos-Turan
+right-hand side has one arithmetic: the scalar is the table's one-row case.
 """
 
 from __future__ import annotations
@@ -146,43 +147,41 @@ def discrepancy(points: SamplePoints, interval: tuple[float, float]) -> float:
     return float(discrepancies(points, [lo], [hi])[0])
 
 
+def _rhs_column(Q: int, lengths: np.ndarray, s: np.ndarray, K: int) -> np.ndarray:
+    """Q/(K+1) + 2 * sum_{k<=K} (1/K + min(|I|, 1/(pi k))) * s[k-1] per length,
+    each row summed by one `np.sum`."""
+    k = np.arange(1, K + 1, dtype=float)
+    weights = 1.0 / K + np.minimum(lengths[:, None], 1.0 / (np.pi * k))
+    return Q / (K + 1.0) + 2.0 * np.sum(weights * s[:K], axis=1)
+
+
 def erdos_turan_rhs(points: SamplePoints, interval: tuple[float, float],
                     K: int) -> float:
     """Right-hand side of the Erdos-Turan inequality for the given I and K.
 
-    Q/(K+1) + 2 * sum_{k<=K} (1/K + min(|I|, 1/(pi k))) * |sum e(k u)|.
-
-    This scalar form stays for single values whose exact bits are written
-    out (the uq-rhs-bound ratios, the `discrepancy` command): it sums the
-    weighted terms in one `np.sum`.  `erdos_turan_rhs_table` sweeps K by
-    cumulative sums instead, which rounds differently, within a relative
-    1e-12 of this value.
+    Q/(K+1) + 2 * sum_{k<=K} (1/K + min(|I|, 1/(pi k))) * |sum e(k u)|:
+    the one-row case of `erdos_turan_rhs_table`, with the same bits.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     lo, hi = interval
-    length = float(_interval_lengths(lo, hi))
-    s = exp_sums(points, K)
-    k = np.arange(1, K + 1, dtype=float)
-    weights = 1.0 / K + np.minimum(length, 1.0 / (np.pi * k))
-    return points.Q / (K + 1.0) + 2.0 * float(np.sum(weights * s))
+    lengths = _interval_lengths([lo], [hi])
+    return float(_rhs_column(points.Q, lengths, exp_sums(points, K), K)[0])
 
 
 def erdos_turan_rhs_table(points: SamplePoints, los, his,
                           kmax: int) -> np.ndarray:
     """Erdos-Turan right-hand sides for every interval and K = 1..kmax.
 
-    Row i, column K-1 holds Q/(K+1) + 2 * (S(K)/K + T_i(K)), where
-    S(K) = sum_{k<=K} |sum e(k u)| and T_i(K) = sum_{k<=K}
-    min(|I_i|, 1/(pi k)) |sum e(k u)| are cumulative sums over k, so the
-    whole table costs one (intervals x kmax) pass.  It agrees with the
-    scalar `erdos_turan_rhs` to a relative 1e-12, not bit for bit.
+    Column K-1 is `erdos_turan_rhs` at K for every interval at once, on the
+    first K sums of one `exp_sums(points, kmax)`, which are those of
+    `exp_sums(points, K)`: it equals the scalar bit for bit.  The table
+    costs one exponential-sum pass and O(intervals * kmax**2) arithmetic.
     """
     lengths = _interval_lengths(los, his)
     s = exp_sums(points, kmax)
-    k = np.arange(1, kmax + 1, dtype=float)
-    near = np.cumsum(np.minimum(lengths[:, None], 1.0 / (np.pi * k)) * s, axis=1)
-    return points.Q / (k + 1.0) + 2.0 * (np.cumsum(s) / k + near)
+    return np.stack([_rhs_column(points.Q, lengths, s, K)
+                     for K in range(1, kmax + 1)], axis=1)
 
 
 def default_K(p: FracParams) -> int:

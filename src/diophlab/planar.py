@@ -2,9 +2,10 @@
 
 The planar sets factor as (x-set) x (y-set): the first linear form
 constrains x, the second constrains y.  Covers and premeasures therefore
-reduce to products of one-dimensional quantities; the product-threshold
-region is the one genuinely two-dimensional object and is measured by
-seeded Monte Carlo.
+reduce to products of one-dimensional quantities, and the core/annulus
+covering walks the line's threshold pairs, counting each box product once.
+The product-threshold region is the one genuinely two-dimensional object
+and is measured by seeded Monte Carlo.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import (FracParams, _factor_set, check_delta, dist_nearest_int,
-                          dyadic_annuli)
+from .approx_sets import (AnnulusCoverCost, FracParams, _factor_set,
+                          annulus_cover_cost, dist_nearest_int, dyadic_annuli)
 from .intervals import IntervalSet, lebesgue, mesh_piece_counts
 
 _MC_BLOCK = 1 << 20
@@ -60,17 +61,24 @@ class SquareCover:
     ratio: float
 
 
+def _square_count(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
+    """(squares, mesh) of the cover of the box product at (eta, xi) by
+    squares of side mesh = min(eta/a, xi/b); no squares for an empty box."""
+    box = product_rectangle_set(p, eta, xi)
+    mesh = min(eta / p.a, xi / p.b)
+    if mesh <= 0.0 or not len(box.x_set) or not len(box.y_set):
+        return 0, mesh
+    nx, ny = (int(mesh_piece_counts(f, mesh).sum()) for f in (box.x_set, box.y_set))
+    return nx * ny, mesh
+
+
 def cover_rectangles(p: FracParams, eta: float, xi: float, s: float) -> SquareCover:
     """Cover the box product by squares of side min(eta/a, xi/b)."""
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must be in (0, 1], got {s}")
-    box = product_rectangle_set(p, eta, xi)
-    mesh = min(eta / p.a, xi / p.b)
-    if mesh <= 0.0 or not len(box.x_set) or not len(box.y_set):
-        return SquareCover(squares=0, mesh=mesh, premeasure=0.0,
-                           bound=0.0, ratio=0.0)
-    nx, ny = (int(mesh_piece_counts(f, mesh).sum()) for f in (box.x_set, box.y_set))
-    squares = nx * ny
+    squares, mesh = _square_count(p, eta, xi)
+    if not squares:
+        return SquareCover(squares=0, mesh=mesh, premeasure=0.0, bound=0.0, ratio=0.0)
     bound = p.a * p.b * max(eta / p.a, xi / p.b) / mesh
     return SquareCover(squares=squares, mesh=mesh,
                        premeasure=squares * mesh ** (1.0 + s),
@@ -108,49 +116,28 @@ def mc_planar_product_area(p: FracParams, delta: float, samples: int,
     return est, math.sqrt(max(est * (1.0 - est), 0.0) / samples)
 
 
-@dataclass
-class PlanarDecomposition:
-    """Core/annulus covering of the planar product-threshold set.
-
-    The core is the exact box product at (delta, delta).  The two
-    remainders (first form far from integers, resp. second) are covered by
-    box products over the dyadic annulus pairs (2^(j+1) delta, 2^-j delta);
-    these unions are supersets, which is all the premeasure bounds need.
-    No box is stored: `product_rectangle_set` builds any of them.
-    """
-
-    delta: float
-    params: FracParams
-
-    def annulus_indices(self) -> list[int]:
-        return dyadic_annuli(self.delta)
-
-    def index_split(self) -> tuple[list[int], list[int]]:
-        """J1 (2^2j <= b/a) and J2 (2^2j >= b/a); they overlap in at most one j."""
-        ratio = self.params.b / self.params.a
-        J = self.annulus_indices()
-        j1 = [j for j in J if 4.0 ** j <= ratio]
-        j2 = [j for j in J if 4.0 ** j >= ratio]
-        return j1, j2
-
-    def premeasure(self, s: float) -> dict:
-        """Square-cover s-costs of the core and each annulus, plus the total."""
-        p, d = self.params, self.delta
-        J = self.annulus_indices()
-        core = cover_rectangles(p, d, d, s)
-        first = [(j, cover_rectangles(p, 2.0 ** (j + 1) * d, 2.0 ** (-j) * d, s).premeasure)
-                 for j in J]
-        second = [(j, cover_rectangles(p, 2.0 ** (-j) * d, 2.0 ** (j + 1) * d, s).premeasure)
-                  for j in J]
-        total = core.premeasure + sum(v for _, v in first) + sum(v for _, v in second)
-        return {"core": core.premeasure, "first_far": first,
-                "second_far": second, "total": total}
+def decompose_planar_product_set(p: FracParams, delta: float) -> AnnulusCoverCost:
+    """Square counts of the box products over the core and the dyadic annulus
+    pairs of `annulus_cover_cost`, each built once; the annulus products
+    cover supersets of the two one-sided remainders of the planar set."""
+    return annulus_cover_cost(delta, lambda eta, xi: _square_count(p, eta, xi))
 
 
-def decompose_planar_product_set(p: FracParams, delta: float) -> PlanarDecomposition:
-    """Core plus dyadic-annulus covering unions for delta in [2**-511, 1/2]."""
-    check_delta(delta)
-    return PlanarDecomposition(delta=delta, params=p)
+def planar_premeasure(cost: AnnulusCoverCost, s: float) -> float:
+    """Square-cover s-cost core + sum(first) + sum(second), s in (0, 1], at
+    squares * side**(1+s) per pair, the convention of `cover_rectangles`."""
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"s must be in (0, 1], got {s}")
+    return sum(sum(n * side ** (1.0 + s) for n, side in part)
+               for part in ([cost.core], cost.first_far, cost.second_far))
+
+
+def index_split(p: FracParams, delta: float) -> tuple[list[int], list[int]]:
+    """J1 (2**2j <= b/a) and J2 (2**2j >= b/a) of the dyadic annulus indices,
+    overlapping in at most one j.  No set is built, so any b will do."""
+    ratio = p.b / p.a
+    J = dyadic_annuli(delta)
+    return [j for j in J if 4.0 ** j <= ratio], [j for j in J if 4.0 ** j >= ratio]
 
 
 def planar_premeasure_bound(p: FracParams, delta: float, s: float) -> float:

@@ -33,9 +33,9 @@ from .lattice import (SamplePoints, count_integer_bound, count_near_pairs,
                       count_near_pairs_naive, default_K, discrepancies,
                       erdos_turan_rhs, erdos_turan_rhs_table, large_regime,
                       lattice_fraction_points)
-from .planar import (cover_rectangles, decompose_planar_product_set,
-                     mc_planar_product_area, planar_premeasure_bound,
-                     product_rectangle_set)
+from .planar import (cover_rectangles, decompose_planar_product_set, index_split,
+                     mc_planar_product_area, planar_premeasure,
+                     planar_premeasure_bound, product_rectangle_set)
 from .sequences import PsiSpec, SequenceSpec, _field
 
 SCHEMA_VERSION = 1
@@ -417,13 +417,10 @@ def _eval_planar_mc(inst):
 
 
 def _eval_planar_premeasure(inst):
-    p = _params(inst)
-    dec = decompose_planar_product_set(p, inst["delta"])
-    ratios = []
-    for s in S_VALUES:
-        total = dec.premeasure(s)["total"]
-        ratios.append(total / planar_premeasure_bound(p, inst["delta"], s))
-    return {"ratios": ratios}
+    p, delta = _params(inst), inst["delta"]
+    cost = decompose_planar_product_set(p, delta)
+    return {"ratios": [planar_premeasure(cost, s) / planar_premeasure_bound(p, delta, s)
+                       for s in S_VALUES]}
 
 
 def _eval_planar_cover_ratio(inst):
@@ -450,7 +447,7 @@ def _eval_annulus_indices(inst):
     j2 = [j for j in J if 4.0 ** j >= ratio]
     ok &= sorted(set(j1) | set(j2)) == J and len(set(j1) & set(j2)) <= 1
     p = FracParams(inst["a"], inst["a"] * ratio)
-    ok &= decompose_planar_product_set(p, delta).index_split() == (j1, j2)
+    ok &= index_split(p, delta) == (j1, j2)
     return {"ok": ok, "J": J, "J1": j1, "J2": j2}
 
 
@@ -536,7 +533,7 @@ _TABLE = [
     # square count tracks a b max/min
     ("planar-cover-ratio", "ratio", "planar.cover-count-ratio",
      _PLANAR_ETA_XI, _eval_planar_cover_ratio),
-    # PlanarDecomposition's dyadic index split equals the direct inequalities
+    # planar.index_split equals the direct inequalities
     ("annulus-indices", "exact", "planar.annulus-indices",
      _sample_annulus, _eval_annulus_indices),
 ]

@@ -188,6 +188,13 @@ def _reads(key, value):
     pytest.param(("cover", "--a", "2", "--b", "9", "--eta", "0.2", "--xi", "0.3"),
                  {"format": "csv"}, 0,
                  lambda out: out.startswith("a,b,c,d,eta,xi,pieces"), id="format"),
+    # measure and tau have no --format, so the key is ignored, as any key
+    # that is not a flag of the subcommand
+    pytest.param(("measure", "--a", "3", "--b", "7", "--delta", "0.05"),
+                 {"format": "csv"}, 0, _reads("delta", 0.05), id="measure-format-ignored"),
+    pytest.param(("tau", "--a", "2", "--b", "3", "--psi", "pow:2"),
+                 {"format": "csv"}, 0, lambda out: "tau" in json.loads(out),
+                 id="tau-format-ignored"),
     pytest.param(("set", "--a", "1", "--b", "2", "--eta", "0.1"), {"xi": [0.1]}, 0,
                  _reads("xi", 0.1), id="one-element-list"),
     pytest.param(("set", "--a", "1", "--b", "2", "--xi", "0.1"), {"eta": [0.1, 0.2]}, 2,
@@ -289,6 +296,10 @@ PINNED = {
     "planar-decompose": ("planar decompose --a 2 --b 5 --delta 0.1 --s 0.5",
         None,
         "646e57aa9c5a4b335bb004fb77a656a7f9904eecb49f766a9c2f779333b79072"),
+    "planar-decompose-four-s": ("planar decompose --a 7.5 --b 4000 --c 0.3 "
+                                "--d -0.2 --delta 0.01 --s 0.3 0.5 0.7 0.9",
+        None,
+        "a2c87bfa8f141a76f0978188daa379913eb4ae3ba8034acdaa98d04875d4196b"),
     "config-set": ("set",
         {"a": 3, "b": 7, "c": 0.3, "d": 0.6, "delta": 0.1},
         "accae25f63a7fa4f41cf62e00a0ee898aba6737ddd285d3a0ec91102cacbbc14"),
@@ -337,6 +348,24 @@ def stdout_digest(capsys, tmp_path, argv, config):
 def test_cli_outputs_are_pinned(capsys, tmp_path, case):
     argv, config, digest = PINNED[case]
     assert stdout_digest(capsys, tmp_path, argv, config) == digest
+
+
+def test_planar_decompose_builds_each_box_set_once(capsys, monkeypatch):
+    # one box product for the core and one per annulus and side, 2|J| + 1
+    # in all, however many s values read the cover counts
+    from diophlab import planar
+    build, calls = planar.product_rectangle_set, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(planar, "product_rectangle_set", counted)
+    code, out, _ = run_cli(capsys, "planar", "decompose", "--a", "7.5", "--b", "4000",
+                           "--delta", "0.01", "--s", "0.3", "0.5", "0.7", "0.9")
+    doc = json.loads(out)
+    assert code == 0 and len(doc["premeasure"]) == 4
+    assert len(calls) == 2 * len(doc["J"]) + 1
 
 
 def test_tau_reads_seq_psi_config(capsys, tmp_path):
@@ -398,6 +427,9 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     (("measure", "--a", "2", "--b", "3", "--delta", "1e-200"), "delta must be in [2**-511"),
     (("measure", "--a", "2", "--b", "3", "--delta", "1e-320"), "got 1e-320"),
     (("planar", "decompose", "--a", "2", "--b", "5", "--delta", "1e-200"), "got 1e-200"),
+    # delta**2 is subnormal or 0: no components, or a wrong one, before
+    (("set", "--a", "2", "--b", "3", "--delta", "1e-200"), "delta must be in [2**-511"),
+    (("set", "--a", "2", "--b", "3", "--delta", "1e-160"), "delta must be in [2**-511"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
     # a NaN or infinite coefficient, count threshold or psi parameter, or a
@@ -480,6 +512,15 @@ def test_memory_error_exits_with_message(capsys, monkeypatch):
                  id="measure-empty-s"),
     pytest.param(["planar", "decompose", "--a", "2", "--b", "5", "--delta", "0.1",
                   "--s"], id="planar-decompose-empty-s"),
+    # JSON-only outputs: --format csv wrote JSON before
+    pytest.param(["measure", "--a", "3", "--b", "7", "--delta", "0.05", "--format", "csv"],
+                 id="measure-csv"),
+    pytest.param(["tau", "--a", "2", "--b", "3", "--psi", "pow:2", "--format", "csv"],
+                 id="tau-csv"),
+    pytest.param(["planar", "decompose", "--a", "2", "--b", "5", "--delta", "0.1",
+                  "--format", "csv"], id="planar-decompose-csv"),
+    pytest.param(["planar", "mc", "--a", "1", "--b", "1", "--delta", "0.2",
+                  "--format", "csv"], id="planar-mc-csv"),
 ])
 def test_usage_error_exit_code(argv):
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from diophlab.approx_sets import FracParams
+from diophlab.approx_sets import FracParams, dyadic_annuli
 from diophlab.planar import (cover_rectangles, decompose_planar_product_set,
-                             mc_planar_product_area, planar_membership,
-                             planar_premeasure_bound, product_rectangle_set)
+                             index_split, mc_planar_product_area, planar_membership,
+                             planar_premeasure, planar_premeasure_bound,
+                             product_rectangle_set)
 from diophlab.verify import planar_unit_area
 
 
@@ -113,11 +114,41 @@ def test_unit_area_formula_sanity():
     assert planar_unit_area(delta) == pytest.approx(quad, abs=1e-4)
 
 
+def _square_record(p, eta, xi):
+    cov = cover_rectangles(p, eta, xi, 0.5)
+    return cov.squares, cov.mesh
+
+
 def test_decompose_annulus_indices():
-    dec = decompose_planar_product_set(FracParams(2, 5), 0.1)
-    assert dec.annulus_indices() == [0, 1, 2]
-    for side in ("first_far", "second_far"):
-        assert [j for j, _ in dec.premeasure(0.5)[side]] == [0, 1, 2]
+    p = FracParams(2, 5)
+    assert dyadic_annuli(0.1) == [0, 1, 2]
+    cost = decompose_planar_product_set(p, 0.1)
+    assert len(cost.first_far) == len(cost.second_far) == 3
+    # each entry is the (squares, mesh) record of its threshold pair
+    assert cost.core == _square_record(p, 0.1, 0.1)
+    for j, (first, second) in enumerate(zip(cost.first_far, cost.second_far)):
+        big, small = 2.0 ** (j + 1) * 0.1, 2.0 ** -j * 0.1
+        assert first == _square_record(p, big, small)
+        assert second == _square_record(p, small, big)
+
+
+def test_planar_premeasure_sums_the_square_costs():
+    # core + sum(first) + sum(second) of cover_rectangles' s-costs, in that
+    # association, bit for bit
+    p = FracParams(7.5, 4000.0, 0.3, -0.2)
+    delta = 0.01
+    J = dyadic_annuli(delta)
+    cost = decompose_planar_product_set(p, delta)
+    for s in (0.3, 0.5, 0.7, 0.9, 1.0):
+        def pm(eta, xi):
+            return cover_rectangles(p, eta, xi, s).premeasure
+
+        want = (pm(delta, delta)
+                + sum(pm(2.0 ** (j + 1) * delta, 2.0 ** -j * delta) for j in J)
+                + sum(pm(2.0 ** -j * delta, 2.0 ** (j + 1) * delta) for j in J))
+        assert planar_premeasure(cost, s) == want
+    with pytest.raises(ValueError, match=r"s must be in \(0, 1\], got 1.5"):
+        planar_premeasure(cost, 1.5)
 
 
 def test_decompose_index_split_covers_everything():
@@ -125,11 +156,25 @@ def test_decompose_index_split_covers_everything():
     for _ in range(40):
         a = float(rng.uniform(1, 30))
         p = FracParams(a, float(rng.uniform(a, 3000)))
-        dec = decompose_planar_product_set(p, float(rng.uniform(0.01, 0.5)))
-        j1, j2 = dec.index_split()
-        J = dec.annulus_indices()
+        delta = float(rng.uniform(0.01, 0.5))
+        j1, j2 = index_split(p, delta)
+        J = dyadic_annuli(delta)
+        assert all(4.0 ** j <= p.b / p.a for j in j1)
+        assert all(4.0 ** j >= p.b / p.a for j in j2)
         assert sorted(set(j1) | set(j2)) == J
         assert len(set(j1) & set(j2)) <= 1
+
+
+def test_index_split_builds_no_set(monkeypatch):
+    # verify draws b up to 1e8 for the split alone
+    from diophlab import approx_sets
+
+    def no_sets(*args):
+        raise AssertionError("index_split built a set")
+
+    monkeypatch.setattr(approx_sets, "_linear_solution", no_sets)
+    j1, j2 = index_split(FracParams(1.0, 1e8), 1e-3)
+    assert j1 == list(range(9)) and j2 == []
 
 
 def test_decompose_core_membership_spot_check():
@@ -149,12 +194,11 @@ def test_decompose_premeasure_ratio_recorded():
         a = float(rng.uniform(1, 30))
         p = FracParams(a, float(rng.uniform(a, 3000)))
         delta = float(rng.uniform(0.01, 0.5))
-        dec = decompose_planar_product_set(p, delta)
+        cost = decompose_planar_product_set(p, delta)
         for s in (0.3, 0.7):
-            pm = dec.premeasure(s)
-            assert math.isfinite(pm["total"])
-            ratio = pm["total"] / planar_premeasure_bound(p, delta, s)
-            assert ratio < 1e4
+            total = planar_premeasure(cost, s)
+            assert math.isfinite(total)
+            assert total / planar_premeasure_bound(p, delta, s) < 1e4
 
 
 def test_annulus_cover_is_superset_of_remainder():
@@ -162,13 +206,12 @@ def test_annulus_cover_is_superset_of_remainder():
     # of the covering annulus products
     p = FracParams(2, 37, 0.25, -0.4)
     delta = 0.09
-    dec = decompose_planar_product_set(p, delta)
     rng = np.random.default_rng(23)
     x, y = rng.random(200_000), rng.random(200_000)
     members = planar_membership(p, delta, x, y)
     x, y = x[members], y[members]
     covered = product_rectangle_set(p, delta, delta).contains(x, y)
-    for j in dec.annulus_indices():
+    for j in dyadic_annuli(delta):
         big, small = 2.0 ** (j + 1) * delta, 2.0 ** (-j) * delta
         covered |= product_rectangle_set(p, big, small).contains(x, y)
         covered |= product_rectangle_set(p, small, big).contains(x, y)
