@@ -7,8 +7,8 @@ interval sets over [0,1]:
   product_set(delta)          {x : ||a x + c|| * ||b x + d|| < delta**2}
 
 together with the split of the product set into a simultaneous core and
-two one-sided remainders, equal-mesh covers with counting diagnostics, and
-a multi-scale dyadic cover whose s-cost realizes the product-set
+two one-sided remainders, equal-mesh cover counts against the counting
+bound, and a multi-scale dyadic cover whose s-cost realizes the product-set
 premeasure bound; its core/annulus walk also serves the planar covers.
 
 The product set is solved cell by cell: [0,1] is cut at every half-integer
@@ -27,8 +27,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import (Cover, IntervalSet, check_size, complement, intersect,
-                        mesh_cover, mesh_piece_counts, normalize, union_many)
+from .intervals import (IntervalSet, check_size, complement, intersect,
+                        mesh_piece_counts, normalize, union_many)
 from .sequences import log_weight, require_finite
 
 _CHUNK = 1 << 14
@@ -50,6 +50,12 @@ class FracParams:
 
     def weight(self) -> float:
         return log_weight(self.a, self.b)
+
+    def count_bound(self, eta: float) -> float:
+        """(b*eta + a) * L, the counting bound: on the near pairs and the
+        simultaneous-set cover pieces at thresholds (eta, xi), and on the
+        Erdos-Turan right-hand side at eta = delta."""
+        return (self.b * eta + self.a) * self.weight()
 
 
 def dist_nearest_int(x):
@@ -324,27 +330,20 @@ def product_membership(p: FracParams, delta: float, x):
 # -- covers -------------------------------------------------------------------
 
 
-def cover_simultaneous(p: FracParams, eta: float, xi: float) -> Cover:
-    """Equal-mesh cover of the simultaneous set, with counting diagnostics.
+def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
+    """(pieces, mesh) of the equal-mesh cover of the simultaneous set.
 
-    Mesh is min(eta/a, xi/b); the piece count is compared against the
-    counting bound (b*eta + a) * L.  The set costs what `simultaneous_set`
-    costs, O(a + output) when both thresholds are below 1/2, and the pieces
-    are materialized.
+    The mesh is min(eta/a, xi/b), and a component of length len takes
+    max(ceil(len/mesh), 1) pieces; callers compare the sum with
+    `FracParams.count_bound`.  Only the count is formed, so the cost is that
+    of `simultaneous_set`, O(a + output) when both thresholds are below 1/2;
+    `intervals.mesh_cover` lays out the same pieces.
     """
     if not (0.0 < eta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("cover needs 0 < eta, xi < 1")
-    f = simultaneous_set(p, eta, xi)
     mesh = min(eta / p.a, xi / p.b)
-    cov = mesh_cover(f, mesh)
-    cov.bound = (p.b * eta + p.a) * p.weight()
-    cov.ratio = cov.count / cov.bound
-    return cov
-
-
-def _cover_count(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
-    """(count, mesh) of cover_simultaneous(p, eta, xi), without its pieces."""
-    mesh = min(eta / p.a, xi / p.b)
+    if not mesh > 0.0:
+        raise ValueError("mesh must be positive")
     return int(mesh_piece_counts(simultaneous_set(p, eta, xi), mesh).sum()), mesh
 
 
@@ -399,16 +398,15 @@ def annulus_cover_cost(delta: float, count) -> AnnulusCoverCost:
 def product_set_cover_cost(p: FracParams, delta: float) -> AnnulusCoverCost:
     """Multi-scale cover of the product set via dyadic annuli.
 
-    Each pair of `annulus_cover_cost` is covered through its simultaneous
-    set at its own mesh min(eta/a, xi/b).  A single global mesh cannot
+    Each pair of `annulus_cover_cost` is counted by `cover_simultaneous`,
+    at its own mesh min(eta/a, xi/b).  A single global mesh cannot
     reproduce the two-term premeasure bound; the per-annulus meshes are
     what make the bound hold with an absolute constant.
 
-    Only piece counts are read, so no cover pieces are built.  Each annulus
-    costs O(a + output), and O(b) for the last one when its larger
-    threshold reaches 1/2.
+    No cover piece is built.  Each annulus costs O(a + output), and O(b)
+    for the last one when its larger threshold reaches 1/2.
     """
-    return annulus_cover_cost(delta, lambda eta, xi: _cover_count(p, eta, xi))
+    return annulus_cover_cost(delta, lambda eta, xi: cover_simultaneous(p, eta, xi))
 
 
 # -- displayed bound values ---------------------------------------------------

@@ -143,10 +143,11 @@ def _cmd_set(args) -> int:
 def _cmd_cover(args) -> int:
     p = _frac_params(args)
     _require(args, "eta", "xi")
-    cov = cover_simultaneous(p, args.eta, args.xi)
+    pieces, mesh = cover_simultaneous(p, args.eta, args.xi)
+    bound = p.count_bound(args.eta)
     row = {"a": p.a, "b": p.b, "c": p.c, "d": p.d, "eta": args.eta, "xi": args.xi,
-           "pieces": cov.count, "bound": cov.bound, "ratio": cov.ratio}
-    _emit(args, {**row, "mesh": cov.mesh}, [list(row.values())], list(row))
+           "pieces": pieces, "bound": bound, "ratio": pieces / bound}
+    _emit(args, {**row, "mesh": mesh}, [list(row.values())], list(row))
     return EXIT_OK
 
 
@@ -158,7 +159,7 @@ def _cmd_count(args) -> int:
         bound = p.b * args.eta + math.gcd(int(p.a), int(p.b))
     else:
         n = count_near_pairs(p, args.eta, args.xi)
-        bound = (p.b * args.eta + p.a) * p.weight()
+        bound = p.count_bound(args.eta)
         ratio = n / bound
     print(f"count:  {n}\nbound:  {bound:.6g}\nratio:  {ratio:.6g}")
     return EXIT_OK

@@ -260,27 +260,17 @@ def box_count(x: IntervalSet, scale: float) -> int:
 
 @dataclass
 class Cover:
-    """Equal-length cover of an interval set.
-
-    Pieces have common nominal length `mesh` (radius mesh/2); `count` is the
-    number of pieces, `bound` the counting-bound value the piece count is
-    compared against, and `ratio` their quotient.
-    """
+    """Equal-length cover of an interval set by `count` pieces of common
+    nominal length `mesh` (radius mesh/2)."""
 
     mesh: float
     piece_los: np.ndarray = field(repr=False)
     piece_his: np.ndarray = field(repr=False)
     count: int = 0
-    bound: float = 0.0
-    ratio: float = 0.0
-
-    def piece_set(self) -> IntervalSet:
-        """The covered region as an interval set, clipped to [0,1]."""
-        return normalize((self.piece_los, self.piece_his))
 
     def covers(self, x: IntervalSet) -> bool:
         """Exact containment check of x in the union of the pieces."""
-        return difference(x, self.piece_set()).is_empty()
+        return difference(x, normalize((self.piece_los, self.piece_his))).is_empty()
 
 
 def mesh_piece_counts(x: IntervalSet, mesh: float) -> np.ndarray:

@@ -31,10 +31,12 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
     For each admissible p the candidate q are the b-windows that can meet
     the a-window of p, one run each; every candidate is tested with the
     strict inequality |(p-c)/a - (q-d)/b| < eta/a + xi/b.  A threshold that
-    is NaN or infinite is rejected.
+    is NaN, infinite or negative is rejected.
     """
     if not (math.isfinite(eta) and math.isfinite(xi)):
         raise ValueError(f"thresholds must be numbers, not inf or NaN: {eta}, {xi}")
+    if eta < 0.0 or xi < 0.0:
+        raise ValueError(f"thresholds must be nonnegative, got {eta}, {xi}")
     plo, phi, qlo, qhi = _ranges(p)
     check_size(qhi - qlo + 1, "q values")
     theta = eta / p.a + xi / p.b

@@ -102,6 +102,8 @@ def mc_planar_product_area(p: FracParams, delta: float, samples: int,
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be a nonnegative number, got {delta}")
     hits = 0
     done = 0
     block = 0

@@ -28,7 +28,7 @@ from .approx_sets import (FracParams, decompose_product_set, dyadic_annuli,
                           product_set, product_set_cover_cost,
                           cover_simultaneous, simultaneous_set)
 from .dimension import SeriesSpec, compute_tau, single_series_threshold
-from .intervals import difference, lebesgue, symmetric_difference
+from .intervals import difference, lebesgue, mesh_cover, symmetric_difference
 from .lattice import (SamplePoints, count_integer_bound, count_near_pairs,
                       count_near_pairs_naive, default_K, discrepancies,
                       erdos_turan_rhs, erdos_turan_rhs_table, large_regime,
@@ -269,15 +269,18 @@ def _eval_premeasure_ratio(inst):
 
 
 def _eval_cover_ratio(inst):
-    cov = cover_simultaneous(_params(inst), inst["eta"], inst["xi"])
-    return {"pieces": cov.count, "bound": cov.bound, "ratio": cov.ratio}
+    p = _params(inst)
+    pieces, _ = cover_simultaneous(p, inst["eta"], inst["xi"])
+    bound = p.count_bound(inst["eta"])
+    return {"pieces": pieces, "bound": bound, "ratio": pieces / bound}
 
 
 def _eval_cover_containment(inst):
     p = _params(inst)
-    cov = cover_simultaneous(p, inst["eta"], inst["xi"])
-    ok = cov.covers(simultaneous_set(p, inst["eta"], inst["xi"]))
-    return {"ok": ok}
+    pieces, mesh = cover_simultaneous(p, inst["eta"], inst["xi"])
+    f = simultaneous_set(p, inst["eta"], inst["xi"])
+    cov = mesh_cover(f, mesh)
+    return {"ok": cov.count == pieces and cov.covers(f)}
 
 
 def _sample_monotonicity(rng):
@@ -315,7 +318,7 @@ def _eval_shift_invariance(inst):
 def _eval_count_ratio(inst):
     p = _params(inst)
     n = count_near_pairs(p, inst["eta"], inst["xi"])
-    ratio = n / ((p.b * inst["eta"] + p.a) * p.weight())
+    ratio = n / p.count_bound(inst["eta"])
     return {"count": n, "ratio": ratio}
 
 
@@ -338,7 +341,7 @@ def _eval_uq_rhs(inst):
     pts = lattice_fraction_points(p)
     K = default_K(p)
     rhs = erdos_turan_rhs(pts, (-inst["delta"], inst["delta"]), K)
-    ratio = rhs / ((p.a + inst["delta"] * p.b) * p.weight())
+    ratio = rhs / p.count_bound(inst["delta"])
     return {"Q": pts.Q, "K": K, "rhs": rhs, "ratio": ratio}
 
 
@@ -505,7 +508,7 @@ _TABLE = [
     # cover piece count tracks (b eta + a) L
     ("cover-count-ratio", "ratio", "approx.cover-count-ratio",
      _COVER_ETA_XI, _eval_cover_ratio),
-    # covers contain the sets they are built from
+    # the counted cover, laid out at its mesh, has its count and contains its set
     ("cover-containment", "exact", "approx.cover-containment",
      _COVER_ETA_XI, _eval_cover_containment),
     # product sets grow with delta
@@ -564,6 +567,8 @@ def run_campaign(dist: InstanceDistribution, checks: list[str] | None = None,
     The returned/persisted report is a pure function of (seed, config):
     wall-clock timings go to `echo` only.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     selected = sorted(CHECKS) if not checks or checks == ["all"] else list(checks)
     for cid in selected:
         if cid not in CHECKS:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diophlab import approx_sets
+from diophlab import approx_sets, intervals
 from diophlab.approx_sets import (FracParams, _cell_bounds, _factor_set,
                                   _product_pieces, decompose_product_set, dist_nearest_int,
                                   dyadic_annuli, measure_bound,
@@ -179,13 +179,16 @@ def test_simultaneous_inside_product_set():
 
 def test_cover_simultaneous_small_case():
     p = FracParams(1, 1)
-    cov = cover_simultaneous(p, 0.1, 0.1)
-    assert cov.mesh == pytest.approx(0.1)
-    assert cov.count == 2
-    assert cov.covers(simultaneous_set(p, 0.1, 0.1))
+    pieces, mesh = cover_simultaneous(p, 0.1, 0.1)
+    assert mesh == pytest.approx(0.1)
+    assert pieces == 2
+    f = simultaneous_set(p, 0.1, 0.1)
+    cov = mesh_cover(f, mesh)
+    assert cov.count == pieces and cov.covers(f)
 
 
 def test_cover_simultaneous_containment_randomized():
+    # the counted cover, laid out at its mesh, has the count and contains the set
     rng = np.random.default_rng(77)
     for _ in range(50):
         a = float(rng.uniform(1, 50))
@@ -193,9 +196,24 @@ def test_cover_simultaneous_containment_randomized():
                        float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         eta = float(rng.uniform(1e-3, 0.5))
         xi = float(rng.uniform(1e-3, 0.5))
-        cov = cover_simultaneous(p, eta, xi)
-        assert cov.covers(simultaneous_set(p, eta, xi))
-        assert math.isfinite(cov.ratio)
+        pieces, mesh = cover_simultaneous(p, eta, xi)
+        f = simultaneous_set(p, eta, xi)
+        cov = mesh_cover(f, mesh)
+        assert cov.count == pieces and cov.covers(f)
+        assert math.isfinite(pieces / p.count_bound(eta))
+
+
+def test_cover_simultaneous_builds_no_pieces(monkeypatch):
+    # a cover is counted, never laid out: the count runs with mesh_cover gone
+    def refuse(*args):
+        raise AssertionError("mesh_cover called")
+
+    monkeypatch.setattr(intervals, "mesh_cover", refuse)
+    monkeypatch.setattr(approx_sets, "mesh_cover", refuse, raising=False)
+    p = FracParams(1, 90)
+    assert cover_simultaneous(p, 0.45, 0.45) == (224, 0.005)
+    cost = product_set_cover_cost(p, 0.1)
+    assert cost.core == cover_simultaneous(p, 0.1, 0.1)
 
 
 def _dense_simultaneous(p, eta, xi):

@@ -401,10 +401,19 @@ def test_domain_error_exit_code(capsys):
     ("measure", "--a", "3", "--b", "7", "--delta", "0.05", "--s", "0.5", "--mesh", "0"),
     ("planar", "cover", "--a", "2", "--b", "5", "--eta", "0.1", "--xi", "0.1",
      "--s", "0.3", "0.7"),
+    ("planar", "mc", "--a", "2", "--b", "9", "--delta", "nan"),
+    ("planar", "mc", "--a", "2", "--b", "9", "--delta", "-1"),
+    ("count", "--a", "2", "--b", "9", "--eta", "0.1", "--xi", "-0.3"),
+    ("count", "--a", "2", "--b", "9", "--eta", "-1", "--xi", "0.3"),
+    ("count", "--a", "2", "--b", "9", "--eta", "-1", "--xi", "0.3", "--integer-bound"),
+    ("cover", "--a", "2", "--b", "3", "--eta", "5e-324", "--xi", "0.1"),
+    ("verify", "--count", "1", "--threads", "0"),
+    ("verify", "--count", "1", "--threads", "-3"),
 ])
 def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
-    # a NaN threshold, mesh or s, s > 1, mesh 0, or a second s where one is
-    # used, is bad input, not an empty set, a value or a dropped value
+    # a NaN or negative threshold, delta, mesh or s, s > 1, mesh 0, a second
+    # s where one is used, or fewer than one thread, is bad input, not an
+    # empty set, a value, a dropped value or a silent serial run
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and "error" in err
 
@@ -459,9 +468,6 @@ _BIG = ("--a", "2", "--b", "1000")
                  "1001 lattice points exceed the cap 100", id="discrepancy"),
     pytest.param(("set", *_BIG, "--delta", "0.1"),
                  "cell cuts exceed the cap 100", id="set-product"),
-    # 91 windows are under the cap, their cover's pieces are not
-    pytest.param(("cover", "--a", "1", "--b", "90", "--eta", "0.45", "--xi", "0.45"),
-                 "cover pieces exceed the cap 100", id="cover-pieces"),
 ])
 def test_size_cap_exits_with_message(argv, message):
     # an array above DIOPHLAB_CELL_CAP is refused before it is allocated:
@@ -472,6 +478,17 @@ def test_size_cap_exits_with_message(argv, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cover_counts_pieces_past_the_cap():
+    # 91 windows are under the cap; the 224 pieces are counted, not built,
+    # so the cap does not bound them
+    env = {**os.environ, "DIOPHLAB_CELL_CAP": "100"}
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", "cover", "--a", "1",
+                           "--b", "90", "--eta", "0.45", "--xi", "0.45"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert '"pieces": 224' in proc.stdout
 
 
 @pytest.mark.parametrize("K, message", [
