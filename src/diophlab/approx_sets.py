@@ -10,6 +10,9 @@ together with the split of the product set into a simultaneous core and
 two one-sided remainders, equal-mesh cover counts against the counting
 bound, and a multi-scale dyadic cover whose s-cost realizes the product-set
 premeasure bound; its core/annulus walk also serves the planar covers.
+Cover counts build no interval set: the simultaneous-set components are
+the overlaps of the near window pairs, which `_window_runs` enumerates for
+the set, for the counts and for `lattice.count_near_pairs`.
 
 The product set is solved cell by cell: [0,1] is cut at every half-integer
 crossing of both linear forms, on each cell both nearest integers are
@@ -27,8 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import (IntervalSet, check_size, complement, intersect,
-                        mesh_piece_counts, normalize, union_many)
+from .intervals import (MERGE_EPS, IntervalSet, check_size, complement,
+                        intersect, mesh_piece_counts, normalize, union_many)
 from .sequences import log_weight, require_finite
 
 _CHUNK = 1 << 14
@@ -68,6 +71,24 @@ def dist_nearest_int(x):
 # -- simultaneous condition ---------------------------------------------------
 
 
+def _index_range(coef: float, shift: float) -> tuple[int, int]:
+    """First and last index k of the windows, checked against the cap."""
+    lo, hi = math.floor(shift), math.ceil(coef + shift)
+    check_size(hi - lo + 1, "windows")
+    return lo, hi
+
+
+def _windows(coef: float, shift: float, eps: float,
+             k: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The windows ((k - shift) -+ eps)/coef, unclipped, over the integers k
+    in [floor(shift), ceil(coef + shift)] or over a float array k."""
+    if k is None:
+        lo, hi = _index_range(coef, shift)
+        k = np.arange(lo, hi + 1, dtype=float)
+    centers = k - shift
+    return (centers - eps) / coef, (centers + eps) / coef
+
+
 def _linear_solution(coef: float, shift: float, eps: float,
                      k: np.ndarray | None = None) -> IntervalSet:
     """{x in [0,1] : ||coef*x + shift|| < eps} for eps < 1/2.
@@ -76,12 +97,7 @@ def _linear_solution(coef: float, shift: float, eps: float,
     integers k in [floor(shift), ceil(coef + shift)].  A sorted float array
     `k` restricts the union to those windows, with the same arithmetic.
     """
-    if k is None:
-        lo, hi = math.floor(shift), math.ceil(coef + shift)
-        check_size(hi - lo + 1, "windows")
-        k = np.arange(lo, hi + 1, dtype=float)
-    centers = k - shift
-    return normalize(((centers - eps) / coef, (centers + eps) / coef))
+    return normalize(_windows(coef, shift, eps, k))
 
 
 def _factor_set(coef: float, shift: float, eps: float) -> IntervalSet:
@@ -113,8 +129,12 @@ def _window_runs(coef: float, shift: float, eps: float, los: np.ndarray,
 
 def _expand_runs(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The integers first..last of each run, concatenated as floats, and run lengths."""
-    counts = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
-    check_size(int(counts.sum()), "windows")
+    counts = np.maximum(last - first + 1.0, 0.0)
+    # check the float total: cast to int64 first, a huge run would wrap
+    # round to a negative length
+    total = counts.sum()
+    check_size(int(total) if np.isfinite(total) else total, "windows")
+    counts = counts.astype(np.int64)
     starts = np.cumsum(counts) - counts
     ks = np.arange(counts.sum(), dtype=float)
     ks -= np.repeat(starts - first, counts)
@@ -330,21 +350,81 @@ def product_membership(p: FracParams, delta: float, x):
 # -- covers -------------------------------------------------------------------
 
 
+def _clipped(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Windows clipped to [0,1], the empty ones dropped, as `normalize` does."""
+    lo, hi = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+    keep = hi > lo
+    return lo[keep], hi[keep]
+
+
+def _pair_pieces(p: FracParams, eta: float, xi: float, mesh: float) -> float | None:
+    """Cover pieces of the simultaneous set for eta, xi < 1/2, or None when
+    two windows of one factor fuse under MERGE_EPS.
+
+    Without fusion the components are the overlaps of the near window pairs,
+    [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo: `intersect`'s picks of
+    the same floats.  The b-windows are checked only within a run: a fusion
+    across runs moves only endpoints outside the a-windows, as in
+    `simultaneous_set`.
+    """
+    alo, ahi = _clipped(*_windows(p.a, p.c, eta))
+    if np.any(alo[1:] <= ahi[:-1] + MERGE_EPS):
+        return None
+    k, runs = _expand_runs(*_window_runs(p.b, p.d, xi, alo, ahi))
+    blo, bhi = _windows(p.b, p.d, xi, k)
+    if np.any((k[1:] == k[:-1] + 1.0) & (blo[1:] <= bhi[:-1] + MERGE_EPS)):
+        return None
+    lo = np.maximum(np.repeat(alo, runs), blo, out=blo)
+    hi = np.minimum(np.repeat(ahi, runs), bhi, out=bhi)
+    keep = hi > lo
+    return mesh_piece_counts(lo[keep], hi[keep], mesh).sum()
+
+
+def _factor_pieces(coef: float, shift: float, eps: float, mesh: float) -> float | None:
+    """Cover pieces of `_linear_solution(coef, shift, eps)`, counted over
+    chunks of _CHUNK windows, or None when two windows fuse under MERGE_EPS."""
+    first, last = _index_range(coef, shift)
+    pieces, reach = 0.0, -math.inf
+    for k0 in range(first, last + 1, _CHUNK):
+        k = np.arange(k0, min(k0 + _CHUNK, last + 1), dtype=float)
+        lo, hi = _clipped(*_windows(coef, shift, eps, k))
+        ends = np.concatenate(([reach], hi))   # each window's predecessor's hi
+        if np.any(lo <= ends[:-1] + MERGE_EPS):
+            return None
+        reach = ends[-1]
+        pieces += mesh_piece_counts(lo, hi, mesh).sum()
+    return pieces
+
+
 def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
     """(pieces, mesh) of the equal-mesh cover of the simultaneous set.
 
     The mesh is min(eta/a, xi/b), and a component of length len takes
     max(ceil(len/mesh), 1) pieces; callers compare the sum with
-    `FracParams.count_bound`.  Only the count is formed, so the cost is that
-    of `simultaneous_set`, O(a + output) when both thresholds are below 1/2;
-    `intervals.mesh_cover` lays out the same pieces.
+    `FracParams.count_bound`.  No piece, and no interval set, is formed:
+    with both thresholds below 1/2 the components are the overlaps of the
+    near window pairs, O(a + pairs); with one at or above 1/2 they are the
+    other factor's windows, O(b) time in cache-sized chunks.  Windows of
+    one factor that fuse under MERGE_EPS (a threshold within about 1e-12*b
+    of 1/2), or a set that is all of [0,1], are counted on
+    `simultaneous_set`, as `intervals.mesh_cover` lays them out.
     """
     if not (0.0 < eta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("cover needs 0 < eta, xi < 1")
     mesh = min(eta / p.a, xi / p.b)
     if not mesh > 0.0:
         raise ValueError("mesh must be positive")
-    return int(mesh_piece_counts(simultaneous_set(p, eta, xi), mesh).sum()), mesh
+    pieces = None
+    if eta < 0.5 and xi < 0.5:
+        pieces = _pair_pieces(p, eta, xi, mesh)
+    elif eta < 0.5:
+        pieces = _factor_pieces(p.a, p.c, eta, mesh)
+    elif xi < 0.5:
+        pieces = _factor_pieces(p.b, p.d, xi, mesh)
+    if pieces is None:   # fused windows, or all of [0,1]
+        f = simultaneous_set(p, eta, xi)
+        pieces = mesh_piece_counts(f.los, f.his, mesh).sum()
+    return int(pieces), mesh
 
 
 def dyadic_annuli(delta: float) -> list[int]:
@@ -403,8 +483,11 @@ def product_set_cover_cost(p: FracParams, delta: float) -> AnnulusCoverCost:
     reproduce the two-term premeasure bound; the per-annulus meshes are
     what make the bound hold with an absolute constant.
 
-    No cover piece is built.  Each annulus costs O(a + output), and O(b)
-    for the last one when its larger threshold reaches 1/2.
+    No cover piece and no interval set is built.  Each annulus costs
+    O(a + pairs), the near window pairs, and O(b) in cache-sized chunks for
+    the last one when its larger threshold reaches 1/2.  An annulus whose
+    windows fuse under MERGE_EPS, a threshold within about 1e-12*b of 1/2,
+    is counted on `simultaneous_set` instead.
     """
     return annulus_cover_cost(delta, lambda eta, xi: cover_simultaneous(p, eta, xi))
 

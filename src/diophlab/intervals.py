@@ -227,7 +227,7 @@ def premeasure_upper(x: IntervalSet, s: float, mesh: float) -> float:
         raise ValueError(f"mesh must be positive, got {mesh}")
     if x.is_empty():
         return 0.0
-    return float(mesh_piece_counts(x, mesh).sum() * (mesh / 2.0) ** s)
+    return float(mesh_piece_counts(x.los, x.his, mesh).sum() * (mesh / 2.0) ** s)
 
 
 def _check_dyadic(scale: float) -> None:
@@ -273,10 +273,10 @@ class Cover:
         return difference(x, normalize((self.piece_los, self.piece_his))).is_empty()
 
 
-def mesh_piece_counts(x: IntervalSet, mesh: float) -> np.ndarray:
-    """Pieces of length mesh per component of x, max(ceil(len/mesh), 1), as
-    floats, so that a tiny mesh cannot overflow them."""
-    return np.maximum(np.ceil((x.his - x.los) / mesh), 1.0)
+def mesh_piece_counts(los: np.ndarray, his: np.ndarray, mesh: float) -> np.ndarray:
+    """Pieces of length mesh per interval [lo, hi], max(ceil(len/mesh), 1),
+    as floats, so that a tiny mesh cannot overflow them."""
+    return np.maximum(np.ceil((his - los) / mesh), 1.0)
 
 
 def mesh_cover(x: IntervalSet, mesh: float) -> Cover:
@@ -291,7 +291,7 @@ def mesh_cover(x: IntervalSet, mesh: float) -> Cover:
     if x.is_empty():
         return Cover(mesh=mesh, piece_los=np.empty(0), piece_his=np.empty(0),
                      count=0)
-    counts = mesh_piece_counts(x, mesh)
+    counts = mesh_piece_counts(x.los, x.his, mesh)
     check_size(int(counts.sum()), "cover pieces")
     counts = counts.astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)])

@@ -4,8 +4,9 @@ The central count is the number of integer pairs (p, q) in the standard
 window whose fractions (p-c)/a and (q-d)/b lie within eta/a + xi/b of each
 other, i.e. whose windows ((p-c) -+ eta)/a and ((q-d) -+ xi)/b overlap: the
 components of the simultaneous set.  The fast count enumerates them with
-the window runs of `simultaneous_set` and tests each with the naive double
-loop's float predicate, so the two agree bit for bit.  The Erdos-Turan
+the window runs that also build `simultaneous_set` and count its cover in
+`cover_simultaneous`, and tests each with the naive double loop's float
+predicate, so the two agree bit for bit.  The Erdos-Turan
 right-hand side has one arithmetic: the scalar is the table's one-row case.
 """
 

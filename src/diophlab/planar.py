@@ -68,7 +68,8 @@ def _square_count(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
     mesh = min(eta / p.a, xi / p.b)
     if mesh <= 0.0 or not len(box.x_set) or not len(box.y_set):
         return 0, mesh
-    nx, ny = (int(mesh_piece_counts(f, mesh).sum()) for f in (box.x_set, box.y_set))
+    nx, ny = (int(mesh_piece_counts(f.los, f.his, mesh).sum())
+              for f in (box.x_set, box.y_set))
     return nx * ny, mesh
 
 

@@ -262,11 +262,12 @@ def test_criterion_09b_worked_exponent_box_dimension():
     # covers each index n at its own per-annulus meshes, which is the cover
     # product_set_cover_cost builds; R(s) is the least-squares slope of
     # log premeasure(s) against n, and s* is its zero, where the s-cost
-    # stops growing with n.  The range stops at n = 15 because the last
-    # dyadic annulus of each index has its larger threshold at or above
-    # 1/2, so its simultaneous set is the whole b-factor, O(b) = O(3^n):
-    # the covers for n = 8..15 take about 8 s and 1.2 GB on a 2-core host,
-    # and n = 16, with three times the b, would need about 3.4 GB.
+    # stops growing with n.  The range stops at n = 15 because the covers
+    # cost O(b) = O(3^n): the last dyadic annulus of each index has its
+    # larger threshold at or above 1/2, so its simultaneous set is the whole
+    # b-factor, and the annulus below it has about b near window pairs.  The
+    # covers for n = 8..15 take about 2.4 s and 0.5 GB on a 2-core host;
+    # n = 16 alone takes about 5.6 s and 1.5 GB, held by those pairs.
     #
     # The equal-scale box count at the stated size (n in [8, 16], scales
     # 2^-6..2^-16) saturates instead.  Every x = k/3^n lies in E_n, the

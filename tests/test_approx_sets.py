@@ -6,13 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from diophlab import approx_sets, intervals
 from diophlab.approx_sets import (FracParams, _cell_bounds, _factor_set,
-                                  _product_pieces, decompose_product_set, dist_nearest_int,
+                                  _product_pieces, annulus_cover_cost,
+                                  decompose_product_set, dist_nearest_int,
                                   dyadic_annuli, measure_bound,
                                   premeasure_bound, product_membership,
                                   product_set, product_set_cover_cost,
                                   cover_simultaneous, simultaneous_set)
 from diophlab.intervals import (CellCapExceeded, difference, intersect,
-                                lebesgue, mesh_cover, symmetric_difference)
+                                lebesgue, mesh_cover, mesh_piece_counts,
+                                symmetric_difference)
 from diophlab.sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence
 
 
@@ -241,21 +243,63 @@ def _params(draw):
     return FracParams(a, b, draw(_SHIFT), draw(_SHIFT))
 
 
+_FUSION_CASES = [
+    (FracParams(7.3, 1.2e4, 0.4, -1.7), 0.013, 0.5 - 1e-6),
+    (FracParams(3, 1.6e5, 1, 2), 1e-12, 0.5 - 3e-13),
+    (FracParams(3, 1.6e5, 1, 2), 0.5 - 1e-15, 1e-12),
+    (FracParams(41.9, 41.9, -0.2, 0.6), 0.5 - 1e-9, 0.5 - 1e-9),
+    # a fused chain of b-windows meets an a-component at its lo (hi) through
+    # a window that ends (starts) exactly there, so each run needs the window
+    # before (after) it: xi = 0.5 - 2**-42 makes those endpoints exact and
+    # the gaps between windows about 1e-14
+    (FracParams(1, 40, 0, 0.5 - 2 ** -42), 0.25, 0.5 - 2 ** -42),
+    (FracParams(1, 40, 0, -0.5 + 2 ** -42), 0.25, 0.5 - 2 ** -42),
+]
+
+
+def _fusion_examples(test):
+    """Hypothesis examples where windows fuse under MERGE_EPS."""
+    for p, eta, xi in _FUSION_CASES:
+        test = example(p=p, eta=eta, xi=xi)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(p=_params(), eta=_THRESHOLD, xi=_THRESHOLD)
-@example(p=FracParams(7.3, 1.2e4, 0.4, -1.7), eta=0.013, xi=0.5 - 1e-6)
-@example(p=FracParams(3, 1.6e5, 1, 2), eta=1e-12, xi=0.5 - 3e-13)
-@example(p=FracParams(3, 1.6e5, 1, 2), eta=0.5 - 1e-15, xi=1e-12)
-@example(p=FracParams(41.9, 41.9, -0.2, 0.6), eta=0.5 - 1e-9, xi=0.5 - 1e-9)
-# a fused chain of b-windows meets an a-component at its lo (hi) through a
-# window that ends (starts) exactly there, so each run needs the window
-# before (after) it: xi = 0.5 - 2**-42 makes those endpoints exact and the
-# gaps between windows about 1e-14
-@example(p=FracParams(1, 40, 0, 0.5 - 2 ** -42), eta=0.25, xi=0.5 - 2 ** -42)
-@example(p=FracParams(1, 40, 0, -0.5 + 2 ** -42), eta=0.25, xi=0.5 - 2 ** -42)
+@_fusion_examples
 def test_simultaneous_set_equals_dense_oracle(p, eta, xi):
     # array for array: the near-window build does the dense build's arithmetic
     assert simultaneous_set(p, eta, xi) == _dense_simultaneous(p, eta, xi)
+
+
+def _set_count(p, eta, xi):
+    """Oracle for cover_simultaneous: the mesh pieces of the simultaneous set."""
+    mesh = min(eta / p.a, xi / p.b)
+    f = simultaneous_set(p, eta, xi)
+    return int(mesh_piece_counts(f.los, f.his, mesh).sum()), mesh
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(p=_params(), eta=_THRESHOLD, xi=_THRESHOLD)
+@_fusion_examples
+def test_cover_count_equals_set_count(p, eta, xi):
+    # the window-pair and chunked counts take intersect's picks of the same
+    # floats, and fused windows fall back to the set
+    assert cover_simultaneous(p, eta, xi) == _set_count(p, eta, xi)
+
+
+def test_fused_windows_take_the_set_path(monkeypatch):
+    # b-windows 1e-14 apart fuse, so the count is read off the set
+    p, eta, xi = FracParams(1, 40, 0, 0.5 - 2 ** -42), 0.25, 0.5 - 2 ** -42
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return simultaneous_set(*args)
+
+    monkeypatch.setattr(approx_sets, "simultaneous_set", spy)
+    assert cover_simultaneous(p, eta, xi) == _set_count(p, eta, xi)
+    assert calls == [(p, eta, xi)]
 
 
 def _criterion_7_instances(count):
@@ -352,6 +396,47 @@ def test_product_pieces_are_nonempty_and_in_x_order(monkeypatch, chunk):
         los, his = map(np.concatenate, zip(*_product_pieces(p, delta)))
         assert np.all(his > los)
         assert np.all(los[1:] >= los[:-1])
+
+
+def _one_sided_cases():
+    # one threshold at or above 1/2: the set is the other factor, whose
+    # windows are counted in chunks; the last case fuses and takes the set
+    for p, delta in _chunked_cases():
+        yield p, 0.5, delta
+        yield p, delta, 0.75
+    yield FracParams(3, 1.6e5, 1, 2), 0.6, 0.5 - 3e-13
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 19])
+def test_factor_count_independent_of_chunk_size(monkeypatch, chunk):
+    want = [_set_count(p, eta, xi) for p, eta, xi in _one_sided_cases()]
+    monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
+    assert [cover_simultaneous(p, eta, xi)
+            for p, eta, xi in _one_sided_cases()] == want
+
+
+def test_fusion_found_across_chunks(monkeypatch):
+    # one window per chunk: windows 1e-14 apart fuse only across chunks
+    monkeypatch.setattr(approx_sets, "_CHUNK", 1)
+    p, eta, xi = FracParams(1, 40, 0, 0.5 - 2 ** -42), 0.6, 0.5 - 2 ** -42
+    assert cover_simultaneous(p, eta, xi) == _set_count(p, eta, xi)
+
+
+def test_cover_cost_builds_no_interval_set(monkeypatch):
+    # criterion-7 covers, the last annuli at thresholds of 1/2 and above
+    # included, are counted from windows with normalize and intersect gone
+    cases = list(_criterion_7_instances(20))
+    assert any(2.0 ** len(dyadic_annuli(delta)) * delta >= 0.5 for _, delta in cases)
+    want = [annulus_cover_cost(delta, lambda eta, xi: _set_count(p, eta, xi))
+            for p, delta in cases]
+
+    def refuse(*args):
+        raise AssertionError("interval set built")
+
+    for module in (intervals, approx_sets):
+        monkeypatch.setattr(module, "normalize", refuse)
+        monkeypatch.setattr(module, "intersect", refuse)
+    assert [product_set_cover_cost(p, delta) for p, delta in cases] == want
 
 
 def test_dyadic_annuli():

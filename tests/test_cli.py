@@ -468,16 +468,23 @@ _BIG = ("--a", "2", "--b", "1000")
                  "1001 lattice points exceed the cap 100", id="discrepancy"),
     pytest.param(("set", *_BIG, "--delta", "0.1"),
                  "cell cuts exceed the cap 100", id="set-product"),
+    # window runs whose lengths pass 2**63: cast to int64 before the cap
+    # check, 3e19 gave a negative array size and 1e20 a numpy warning
+    *(pytest.param(("cover", "--a", "2", "--b", b, "--eta", "0.2", "--xi", "0.3"),
+                   f"{count} windows exceed the cap 100", id=f"cover-runs-{b}")
+      for b, count in (("2e19", 8 * 10 ** 18), ("3e19", 12 * 10 ** 18),
+                       ("1e20", 4 * 10 ** 19))),
 ])
 def test_size_cap_exits_with_message(argv, message):
     # an array above DIOPHLAB_CELL_CAP is refused before it is allocated:
-    # exit 1 with the size and the cap, not a traceback
+    # exit 1 with the size and the cap, not a traceback or a warning
     env = {**os.environ, "DIOPHLAB_CELL_CAP": "100"}
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_cover_counts_pieces_past_the_cap():
