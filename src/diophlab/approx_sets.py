@@ -10,9 +10,13 @@ together with the split of the product set into a simultaneous core and
 two one-sided remainders, equal-mesh cover counts against the counting
 bound, and a multi-scale dyadic cover whose s-cost realizes the product-set
 premeasure bound; its core/annulus walk also serves the planar covers.
-Cover counts build no interval set: the simultaneous-set components are
-the overlaps of the near window pairs, which `_window_runs` enumerates for
-the set, for the counts and for `lattice.count_near_pairs`.
+
+The simultaneous-set components are the overlaps of the near window pairs.
+One chunked walk, `_near_runs`, enumerates them for the set, its cover
+count, the planar square counts and `lattice.count_near_pairs`: O(a + pairs)
+time, memory bounded by `_CHUNK` beyond the O(a) a-windows.  One scalar test
+per factor (`_may_fuse`) decides up front whether windows can fuse under
+MERGE_EPS; only then is the set built from interval sets.
 
 The product set is solved cell by cell: [0,1] is cut at every half-integer
 crossing of both linear forms, on each cell both nearest integers are
@@ -71,19 +75,23 @@ def dist_nearest_int(x):
 # -- simultaneous condition ---------------------------------------------------
 
 
-def _index_range(coef: float, shift: float) -> tuple[int, int]:
-    """First and last index k of the windows, checked against the cap."""
-    lo, hi = math.floor(shift), math.ceil(coef + shift)
-    check_size(hi - lo + 1, "windows")
-    return lo, hi
+def check_thresholds(eta: float, xi: float) -> None:
+    """Refuse a NaN or negative threshold; a threshold of 0 gives the empty
+    set, and one at or above 1/2 a vacuous condition."""
+    if math.isnan(eta) or math.isnan(xi):
+        raise ValueError(f"thresholds must be numbers, got {eta}, {xi}")
+    if eta < 0.0 or xi < 0.0:
+        raise ValueError(f"thresholds must be nonnegative, got {eta}, {xi}")
 
 
 def _windows(coef: float, shift: float, eps: float,
              k: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The windows ((k - shift) -+ eps)/coef, unclipped, over the integers k
-    in [floor(shift), ceil(coef + shift)] or over a float array k."""
+    in [floor(shift), ceil(coef + shift)], checked against the cap, or over
+    a float array k."""
     if k is None:
-        lo, hi = _index_range(coef, shift)
+        lo, hi = math.floor(shift), math.ceil(coef + shift)
+        check_size(hi - lo + 1, "windows")
         k = np.arange(lo, hi + 1, dtype=float)
     centers = k - shift
     return (centers - eps) / coef, (centers + eps) / coef
@@ -91,78 +99,109 @@ def _windows(coef: float, shift: float, eps: float,
 
 def _linear_solution(coef: float, shift: float, eps: float,
                      k: np.ndarray | None = None) -> IntervalSet:
-    """{x in [0,1] : ||coef*x + shift|| < eps} for eps < 1/2.
-
-    The set is the union of the windows ((k - shift) -+ eps)/coef over the
-    integers k in [floor(shift), ceil(coef + shift)].  A sorted float array
-    `k` restricts the union to those windows, with the same arithmetic.
-    """
+    """{x in [0,1] : ||coef*x + shift|| < eps} for eps < 1/2: the union of
+    the windows, or of those at the sorted float array `k`."""
     return normalize(_windows(coef, shift, eps, k))
 
 
 def _factor_set(coef: float, shift: float, eps: float) -> IntervalSet:
-    """{x in [0,1] : ||coef*x + shift|| < eps} for eps > 0.
-
-    A threshold at or above 1/2 makes the condition vacuous (the distance
-    never exceeds 1/2), so the set is all of [0,1].  NaN is rejected.
-    """
-    if math.isnan(eps):
-        raise ValueError(f"threshold must be a number, got {eps}")
+    """{x in [0,1] : ||coef*x + shift|| < eps} for eps > 0; all of [0,1] when
+    eps >= 1/2 (the distance never exceeds 1/2)."""
     return IntervalSet.full() if eps >= 0.5 else _linear_solution(coef, shift, eps)
 
 
-def _window_runs(coef: float, shift: float, eps: float, los: np.ndarray,
-                 his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index k of the windows of `_linear_solution` meeting each [lo, hi].
+def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
+               his: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The near pairs (row, k) of the intervals [los, his] and the windows:
+    chunks (rows, k) of at most _CHUNK pairs, k as floats, run by run in
+    row order.
 
-    The window ((k - shift) -+ eps)/coef meets [lo, hi] only if
-    lo*coef + shift - eps < k < hi*coef + shift + eps.  Each run is widened
-    by 2: a window that ends exactly at lo or hi can still decide, through
-    MERGE_EPS fusion, whether that endpoint survives, and the bounds are
-    rounded.  Runs are clipped to the full index range and may overlap.
+    The window k meets [lo, hi] only if lo*coef + shift - eps < k <
+    hi*coef + shift + eps.  Each run is widened by 2: a window that ends
+    exactly at lo or hi can still decide, through MERGE_EPS fusion, whether
+    that endpoint survives, and the bounds are rounded.  Runs are clipped to
+    the full index range and may overlap.  The cap is checked once, on the
+    float total, before any index is built (a cast to int64 first would wrap
+    a huge run round to a negative length).
     """
     first = np.maximum(np.floor(los * coef + shift - eps) - 2.0, math.floor(shift))
-    last = np.minimum(np.ceil(his * coef + shift + eps) + 2.0,
-                      math.ceil(coef + shift))
-    return first, last
-
-
-def _expand_runs(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The integers first..last of each run, concatenated as floats, and run lengths."""
+    last = np.minimum(np.ceil(his * coef + shift + eps) + 2.0, math.ceil(coef + shift))
     counts = np.maximum(last - first + 1.0, 0.0)
-    # check the float total: cast to int64 first, a huge run would wrap
-    # round to a negative length
     total = counts.sum()
     check_size(int(total) if np.isfinite(total) else total, "windows")
-    counts = counts.astype(np.int64)
-    starts = np.cumsum(counts) - counts
-    ks = np.arange(counts.sum(), dtype=float)
-    ks -= np.repeat(starts - first, counts)
-    return ks, counts
+    # pair positions: run r holds [starts[r], ends[r]); a chunk is the
+    # positions [g0, g1) and the runs that meet them, cut to them
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    for g0 in range(0, int(total), _CHUNK):
+        g1 = min(g0 + _CHUNK, total)
+        r0, r1 = np.searchsorted(ends, g0, side="right"), np.searchsorted(starts, g1)
+        n = (np.minimum(ends[r0:r1], g1) - np.maximum(starts[r0:r1], g0)).astype(np.int64)
+        k = np.arange(g0, g1, dtype=float) - np.repeat(starts[r0:r1] - first[r0:r1], n)
+        yield np.repeat(np.arange(r0, r1), n), k
+
+
+def _may_fuse(coef: float, eps: float) -> bool:
+    """Whether two windows may fuse under MERGE_EPS.  Their gap is
+    (1 - 2*eps)/coef, give or take a few ulp of x: far less than the
+    MERGE_EPS of margin that this test leaves."""
+    return (1.0 - 2.0 * eps) / coef <= 2.0 * MERGE_EPS
+
+
+def _fused_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
+    """The simultaneous set built from interval sets: the a-factor whole,
+    and of the b-factor only the windows near its components, with the full
+    b-factor's arithmetic.  A fusion chain cut short at the edge of a run
+    moves only endpoints outside the a-component, which `intersect` drops."""
+    x_part = _factor_set(p.a, p.c, eta)
+    if xi >= 0.5:
+        return x_part
+    near = [k for _, k in _near_runs(p.b, p.d, xi, x_part.los, x_part.his)]
+    k = np.unique(np.concatenate([np.empty(0), *near]))
+    return intersect(x_part, _linear_solution(p.b, p.d, xi, k))
+
+
+def _components(p: FracParams, eta: float,
+                xi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The simultaneous set's components (los, his), eta, xi > 0, chunk by
+    chunk in x order.
+
+    Unless windows may fuse (`_may_fuse` of a factor below 1/2, or both
+    factors vacuous, which take `_fused_set`), they are the overlaps
+    [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo of the near window
+    pairs, `intersect`'s picks of the same floats.  The a-windows are
+    clipped to [0, 1], the empty ones dropped; a vacuous factor, a threshold
+    at or above 1/2, is the one window [0, 1].
+    """
+    live = [(coef, shift, eps) for coef, shift, eps in ((p.a, p.c, eta), (p.b, p.d, xi))
+            if eps < 0.5]
+    if not live or any(_may_fuse(coef, eps) for coef, _, eps in live):
+        f = _fused_set(p, eta, xi)
+        yield f.los, f.his
+        return
+    los, his = np.array([0.0]), np.array([1.0])
+    if len(live) == 2:
+        los, his = np.clip(_windows(*live[0]), 0.0, 1.0)
+        los, his = los[his > los], his[his > los]
+    coef, shift, eps = live[-1]
+    for rows, k in _near_runs(coef, shift, eps, los, his):
+        lo, hi = _windows(coef, shift, eps, k)
+        lo = np.maximum(los[rows], lo, out=lo)
+        hi = np.minimum(his[rows], hi, out=hi)
+        keep = hi > lo
+        yield lo[keep], hi[keep]
 
 
 def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
-    """Exact set where both forms are within (eta, xi) of integers.
-
-    With both thresholds below 1/2 the work is O(a + output): the a-factor
-    is built whole, and of the b-factor only the windows near one of its
-    components, which are the near lattice pairs.  The arithmetic is that of
-    the full b-factor, so the result is the same array for array; a MERGE_EPS
-    fusion chain cut short at the edge of a run moves only endpoints outside
-    the a-component, which the intersection drops.  With one threshold at or
-    above 1/2 the set is the other factor, O(b) for the b-factor.
+    """Exact set where both forms are within (eta, xi) of integers: the
+    chunks of `_components`, O(a + output) time, O(b) with eta >= 1/2.
+    A threshold of 0 gives the empty set; a NaN or negative one is refused.
     """
-    if eta <= 0.0 or xi <= 0.0:
+    check_thresholds(eta, xi)
+    if eta == 0.0 or xi == 0.0:
         return IntervalSet.empty()
-    x_part = _factor_set(p.a, p.c, eta)
-    if eta >= 0.5 or not xi < 0.5:   # a vacuous threshold, or a NaN xi
-        y_part = _factor_set(p.b, p.d, xi)
-        return y_part if eta >= 0.5 else x_part
-    first, last = _window_runs(p.b, p.d, xi, x_part.los, x_part.his)
-    # start each run past the runs before it, so the indices are distinct
-    first[1:] = np.maximum(first[1:], np.maximum.accumulate(last)[:-1] + 1.0)
-    near, _ = _expand_runs(first, last)
-    return intersect(x_part, _linear_solution(p.b, p.d, xi, near))
+    chunks = list(_components(p, eta, xi)) or [(np.empty(0), np.empty(0))]
+    return IntervalSet(*map(np.concatenate, zip(*chunks)))
 
 
 # -- product condition: cell decomposition ------------------------------------
@@ -350,50 +389,10 @@ def product_membership(p: FracParams, delta: float, x):
 # -- covers -------------------------------------------------------------------
 
 
-def _clipped(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Windows clipped to [0,1], the empty ones dropped, as `normalize` does."""
-    lo, hi = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
-    keep = hi > lo
-    return lo[keep], hi[keep]
-
-
-def _pair_pieces(p: FracParams, eta: float, xi: float, mesh: float) -> float | None:
-    """Cover pieces of the simultaneous set for eta, xi < 1/2, or None when
-    two windows of one factor fuse under MERGE_EPS.
-
-    Without fusion the components are the overlaps of the near window pairs,
-    [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo: `intersect`'s picks of
-    the same floats.  The b-windows are checked only within a run: a fusion
-    across runs moves only endpoints outside the a-windows, as in
-    `simultaneous_set`.
-    """
-    alo, ahi = _clipped(*_windows(p.a, p.c, eta))
-    if np.any(alo[1:] <= ahi[:-1] + MERGE_EPS):
-        return None
-    k, runs = _expand_runs(*_window_runs(p.b, p.d, xi, alo, ahi))
-    blo, bhi = _windows(p.b, p.d, xi, k)
-    if np.any((k[1:] == k[:-1] + 1.0) & (blo[1:] <= bhi[:-1] + MERGE_EPS)):
-        return None
-    lo = np.maximum(np.repeat(alo, runs), blo, out=blo)
-    hi = np.minimum(np.repeat(ahi, runs), bhi, out=bhi)
-    keep = hi > lo
-    return mesh_piece_counts(lo[keep], hi[keep], mesh).sum()
-
-
-def _factor_pieces(coef: float, shift: float, eps: float, mesh: float) -> float | None:
-    """Cover pieces of `_linear_solution(coef, shift, eps)`, counted over
-    chunks of _CHUNK windows, or None when two windows fuse under MERGE_EPS."""
-    first, last = _index_range(coef, shift)
-    pieces, reach = 0.0, -math.inf
-    for k0 in range(first, last + 1, _CHUNK):
-        k = np.arange(k0, min(k0 + _CHUNK, last + 1), dtype=float)
-        lo, hi = _clipped(*_windows(coef, shift, eps, k))
-        ends = np.concatenate(([reach], hi))   # each window's predecessor's hi
-        if np.any(lo <= ends[:-1] + MERGE_EPS):
-            return None
-        reach = ends[-1]
-        pieces += mesh_piece_counts(lo, hi, mesh).sum()
-    return pieces
+def _piece_count(p: FracParams, eta: float, xi: float, mesh: float) -> float:
+    """Pieces of length mesh covering the simultaneous set, eta, xi > 0:
+    max(ceil(len/mesh), 1) per component, summed over `_components`."""
+    return sum(mesh_piece_counts(lo, hi, mesh).sum() for lo, hi in _components(p, eta, xi))
 
 
 def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
@@ -401,30 +400,15 @@ def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float
 
     The mesh is min(eta/a, xi/b), and a component of length len takes
     max(ceil(len/mesh), 1) pieces; callers compare the sum with
-    `FracParams.count_bound`.  No piece, and no interval set, is formed:
-    with both thresholds below 1/2 the components are the overlaps of the
-    near window pairs, O(a + pairs); with one at or above 1/2 they are the
-    other factor's windows, O(b) time in cache-sized chunks.  Windows of
-    one factor that fuse under MERGE_EPS (a threshold within about 1e-12*b
-    of 1/2), or a set that is all of [0,1], are counted on
-    `simultaneous_set`, as `intervals.mesh_cover` lays them out.
+    `FracParams.count_bound`.  No piece is formed, and no interval set unless
+    windows may fuse: O(a + pairs) time, memory bounded by _CHUNK.
     """
     if not (0.0 < eta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("cover needs 0 < eta, xi < 1")
     mesh = min(eta / p.a, xi / p.b)
     if not mesh > 0.0:
         raise ValueError("mesh must be positive")
-    pieces = None
-    if eta < 0.5 and xi < 0.5:
-        pieces = _pair_pieces(p, eta, xi, mesh)
-    elif eta < 0.5:
-        pieces = _factor_pieces(p.a, p.c, eta, mesh)
-    elif xi < 0.5:
-        pieces = _factor_pieces(p.b, p.d, xi, mesh)
-    if pieces is None:   # fused windows, or all of [0,1]
-        f = simultaneous_set(p, eta, xi)
-        pieces = mesh_piece_counts(f.los, f.his, mesh).sum()
-    return int(pieces), mesh
+    return int(_piece_count(p, eta, xi, mesh)), mesh
 
 
 def dyadic_annuli(delta: float) -> list[int]:
@@ -483,11 +467,10 @@ def product_set_cover_cost(p: FracParams, delta: float) -> AnnulusCoverCost:
     reproduce the two-term premeasure bound; the per-annulus meshes are
     what make the bound hold with an absolute constant.
 
-    No cover piece and no interval set is built.  Each annulus costs
-    O(a + pairs), the near window pairs, and O(b) in cache-sized chunks for
-    the last one when its larger threshold reaches 1/2.  An annulus whose
-    windows fuse under MERGE_EPS, a threshold within about 1e-12*b of 1/2,
-    is counted on `simultaneous_set` instead.
+    No cover piece is built.  Each annulus takes O(a + pairs) time on the
+    one window-pair walk, O(b) for the last one when its larger threshold
+    reaches 1/2, and memory bounded by _CHUNK; only one whose windows may
+    fuse, a threshold within about 1e-12*b of 1/2, builds its set.
     """
     return annulus_cover_cost(delta, lambda eta, xi: cover_simultaneous(p, eta, xi))
 

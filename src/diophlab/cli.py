@@ -55,12 +55,19 @@ def _parse_psi_flag(text: str, seq: SequenceSpec | None = None) -> PsiSpec:
     return parse_psi({"kind": json_kind, key: param}, seq=seq)
 
 
-def _grid(text: str) -> list[float]:
-    """lo:hi:count inclusive grid, or a single value."""
+def _grid(args, name: str) -> list[float]:
+    """The flag --name as one value, or as the inclusive grid lo:hi:n of
+    n >= 1 values; anything else is refused with the flag and its text."""
+    text = getattr(args, name)
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(text)]
-    return list(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
+    try:
+        if len(parts) == 1:
+            return [float(text)]
+        if len(parts) == 3 and int(parts[2]) >= 1:
+            return list(np.linspace(float(parts[0]), float(parts[1]), int(parts[2])))
+    except ValueError:
+        pass
+    raise ValueError(f"--{name} {text!r}: expected a value or lo:hi:n with n >= 1")
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
@@ -223,11 +230,12 @@ def _cmd_scan(args) -> int:
     header = ["a", "b", "t", "tau_plain", "tau_two_term",
               "single_series_threshold", "boxdim_estimate"]
     rows = []
-    for a in _grid(args.a):
-        for b in _grid(args.b):
+    a_grid, b_grid, t_grid = (_grid(args, name) for name in ("a", "b", "t"))
+    for a in a_grid:
+        for b in b_grid:
             if b <= a:
                 continue
-            for t in _grid(args.t):
+            for t in t_grid:
                 seq = SequenceSpec(kind="exponential", a=a, b=b)
                 psi = PsiSpec(kind="scaled-base", t=t, seq=seq)
                 plain = compute_tau(SeriesSpec(seq=seq, psi=psi, family="plain"))

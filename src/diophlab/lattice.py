@@ -3,10 +3,10 @@
 The central count is the number of integer pairs (p, q) in the standard
 window whose fractions (p-c)/a and (q-d)/b lie within eta/a + xi/b of each
 other, i.e. whose windows ((p-c) -+ eta)/a and ((q-d) -+ xi)/b overlap: the
-components of the simultaneous set.  The fast count enumerates them with
-the window runs that also build `simultaneous_set` and count its cover in
-`cover_simultaneous`, and tests each with the naive double loop's float
-predicate, so the two agree bit for bit.  The Erdos-Turan
+components of the simultaneous set.  The fast count takes its candidates
+from `approx_sets._near_runs`, the chunked window-pair walk that also builds
+`simultaneous_set` and counts its covers, and tests each with the naive
+double loop's float predicate, so the two agree bit for bit.  The Erdos-Turan
 right-hand side has one arithmetic: the scalar is the table's one-row case.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import FracParams, _expand_runs, _window_runs
+from .approx_sets import FracParams, _near_runs, check_thresholds
 from .intervals import check_size
 
 
@@ -30,25 +30,27 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
     """Exact count of nearly coincident fraction pairs, O(a + b*eta) time.
 
     For each admissible p the candidate q are the b-windows that can meet
-    the a-window of p, one run each; every candidate is tested with the
-    strict inequality |(p-c)/a - (q-d)/b| < eta/a + xi/b.  A threshold that
-    is NaN, infinite or negative is rejected.
+    the unclipped a-window of p, walked in chunks by `_near_runs` (memory
+    bounded by _CHUNK); each is tested with the strict inequality
+    |(p-c)/a - (q-d)/b| < eta/a + xi/b.  A NaN, infinite or negative
+    threshold is rejected.
     """
     if not (math.isfinite(eta) and math.isfinite(xi)):
         raise ValueError(f"thresholds must be numbers, not inf or NaN: {eta}, {xi}")
-    if eta < 0.0 or xi < 0.0:
-        raise ValueError(f"thresholds must be nonnegative, got {eta}, {xi}")
+    check_thresholds(eta, xi)
     plo, phi, qlo, qhi = _ranges(p)
     check_size(qhi - qlo + 1, "q values")
     theta = eta / p.a + xi / p.b
     pc = np.arange(plo, phi + 1, dtype=float) - p.c
-    first, last = _window_runs(p.b, p.d, xi, (pc - eta) / p.a, (pc + eta) / p.a)
-    y, runs = _expand_runs(first, last)
-    y -= p.d
-    y /= p.b
-    # (p-c)/a once per p, and |y - x| = |x - y|: the naive loop's bits, in place
-    y -= np.repeat(pc / p.a, runs)
-    return int(np.count_nonzero(np.abs(y, out=y) < theta))
+    x = pc / p.a
+    hits = 0
+    for rows, y in _near_runs(p.b, p.d, xi, (pc - eta) / p.a, (pc + eta) / p.a):
+        y -= p.d
+        y /= p.b
+        # (p-c)/a once per p, and |y - x| = |x - y|: the naive loop's bits, in place
+        y -= x[rows]
+        hits += int(np.count_nonzero(np.abs(y, out=y) < theta))
+    return hits
 
 
 def count_near_pairs_naive(p: FracParams, eta: float, xi: float) -> int:

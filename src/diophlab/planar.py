@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import (AnnulusCoverCost, FracParams, _factor_set,
-                          annulus_cover_cost, dist_nearest_int, dyadic_annuli)
-from .intervals import IntervalSet, lebesgue, mesh_piece_counts
+from .approx_sets import (AnnulusCoverCost, FracParams, _factor_set, _piece_count,
+                          annulus_cover_cost, check_thresholds, dist_nearest_int,
+                          dyadic_annuli)
+from .intervals import IntervalSet, lebesgue
 
 _MC_BLOCK = 1 << 20
 
@@ -45,7 +46,8 @@ class BoxSet:
 
 def product_rectangle_set(p: FracParams, eta: float, xi: float) -> BoxSet:
     """Exact {(x,y) : ||a x + c|| < eta, ||b y + d|| < xi} as a box product."""
-    if eta <= 0.0 or xi <= 0.0:
+    check_thresholds(eta, xi)
+    if eta == 0.0 or xi == 0.0:
         return BoxSet(IntervalSet.empty(), IntervalSet.empty())
     return BoxSet(_factor_set(p.a, p.c, eta), _factor_set(p.b, p.d, xi))
 
@@ -63,14 +65,13 @@ class SquareCover:
 
 def _square_count(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
     """(squares, mesh) of the cover of the box product at (eta, xi) by
-    squares of side mesh = min(eta/a, xi/b); no squares for an empty box."""
-    box = product_rectangle_set(p, eta, xi)
+    squares of side mesh = min(eta/a, xi/b): the product of the factors'
+    piece counts, each on the window walk with the other factor vacuous."""
+    check_thresholds(eta, xi)
     mesh = min(eta / p.a, xi / p.b)
-    if mesh <= 0.0 or not len(box.x_set) or not len(box.y_set):
+    if mesh <= 0.0:
         return 0, mesh
-    nx, ny = (int(mesh_piece_counts(f.los, f.his, mesh).sum())
-              for f in (box.x_set, box.y_set))
-    return nx * ny, mesh
+    return int(_piece_count(p, eta, 0.5, mesh)) * int(_piece_count(p, 0.5, xi, mesh)), mesh
 
 
 def cover_rectangles(p: FracParams, eta: float, xi: float, s: float) -> SquareCover:
@@ -121,8 +122,9 @@ def mc_planar_product_area(p: FracParams, delta: float, samples: int,
 
 def decompose_planar_product_set(p: FracParams, delta: float) -> AnnulusCoverCost:
     """Square counts of the box products over the core and the dyadic annulus
-    pairs of `annulus_cover_cost`, each built once; the annulus products
-    cover supersets of the two one-sided remainders of the planar set."""
+    pairs of `annulus_cover_cost`, each counted once by `_square_count`
+    without building a set; the annulus products cover supersets of the two
+    one-sided remainders of the planar set."""
     return annulus_cover_cost(delta, lambda eta, xi: _square_count(p, eta, xi))
 
 

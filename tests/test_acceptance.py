@@ -262,12 +262,13 @@ def test_criterion_09b_worked_exponent_box_dimension():
     # covers each index n at its own per-annulus meshes, which is the cover
     # product_set_cover_cost builds; R(s) is the least-squares slope of
     # log premeasure(s) against n, and s* is its zero, where the s-cost
-    # stops growing with n.  The range stops at n = 15 because the covers
-    # cost O(b) = O(3^n): the last dyadic annulus of each index has its
-    # larger threshold at or above 1/2, so its simultaneous set is the whole
-    # b-factor, and the annulus below it has about b near window pairs.  The
-    # covers for n = 8..15 take about 2.4 s and 0.5 GB on a 2-core host;
-    # n = 16 alone takes about 5.6 s and 1.5 GB, held by those pairs.
+    # stops growing with n.  The covers cost O(b) = O(3^n) time: the last
+    # dyadic annulus of each index has its larger threshold at or above 1/2,
+    # so its simultaneous set is the whole b-factor, and the annulus below
+    # it has about b near window pairs.  Their memory is bounded by the
+    # window walk's chunk size: the covers for n = 8..16 take about 2 s and
+    # under 40 MB on a 2-core host, and the test's peak memory is set by
+    # estimate_box_dimension below.
     #
     # The equal-scale box count at the stated size (n in [8, 16], scales
     # 2^-6..2^-16) saturates instead.  Every x = k/3^n lies in E_n, the
@@ -280,7 +281,7 @@ def test_criterion_09b_worked_exponent_box_dimension():
     seq = SequenceSpec(kind="exponential", a=2, b=3)
     psi = PsiSpec(kind="scaled-base", t=1.0, seq=seq)
     t0 = time.monotonic()
-    ns = list(range(8, 16))
+    ns = list(range(8, 17))
     costs = [product_set_cover_cost(FracParams(*eval_sequence(seq, n)),
                                     math.sqrt(eval_psi(psi, n)))
              for n in ns]

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from diophlab import approx_sets, intervals
 from diophlab.approx_sets import (FracParams, _cell_bounds, _factor_set,
-                                  _product_pieces, annulus_cover_cost,
+                                  _may_fuse, _product_pieces, _windows,
+                                  annulus_cover_cost,
                                   decompose_product_set, dist_nearest_int,
                                   dyadic_annuli, measure_bound,
                                   premeasure_bound, product_membership,
@@ -14,7 +15,9 @@ from diophlab.approx_sets import (FracParams, _cell_bounds, _factor_set,
                                   cover_simultaneous, simultaneous_set)
 from diophlab.intervals import (CellCapExceeded, difference, intersect,
                                 lebesgue, mesh_cover, mesh_piece_counts,
-                                symmetric_difference)
+                                normalize, symmetric_difference)
+from diophlab.lattice import count_near_pairs
+from diophlab.planar import cover_rectangles
 from diophlab.sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence
 
 
@@ -288,17 +291,39 @@ def test_cover_count_equals_set_count(p, eta, xi):
     assert cover_simultaneous(p, eta, xi) == _set_count(p, eta, xi)
 
 
+def _fuses(coef, shift, eps):
+    """Whether normalize fuses two of the clipped, non-empty windows."""
+    lo, hi = np.clip(_windows(coef, shift, eps), 0.0, 1.0)
+    return len(normalize((lo, hi))) < np.count_nonzero(hi > lo)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(p=_params(), eta=_THRESHOLD, xi=_THRESHOLD)
+@_fusion_examples
+# gaps of 0.9e-12 and 0.6e-12 fuse, just under MERGE_EPS
+@example(p=FracParams(1, 1), eta=0.5 - 0.45e-12, xi=0.5 - 0.45e-12)
+@example(p=FracParams(2, 3000, 0.3, -0.1), eta=0.5 - 0.6e-12, xi=0.5 - 0.9e-9)
+def test_may_fuse_never_misses_a_fusion(p, eta, xi):
+    # whenever normalize fuses two clipped, non-empty windows of a factor,
+    # the up-front test holds for that factor
+    for coef, shift, eps in ((p.a, p.c, eta), (p.b, p.d, xi)):
+        if eps < 0.5 and _fuses(coef, shift, eps):
+            assert _may_fuse(coef, eps)
+
+
 def test_fused_windows_take_the_set_path(monkeypatch):
-    # b-windows 1e-14 apart fuse, so the count is read off the set
+    # b-windows 1e-14 apart fuse, so the count is read off the set build
     p, eta, xi = FracParams(1, 40, 0, 0.5 - 2 ** -42), 0.25, 0.5 - 2 ** -42
+    want = _set_count(p, eta, xi)
     calls = []
+    fused_set = approx_sets._fused_set
 
     def spy(*args):
         calls.append(args)
-        return simultaneous_set(*args)
+        return fused_set(*args)
 
-    monkeypatch.setattr(approx_sets, "simultaneous_set", spy)
-    assert cover_simultaneous(p, eta, xi) == _set_count(p, eta, xi)
+    monkeypatch.setattr(approx_sets, "_fused_set", spy)
+    assert cover_simultaneous(p, eta, xi) == want
     assert calls == [(p, eta, xi)]
 
 
@@ -413,6 +438,48 @@ def test_factor_count_independent_of_chunk_size(monkeypatch, chunk):
     monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
     assert [cover_simultaneous(p, eta, xi)
             for p, eta, xi in _one_sided_cases()] == want
+
+
+def _pair_cases():
+    # both thresholds below 1/2: the window-pair path, one chunk or many
+    for p, delta in _chunked_cases():
+        yield p, delta, delta
+        yield p, min(8.0 * delta, 0.45), 0.5 * delta
+        yield p, 0.5 * delta, min(8.0 * delta, 0.45)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 19])
+def test_window_walk_independent_of_chunk_size(monkeypatch, chunk):
+    def walk():
+        return [(simultaneous_set(p, eta, xi), cover_simultaneous(p, eta, xi),
+                 count_near_pairs(p, eta, xi)) for p, eta, xi in _pair_cases()]
+
+    want = walk()
+    monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
+    for (f, pieces, count), (g, got_pieces, got_count) in zip(want, walk()):
+        assert g.los.tobytes() == f.los.tobytes()
+        assert g.his.tobytes() == f.his.tobytes()
+        assert (got_pieces, got_count) == (pieces, count)
+
+
+def test_window_walk_memory_is_bounded_by_chunk(monkeypatch):
+    # with _CHUNK = 64 no window array is built over more than 64 indices,
+    # on the pair path, the one-sided path and the planar factor counts
+    sizes = []
+
+    def spy(coef, shift, eps, k=None):
+        if k is not None:
+            sizes.append(k.size)
+        return _windows(coef, shift, eps, k)
+
+    monkeypatch.setattr(approx_sets, "_CHUNK", 64)
+    monkeypatch.setattr(approx_sets, "_windows", spy)
+    p = FracParams(3.3, 4e4 + 0.7, 0.1, 0.37)
+    simultaneous_set(p, 0.3, 0.3)
+    cover_simultaneous(p, 0.3, 0.3)
+    cover_simultaneous(p, 0.7, 0.3)
+    cover_rectangles(p, 0.3, 0.3, 0.5)
+    assert len(sizes) > 1000 and max(sizes) <= 64
 
 
 def test_fusion_found_across_chunks(monkeypatch):

@@ -350,17 +350,21 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, case):
     assert stdout_digest(capsys, tmp_path, argv, config) == digest
 
 
-def test_planar_decompose_builds_each_box_set_once(capsys, monkeypatch):
-    # one box product for the core and one per annulus and side, 2|J| + 1
-    # in all, however many s values read the cover counts
+def test_planar_decompose_counts_each_box_once(capsys, monkeypatch):
+    # one square count for the core and one per annulus and side, 2|J| + 1
+    # in all, however many s values read them; no box set is built
     from diophlab import planar
-    build, calls = planar.product_rectangle_set, []
+    count, calls = planar._square_count, []
 
     def counted(*args):
         calls.append(args)
-        return build(*args)
+        return count(*args)
 
-    monkeypatch.setattr(planar, "product_rectangle_set", counted)
+    def refuse(*args):
+        raise AssertionError("box set built")
+
+    monkeypatch.setattr(planar, "_square_count", counted)
+    monkeypatch.setattr(planar, "product_rectangle_set", refuse)
     code, out, _ = run_cli(capsys, "planar", "decompose", "--a", "7.5", "--b", "4000",
                            "--delta", "0.01", "--s", "0.3", "0.5", "0.7", "0.9")
     doc = json.loads(out)
@@ -409,6 +413,9 @@ def test_domain_error_exit_code(capsys):
     ("cover", "--a", "2", "--b", "3", "--eta", "5e-324", "--xi", "0.1"),
     ("verify", "--count", "1", "--threads", "0"),
     ("verify", "--count", "1", "--threads", "-3"),
+    ("set", "--a", "1", "--b", "5", "--eta", "0.2", "--xi", "-1"),
+    ("planar", "area", "--a", "2", "--b", "11", "--eta", "-0.1", "--xi", "0.1"),
+    ("planar", "cover", "--a", "2", "--b", "11", "--eta", "-0.1", "--xi", "0.1"),
 ])
 def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     # a NaN or negative threshold, delta, mesh or s, s > 1, mesh 0, a second
@@ -439,11 +446,17 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     # delta**2 is subnormal or 0: no components, or a wrong one, before
     (("set", "--a", "2", "--b", "3", "--delta", "1e-200"), "delta must be in [2**-511"),
     (("set", "--a", "2", "--b", "3", "--delta", "1e-160"), "delta must be in [2**-511"),
+    # a grid is one value or lo:hi:n with n >= 1: not an index error or an
+    # empty CSV
+    (("scan", "--a", "1:2", "--b", "3", "--t", "1"), "--a '1:2': expected"),
+    (("scan", "--a", "1", "--b", "1:3:0", "--t", "1"), "--b '1:3:0': expected"),
+    (("scan", "--a", "1", "--b", "3", "--t", "0:1:x"), "--t '0:1:x': expected"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
-    # a NaN or infinite coefficient, count threshold or psi parameter, or a
-    # delta whose square underflows, is bad input: exit 1 with a message that
-    # names it, not a traceback, a count of 0, a tau or a division by zero
+    # a NaN or infinite coefficient, count threshold or psi parameter, a
+    # delta whose square underflows, or a malformed scan grid, is bad input:
+    # exit 1 with a message that names it, not a traceback, a count of 0, a
+    # tau, a division by zero or an empty CSV
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1
