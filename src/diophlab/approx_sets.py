@@ -344,11 +344,13 @@ class ProductDecomposition:
     simultaneous : both distances below delta (equals simultaneous_set(delta, delta))
     first_far    : first distance >= delta, product below delta**2
     second_far   : second distance >= delta, product below delta**2
+    product      : E = product_set(delta) itself, the set the three parts split
     """
 
     simultaneous: IntervalSet
     first_far: IntervalSet
     second_far: IntervalSet
+    product: IntervalSet
 
     def reunion(self) -> IntervalSet:
         return union_many([self.simultaneous, self.first_far, self.second_far])
@@ -375,6 +377,7 @@ def decompose_product_set(p: FracParams, delta: float) -> ProductDecomposition:
         simultaneous=core,
         first_far=intersect(complement(near), e),
         second_far=intersect(complement(core), intersect(near, e)),
+        product=e,
     )
 
 

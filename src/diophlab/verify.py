@@ -8,7 +8,9 @@ written into the report, so repeated runs are byte-identical.
 
 The checks form one table: each row holds a check id, its kind, the
 property it is wired to, a sampler that draws one instance from a numpy
-Generator, and an evaluator that returns the instance's record.
+Generator, and an evaluator that returns the instance's record.  A campaign
+queues every check's instances on one thread pool and reads the results back
+in check order, so the first violation in campaign order is the one reported.
 """
 
 from __future__ import annotations
@@ -247,10 +249,8 @@ def _eval_membership(inst):
 
 
 def _eval_decompose(inst):
-    p = _params(inst)
-    dec = decompose_product_set(p, inst["delta"])
-    e = product_set(p, inst["delta"])
-    gap = lebesgue(symmetric_difference(dec.reunion(), e))
+    dec = decompose_product_set(_params(inst), inst["delta"])
+    gap = lebesgue(symmetric_difference(dec.reunion(), dec.product))
     return {"ok": gap < 1e-10, "gap": gap}
 
 
@@ -549,14 +549,9 @@ CHECKS: dict[str, CheckDef] = {
 # -- campaign ------------------------------------------------------------------
 
 
-def _collect_ratios(results: list[dict]) -> list[float]:
-    out: list[float] = []
-    for r in results:
-        if "ratio" in r:
-            out.append(float(r["ratio"]))
-        if "ratios" in r:
-            out.extend(float(x) for x in r["ratios"])
-    return out
+def _timed(evaluate, inst) -> tuple[dict, float]:
+    t0 = time.perf_counter()
+    return evaluate(inst), time.perf_counter() - t0
 
 
 def run_campaign(dist: InstanceDistribution, checks: list[str] | None = None,
@@ -564,50 +559,64 @@ def run_campaign(dist: InstanceDistribution, checks: list[str] | None = None,
                  echo=print) -> dict:
     """Run the selected checks; abort on the first exact violation.
 
-    The returned/persisted report is a pure function of (seed, config):
-    wall-clock timings go to `echo` only.
+    One pool of `threads` workers serves the campaign: each check's instances
+    are drawn in check order and queued at once, so workers share work across
+    checks.  Results are read back in check order, so the first violation in
+    campaign order is reported; a violation, error or interrupt cancels the
+    queued instances.  A repeated check id runs once.  The returned/persisted
+    report is a pure function of (seed, config): each check's summed
+    evaluation seconds go to `echo` only.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    selected = sorted(CHECKS) if not checks or checks == ["all"] else list(checks)
+    selected = (sorted(CHECKS) if not checks or checks == ["all"]
+                else list(dict.fromkeys(checks)))
     for cid in selected:
         if cid not in CHECKS:
             raise ValueError(f"unknown check {cid!r}; known: {sorted(CHECKS)}")
+    if report_path and (Path(report_path).is_dir()
+                        or not Path(report_path).parent.is_dir()):
+        raise ValueError(f"cannot write the report {report_path}: "
+                         "not a file in an existing directory")
     report = {"schema_version": SCHEMA_VERSION, "seed": dist.seed,
               "count": dist.count, "checks": {}}
-    for cid in selected:
-        cdef = CHECKS[cid]
-        rng = _rng_for(dist, cid)
-        insts = cdef.generate(dist, rng)
-        t0 = time.time()
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(cdef.evaluate, insts))
-        else:
-            results = [cdef.evaluate(inst) for inst in insts]
-        elapsed = time.time() - t0
-        entry: dict = {"kind": cdef.kind, "property": cdef.property_id,
-                       "instances": len(insts)}
-        if cdef.kind == "exact":
-            bad = [(inst, r) for inst, r in zip(insts, results) if not r["ok"]]
-            entry["violations"] = len(bad)
-            if bad:
-                inst, detail = bad[0]
-                if report_path:
-                    fail_path = Path(report_path).with_suffix(".failing.json")
-                    fail_path.write_text(json.dumps(
-                        {"check": cid, "instance": inst}, indent=2, sort_keys=True))
-                    echo(f"[{cid}] FAILED, instance written to {fail_path}")
-                raise CheckFailure(cid, inst, detail)
-        else:
-            ratios = _collect_ratios(results)
-            entry["ratio_count"] = len(ratios)
-            entry["max_ratio"] = float(np.max(ratios))
-            entry["p99_ratio"] = float(np.percentile(ratios, 99))
-            entry["median_ratio"] = float(np.median(ratios))
-        report["checks"][cid] = entry
-        echo(f"[{cid}] {cdef.kind}: {len(insts)} instances ok "
-             f"({elapsed:.2f}s, not recorded in report)")
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        queued = []
+        for cid in selected:
+            cdef = CHECKS[cid]
+            insts = cdef.generate(dist, _rng_for(dist, cid))
+            queued.append((cid, cdef, insts,
+                           [pool.submit(_timed, cdef.evaluate, inst) for inst in insts]))
+        for cid, cdef, insts, futures in queued:
+            results, seconds = zip(*(f.result() for f in futures))
+            entry: dict = {"kind": cdef.kind, "property": cdef.property_id,
+                           "instances": len(insts)}
+            if cdef.kind == "exact":
+                bad = [(inst, r) for inst, r in zip(insts, results) if not r["ok"]]
+                entry["violations"] = len(bad)
+                if bad:
+                    inst, detail = bad[0]
+                    if report_path:
+                        fail_path = Path(report_path).with_suffix(".failing.json")
+                        fail_path.write_text(json.dumps(
+                            {"check": cid, "instance": inst}, indent=2, sort_keys=True))
+                        echo(f"[{cid}] FAILED, instance written to {fail_path}")
+                    raise CheckFailure(cid, inst, detail)
+            else:
+                # a ratio check's record holds one "ratio" or a list of "ratios"
+                ratios = [float(x) for r in results
+                          for x in r.get("ratios", [r.get("ratio")])]
+                entry["ratio_count"] = len(ratios)
+                entry["max_ratio"] = float(np.max(ratios))
+                entry["p99_ratio"] = float(np.percentile(ratios, 99))
+                entry["median_ratio"] = float(np.median(ratios))
+            report["checks"][cid] = entry
+            echo(f"[{cid}] {cdef.kind}: {len(insts)} instances ok "
+                 f"({sum(seconds):.2f}s, not recorded in report)")
+    finally:
+        # a violation, an error or an interrupt drops the instances still queued
+        pool.shutdown(cancel_futures=True)
     if report_path:
         Path(report_path).write_text(serialize_report(report))
     return report

@@ -164,6 +164,26 @@ def test_decompose_core_inside_product_set():
         assert lebesgue(intersect(dec.first_far, near)) == 0
 
 
+def test_decomposition_carries_its_product_set():
+    # the decompose-exact check compares the reunion with dec.product, not
+    # with a second solve, so dec.product must be product_set's own array
+    rng = np.random.default_rng(23)
+    cases = [(FracParams(97.3, 9.7e5, 0.4, -1.3), 1e-4),
+             (FracParams(82.80290049524143, 376819.18030899105,
+                         -1.439003644005557, 0.2161445741561976), 0.0019635531823466493),
+             (FracParams(3.0, 2.5e5, -0.7, 1.1), 0.4999),
+             (FracParams(2.5, 9.1, 0.2, 0.7), 0.5)]
+    for _ in range(20):
+        a = float(rng.uniform(1, 100))
+        b = float(np.exp(rng.uniform(np.log(a), np.log(1e6))))
+        p = FracParams(a, b, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        cases.append((p, float(np.exp(rng.uniform(np.log(1e-3), np.log(0.5))))))
+    for p, delta in cases:
+        got, want = decompose_product_set(p, delta).product, product_set(p, delta)
+        assert got.los.tobytes() == want.los.tobytes()
+        assert got.his.tobytes() == want.his.tobytes()
+
+
 def test_decompose_rejects_bad_delta():
     with pytest.raises(ValueError):
         decompose_product_set(FracParams(1, 2), 0.7)

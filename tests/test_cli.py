@@ -451,12 +451,21 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     (("scan", "--a", "1:2", "--b", "3", "--t", "1"), "--a '1:2': expected"),
     (("scan", "--a", "1", "--b", "1:3:0", "--t", "1"), "--b '1:3:0': expected"),
     (("scan", "--a", "1", "--b", "3", "--t", "0:1:x"), "--t '0:1:x': expected"),
+    # a report that cannot be written, in a missing directory or onto a
+    # directory, is refused before any check runs (an empty stdout holds no
+    # [check] line), not after the whole campaign
+    (("verify", "--count", "2", "--checks", "count-oracle",
+      "--out", "/nonexistent/dir/o.json"),
+     "cannot write the report /nonexistent/dir/o.json"),
+    (("verify", "--count", "2", "--checks", "count-oracle", "--out", "."),
+     "cannot write the report ."),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
     # a NaN or infinite coefficient, count threshold or psi parameter, a
-    # delta whose square underflows, or a malformed scan grid, is bad input:
-    # exit 1 with a message that names it, not a traceback, a count of 0, a
-    # tau, a division by zero or an empty CSV
+    # delta whose square underflows, a malformed scan grid, or a verify
+    # report path without its directory, is bad input: exit 1 with a
+    # message that names it, not a traceback, a count of 0, a tau, a
+    # division by zero or an empty CSV
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1

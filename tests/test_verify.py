@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -52,6 +53,67 @@ def test_campaign_threads_match_sequential():
     r1 = run_campaign(dist, checks=checks, threads=1, echo=quiet)
     r2 = run_campaign(dist, checks=checks, threads=4, echo=quiet)
     assert serialize_report(r1) == serialize_report(r2)
+    # every check at once: the workers take instances across checks
+    dist = InstanceDistribution(count=3, seed=3)
+    reports = {serialize_report(run_campaign(dist, checks=["all"], threads=t, echo=quiet))
+               for t in (1, 2, 3)}
+    assert len(reports) == 1
+
+
+def _patched(monkeypatch, cid, evaluate):
+    cdef = V.CHECKS[cid]
+    monkeypatch.setitem(V.CHECKS, cid, V.CheckDef(cdef.check_id, cdef.kind,
+                                                  cdef.property_id, cdef.generate, evaluate))
+
+
+@pytest.mark.parametrize("later_ok", [True, False], ids=["later-ok", "later-fails"])
+def test_first_violation_in_campaign_order_wins(tmp_path, monkeypatch, later_ok):
+    # the earlier check's instances are slow, the later check's fast, so on
+    # two threads the later check finishes first; the earlier one is reported
+    def slow_failure(inst):
+        time.sleep(0.01)
+        return {"ok": False}
+
+    _patched(monkeypatch, "count-oracle", slow_failure)
+    _patched(monkeypatch, "annulus-indices", lambda inst: {"ok": later_ok})
+    dist = InstanceDistribution(count=4, seed=5)
+    path = tmp_path / "report.json"
+    with pytest.raises(CheckFailure) as info:
+        run_campaign(dist, checks=["count-oracle", "annulus-indices"], threads=2,
+                     report_path=str(path), echo=quiet)
+    first = CHECKS["count-oracle"].generate(dist, _rng_for(dist, "count-oracle"))[0]
+    assert info.value.check_id == "count-oracle" and info.value.instance == first
+    doc = json.loads((tmp_path / "report.failing.json").read_text())
+    assert doc == {"check": "count-oracle", "instance": first}
+    assert not path.exists()
+
+
+def test_evaluator_error_cancels_queued_instances(monkeypatch):
+    # an error in one check propagates; of the instances queued behind it,
+    # at most one per thread starts before the rest are cancelled
+    def broken(inst):
+        time.sleep(0.02)
+        raise RuntimeError("evaluator broke")
+
+    later = []
+    _patched(monkeypatch, "count-oracle", broken)
+    _patched(monkeypatch, "count-regime", lambda inst: later.append(inst) or {"ok": True})
+    threads = 2
+    with pytest.raises(RuntimeError, match="evaluator broke"):
+        run_campaign(InstanceDistribution(count=20, seed=1),
+                     checks=["count-oracle", "count-regime"], threads=threads, echo=quiet)
+    assert len(later) <= threads
+
+
+def test_repeated_check_id_runs_once(monkeypatch):
+    calls = []
+    evaluate = CHECKS["count-oracle"].evaluate
+    _patched(monkeypatch, "count-oracle", lambda inst: calls.append(inst) or evaluate(inst))
+    dist = InstanceDistribution(count=4, seed=2)
+    twice = run_campaign(dist, checks=["count-oracle", "count-oracle"], echo=quiet)
+    assert len(calls) == 4
+    once = run_campaign(dist, checks=["count-oracle"], echo=quiet)
+    assert serialize_report(twice) == serialize_report(once)
 
 
 def test_campaign_rejects_unknown_check():
@@ -77,16 +139,21 @@ def test_generated_instances_are_pinned(seed, digest):
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("seed, count, digest", [
-    pytest.param(0, 10, "9fb32344a2170d4cf04cb2ff3eef2be8"
-                 "bbbf3974c3806f155a5d67994bcd03cb", id="seed0-count10"),
-    pytest.param(7, 5, "069e99943a424e72bef53a3c4593fe1a"
-                 "faaee590211312e808068ea874334d9b", id="seed7-count5"),
+_SEED0_COUNT10 = "9fb32344a2170d4cf04cb2ff3eef2be8bbbf3974c3806f155a5d67994bcd03cb"
+_SEED7_COUNT5 = "069e99943a424e72bef53a3c4593fe1afaaee590211312e808068ea874334d9b"
+
+
+@pytest.mark.parametrize("seed, count, threads, digest", [
+    pytest.param(0, 10, 1, _SEED0_COUNT10, id="seed0-count10"),
+    pytest.param(7, 5, 1, _SEED7_COUNT5, id="seed7-count5"),
+    pytest.param(0, 10, 2, _SEED0_COUNT10, id="seed0-count10-threads2"),
+    pytest.param(7, 5, 2, _SEED7_COUNT5, id="seed7-count5-threads2"),
 ])
-def test_report_bytes_are_pinned(seed, count, digest):
-    # the serialized report of every check, not only its self-consistency
+def test_report_bytes_are_pinned(seed, count, threads, digest):
+    # the serialized report of every check, not only its self-consistency,
+    # at any thread count
     report = run_campaign(InstanceDistribution(count=count, seed=seed),
-                          checks=["all"], echo=quiet)
+                          checks=["all"], threads=threads, echo=quiet)
     text = serialize_report(report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
