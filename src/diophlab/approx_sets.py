@@ -11,12 +11,11 @@ two one-sided remainders, equal-mesh cover counts against the counting
 bound, and a multi-scale dyadic cover whose s-cost realizes the product-set
 premeasure bound; its core/annulus walk also serves the planar covers.
 
-The simultaneous-set components are the overlaps of the near window pairs.
-One chunked walk, `_near_runs`, enumerates them for the set, its cover
-count, the planar square counts and `lattice.count_near_pairs`: O(a + pairs)
-time, memory bounded by `_CHUNK` beyond the O(a) a-windows.  One scalar test
-per factor (`_may_fuse`) decides up front whether windows can fuse under
-MERGE_EPS; only then is the set built from interval sets.
+The simultaneous-set components are the overlaps of the near window pairs,
+joined where they touch or overlap in floats.  One chunked walk,
+`_near_runs`, enumerates them for the set, its cover count, the planar
+square counts and `lattice.count_near_pairs`: O(a + pairs) time, memory
+bounded by `_CHUNK` beyond the O(a) a-windows, at every threshold.
 
 The product set is solved cell by cell: [0,1] is cut at every half-integer
 crossing of both linear forms, on each cell both nearest integers are
@@ -34,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .intervals import (MERGE_EPS, IntervalSet, check_size, complement,
-                        intersect, mesh_piece_counts, normalize, union_many)
+from .intervals import (IntervalSet, check_size, complement, intersect,
+                        join_touching, mesh_piece_counts, normalize, union_many)
 from .sequences import log_weight, require_finite
 
 _CHUNK = 1 << 14
@@ -97,17 +96,10 @@ def _windows(coef: float, shift: float, eps: float,
     return (centers - eps) / coef, (centers + eps) / coef
 
 
-def _linear_solution(coef: float, shift: float, eps: float,
-                     k: np.ndarray | None = None) -> IntervalSet:
-    """{x in [0,1] : ||coef*x + shift|| < eps} for eps < 1/2: the union of
-    the windows, or of those at the sorted float array `k`."""
-    return normalize(_windows(coef, shift, eps, k))
-
-
 def _factor_set(coef: float, shift: float, eps: float) -> IntervalSet:
-    """{x in [0,1] : ||coef*x + shift|| < eps} for eps > 0; all of [0,1] when
-    eps >= 1/2 (the distance never exceeds 1/2)."""
-    return IntervalSet.full() if eps >= 0.5 else _linear_solution(coef, shift, eps)
+    """{x in [0,1] : ||coef*x + shift|| < eps} for eps > 0: the union of the
+    windows; all of [0,1] when eps >= 1/2 (the distance never exceeds 1/2)."""
+    return IntervalSet.full() if eps >= 0.5 else normalize(_windows(coef, shift, eps))
 
 
 def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
@@ -117,10 +109,10 @@ def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
     row order.
 
     The window k meets [lo, hi] only if lo*coef + shift - eps < k <
-    hi*coef + shift + eps.  Each run is widened by 2: a window that ends
-    exactly at lo or hi can still decide, through MERGE_EPS fusion, whether
-    that endpoint survives, and the bounds are rounded.  Runs are clipped to
-    the full index range and may overlap.  The cap is checked once, on the
+    hi*coef + shift + eps.  Those bounds are rounded, and so are the window
+    endpoints they stand for, so each run is widened by 2 to keep every
+    window whose float overlap with [lo, hi] is not empty.  Runs are clipped
+    to the full index range and may overlap.  The cap is checked once, on the
     float total, before any index is built (a cast to int64 first would wrap
     a huge run round to a negative length).
     """
@@ -141,55 +133,45 @@ def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
         yield np.repeat(np.arange(r0, r1), n), k
 
 
-def _may_fuse(coef: float, eps: float) -> bool:
-    """Whether two windows may fuse under MERGE_EPS.  Their gap is
-    (1 - 2*eps)/coef, give or take a few ulp of x: far less than the
-    MERGE_EPS of margin that this test leaves."""
-    return (1.0 - 2.0 * eps) / coef <= 2.0 * MERGE_EPS
-
-
-def _fused_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
-    """The simultaneous set built from interval sets: the a-factor whole,
-    and of the b-factor only the windows near its components, with the full
-    b-factor's arithmetic.  A fusion chain cut short at the edge of a run
-    moves only endpoints outside the a-component, which `intersect` drops."""
-    x_part = _factor_set(p.a, p.c, eta)
-    if xi >= 0.5:
-        return x_part
-    near = [k for _, k in _near_runs(p.b, p.d, xi, x_part.los, x_part.his)]
-    k = np.unique(np.concatenate([np.empty(0), *near]))
-    return intersect(x_part, _linear_solution(p.b, p.d, xi, k))
-
-
 def _components(p: FracParams, eta: float,
                 xi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The simultaneous set's components (los, his), eta, xi > 0, chunk by
     chunk in x order.
 
-    Unless windows may fuse (`_may_fuse` of a factor below 1/2, or both
-    factors vacuous, which take `_fused_set`), they are the overlaps
-    [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo of the near window
-    pairs, `intersect`'s picks of the same floats.  The a-windows are
-    clipped to [0, 1], the empty ones dropped; a vacuous factor, a threshold
-    at or above 1/2, is the one window [0, 1].
+    They are the overlaps [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo
+    of the near window pairs, each joined to its predecessor when they touch
+    or overlap: `intersect`'s picks of the same floats.  The a-windows are
+    clipped to [0, 1], the empty ones dropped and touching ones joined; a
+    vacuous factor, a threshold at or above 1/2, is the one window [0, 1],
+    and with both vacuous the set is [0, 1].  Each chunk is held back until
+    the next shows whether its last component continues.
     """
     live = [(coef, shift, eps) for coef, shift, eps in ((p.a, p.c, eta), (p.b, p.d, xi))
             if eps < 0.5]
-    if not live or any(_may_fuse(coef, eps) for coef, _, eps in live):
-        f = _fused_set(p, eta, xi)
-        yield f.los, f.his
-        return
     los, his = np.array([0.0]), np.array([1.0])
+    if not live:
+        yield los, his
+        return
     if len(live) == 2:
         los, his = np.clip(_windows(*live[0]), 0.0, 1.0)
-        los, his = los[his > los], his[his > los]
+        los, his = join_touching(los[his > los], his[his > los])
     coef, shift, eps = live[-1]
+    held_lo, held_hi = np.empty(0), np.empty(0)
     for rows, k in _near_runs(coef, shift, eps, los, his):
         lo, hi = _windows(coef, shift, eps, k)
         lo = np.maximum(los[rows], lo, out=lo)
         hi = np.minimum(his[rows], hi, out=hi)
         keep = hi > lo
-        yield lo[keep], hi[keep]
+        lo, hi = join_touching(lo[keep], hi[keep])
+        if lo.size == 0:
+            continue
+        if held_hi.size and lo[0] <= held_hi[-1]:
+            lo[0] = held_lo[-1]
+            held_lo, held_hi = held_lo[:-1], held_hi[:-1]
+        if held_lo.size:
+            yield held_lo, held_hi
+        held_lo, held_hi = lo, hi
+    yield held_lo, held_hi
 
 
 def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
@@ -200,8 +182,7 @@ def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
     check_thresholds(eta, xi)
     if eta == 0.0 or xi == 0.0:
         return IntervalSet.empty()
-    chunks = list(_components(p, eta, xi)) or [(np.empty(0), np.empty(0))]
-    return IntervalSet(*map(np.concatenate, zip(*chunks)))
+    return IntervalSet(*map(np.concatenate, zip(*_components(p, eta, xi))))
 
 
 # -- product condition: cell decomposition ------------------------------------
@@ -403,8 +384,8 @@ def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float
 
     The mesh is min(eta/a, xi/b), and a component of length len takes
     max(ceil(len/mesh), 1) pieces; callers compare the sum with
-    `FracParams.count_bound`.  No piece is formed, and no interval set unless
-    windows may fuse: O(a + pairs) time, memory bounded by _CHUNK.
+    `FracParams.count_bound`.  No piece is formed and no interval set is
+    built: O(a + pairs) time, memory bounded by _CHUNK.
     """
     if not (0.0 < eta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("cover needs 0 < eta, xi < 1")
@@ -470,10 +451,9 @@ def product_set_cover_cost(p: FracParams, delta: float) -> AnnulusCoverCost:
     reproduce the two-term premeasure bound; the per-annulus meshes are
     what make the bound hold with an absolute constant.
 
-    No cover piece is built.  Each annulus takes O(a + pairs) time on the
-    one window-pair walk, O(b) for the last one when its larger threshold
-    reaches 1/2, and memory bounded by _CHUNK; only one whose windows may
-    fuse, a threshold within about 1e-12*b of 1/2, builds its set.
+    No cover piece and no interval set is built.  Each annulus takes
+    O(a + pairs) time on the one window-pair walk, O(b) for the last one
+    when its larger threshold reaches 1/2, and memory bounded by _CHUNK.
     """
     return annulus_cover_cost(delta, lambda eta, xi: cover_simultaneous(p, eta, xi))
 

@@ -17,10 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Gaps at or below this are fused during normalization.  All endpoint
-# computations upstream are closed-form over doubles, so adjacency noise
-# is a few ulp (~1e-15 on [0,1]).
-MERGE_EPS = 1e-12
 DEFAULT_CELL_CAP = 10 ** 8
 
 
@@ -29,9 +25,16 @@ class CellCapExceeded(RuntimeError):
 
 
 def check_size(n: int, what: str) -> None:
-    """Refuse, before allocating, n entries above DIOPHLAB_CELL_CAP or its default."""
+    """Refuse, before allocating, n entries above DIOPHLAB_CELL_CAP or its
+    default; a cap that is not a finite number of at least 1 is refused."""
     raw = os.environ.get("DIOPHLAB_CELL_CAP")
-    limit = int(float(raw)) if raw else DEFAULT_CELL_CAP
+    try:
+        cap = float(raw) if raw else DEFAULT_CELL_CAP
+    except ValueError:
+        cap = math.nan
+    if not 1.0 <= cap < math.inf:
+        raise ValueError(f"DIOPHLAB_CELL_CAP must be a finite number >= 1, got {raw!r}")
+    limit = int(cap)
     if n > limit:
         raise CellCapExceeded(
             f"{n} {what} exceed the cap {limit} (set DIOPHLAB_CELL_CAP to raise)")
@@ -103,13 +106,26 @@ class IntervalSet:
         return np.minimum(np.abs(x - pts[idx - 1]), np.abs(x - pts[idx]))
 
 
+def join_touching(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Components of non-empty pieces sorted by lo, with his nondecreasing:
+    each piece that touches or overlaps its predecessor (lo <= previous hi)
+    joins it.  One comparison, and a gather only when some piece joins."""
+    # starts[i]: piece i begins a component, and so piece i - 1 ends one
+    starts = np.empty(los.size + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.greater(los[1:], his[:-1], out=starts[1:-1])
+    if np.count_nonzero(starts) == starts.size:
+        return los, his
+    return los[starts[:-1]], his[starts[1:]]
+
+
 def normalize(raw) -> IntervalSet:
-    """Sort, clip to [0,1], drop empty pieces and fuse near-adjacent ones.
+    """Sort, clip to [0,1], drop empty pieces and join those that touch or
+    overlap; every positive gap is kept.
 
     Accepts a list of (lo, hi) pairs or a pair of arrays.  Reversed pairs
     (lo >= hi) are dropped rather than rejected, so degenerate input yields
-    the empty set.  Fusing a gap of at most MERGE_EPS adds that gap to the
-    set, so a measure can grow by up to 1e-12 per fused gap.
+    the empty set.
     """
     if isinstance(raw, tuple) and len(raw) == 2 and isinstance(raw[0], np.ndarray):
         los, his = raw
@@ -131,14 +147,9 @@ def normalize(raw) -> IntervalSet:
         order = np.argsort(los, kind="stable")
         los, his = los[order], his[order]
     # reach[i] = max(his[:i+1]); at the last piece of a component it is the
-    # component's hi, since every earlier component ends more than
-    # MERGE_EPS below this one's lo
+    # component's hi, since every earlier component ends below this one's lo
     reach = his if np.all(his[1:] >= his[:-1]) else np.maximum.accumulate(his)
-    # starts[i]: piece i begins a component, and so piece i - 1 ends one
-    starts = np.empty(los.size + 1, dtype=bool)
-    starts[0] = starts[-1] = True
-    np.greater(los[1:], reach[:-1] + MERGE_EPS, out=starts[1:-1])
-    return IntervalSet(los[starts[:-1]], reach[starts[1:]])
+    return IntervalSet(*join_touching(los, reach))
 
 
 # -- boolean combinations ---------------------------------------------------

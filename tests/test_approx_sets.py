@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from diophlab import approx_sets, intervals
 from diophlab.approx_sets import (FracParams, _cell_bounds, _factor_set,
-                                  _may_fuse, _product_pieces, _windows,
+                                  _product_pieces, _windows,
                                   annulus_cover_cost,
                                   decompose_product_set, dist_nearest_int,
                                   dyadic_annuli, measure_bound,
@@ -15,7 +15,7 @@ from diophlab.approx_sets import (FracParams, _cell_bounds, _factor_set,
                                   cover_simultaneous, simultaneous_set)
 from diophlab.intervals import (CellCapExceeded, difference, intersect,
                                 lebesgue, mesh_cover, mesh_piece_counts,
-                                normalize, symmetric_difference)
+                                symmetric_difference)
 from diophlab.lattice import count_near_pairs
 from diophlab.planar import cover_rectangles
 from diophlab.sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence
@@ -247,9 +247,9 @@ def _dense_simultaneous(p, eta, xi):
     return y if eta >= 0.5 else x if xi >= 0.5 else intersect(x, y)
 
 
-# thresholds where the b-windows fuse under MERGE_EPS into long chains (gap
-# (1 - 2 xi)/b), and thresholds down to 1e-12 where windows are a few ulp
-# wide or vanish
+# thresholds where the gaps between b-windows, (1 - 2 xi)/b, are a few ulp
+# or less, so that many windows touch in floats and join into long chains,
+# and thresholds down to 1e-12 where windows are a few ulp wide or vanish
 _NEAR_HALF = [0.5 - 10.0 ** -k for k in range(1, 16)] + [0.5 - 3e-13]
 _THRESHOLD = st.one_of(
     st.sampled_from(_NEAR_HALF),
@@ -266,30 +266,30 @@ def _params(draw):
     return FracParams(a, b, draw(_SHIFT), draw(_SHIFT))
 
 
-_FUSION_CASES = [
+_TOUCHING_CASES = [
     (FracParams(7.3, 1.2e4, 0.4, -1.7), 0.013, 0.5 - 1e-6),
     (FracParams(3, 1.6e5, 1, 2), 1e-12, 0.5 - 3e-13),
     (FracParams(3, 1.6e5, 1, 2), 0.5 - 1e-15, 1e-12),
     (FracParams(41.9, 41.9, -0.2, 0.6), 0.5 - 1e-9, 0.5 - 1e-9),
-    # a fused chain of b-windows meets an a-component at its lo (hi) through
-    # a window that ends (starts) exactly there, so each run needs the window
-    # before (after) it: xi = 0.5 - 2**-42 makes those endpoints exact and
-    # the gaps between windows about 1e-14
+    # a chain of touching b-windows meets an a-component at its lo (hi)
+    # through a window that ends (starts) exactly there: xi = 0.5 - 2**-42
+    # makes those endpoints exact and the gaps between windows about 1e-14,
+    # a few ulp or none
     (FracParams(1, 40, 0, 0.5 - 2 ** -42), 0.25, 0.5 - 2 ** -42),
     (FracParams(1, 40, 0, -0.5 + 2 ** -42), 0.25, 0.5 - 2 ** -42),
 ]
 
 
-def _fusion_examples(test):
-    """Hypothesis examples where windows fuse under MERGE_EPS."""
-    for p, eta, xi in _FUSION_CASES:
+def _touching_examples(test):
+    """Hypothesis examples where windows touch or lie a few ulp apart."""
+    for p, eta, xi in _TOUCHING_CASES:
         test = example(p=p, eta=eta, xi=xi)(test)
     return test
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(p=_params(), eta=_THRESHOLD, xi=_THRESHOLD)
-@_fusion_examples
+@_touching_examples
 def test_simultaneous_set_equals_dense_oracle(p, eta, xi):
     # array for array: the near-window build does the dense build's arithmetic
     assert simultaneous_set(p, eta, xi) == _dense_simultaneous(p, eta, xi)
@@ -304,47 +304,11 @@ def _set_count(p, eta, xi):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(p=_params(), eta=_THRESHOLD, xi=_THRESHOLD)
-@_fusion_examples
+@_touching_examples
 def test_cover_count_equals_set_count(p, eta, xi):
     # the window-pair and chunked counts take intersect's picks of the same
-    # floats, and fused windows fall back to the set
+    # floats, and join the same touching pieces
     assert cover_simultaneous(p, eta, xi) == _set_count(p, eta, xi)
-
-
-def _fuses(coef, shift, eps):
-    """Whether normalize fuses two of the clipped, non-empty windows."""
-    lo, hi = np.clip(_windows(coef, shift, eps), 0.0, 1.0)
-    return len(normalize((lo, hi))) < np.count_nonzero(hi > lo)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(p=_params(), eta=_THRESHOLD, xi=_THRESHOLD)
-@_fusion_examples
-# gaps of 0.9e-12 and 0.6e-12 fuse, just under MERGE_EPS
-@example(p=FracParams(1, 1), eta=0.5 - 0.45e-12, xi=0.5 - 0.45e-12)
-@example(p=FracParams(2, 3000, 0.3, -0.1), eta=0.5 - 0.6e-12, xi=0.5 - 0.9e-9)
-def test_may_fuse_never_misses_a_fusion(p, eta, xi):
-    # whenever normalize fuses two clipped, non-empty windows of a factor,
-    # the up-front test holds for that factor
-    for coef, shift, eps in ((p.a, p.c, eta), (p.b, p.d, xi)):
-        if eps < 0.5 and _fuses(coef, shift, eps):
-            assert _may_fuse(coef, eps)
-
-
-def test_fused_windows_take_the_set_path(monkeypatch):
-    # b-windows 1e-14 apart fuse, so the count is read off the set build
-    p, eta, xi = FracParams(1, 40, 0, 0.5 - 2 ** -42), 0.25, 0.5 - 2 ** -42
-    want = _set_count(p, eta, xi)
-    calls = []
-    fused_set = approx_sets._fused_set
-
-    def spy(*args):
-        calls.append(args)
-        return fused_set(*args)
-
-    monkeypatch.setattr(approx_sets, "_fused_set", spy)
-    assert cover_simultaneous(p, eta, xi) == want
-    assert calls == [(p, eta, xi)]
 
 
 def _criterion_7_instances(count):
@@ -445,7 +409,7 @@ def test_product_pieces_are_nonempty_and_in_x_order(monkeypatch, chunk):
 
 def _one_sided_cases():
     # one threshold at or above 1/2: the set is the other factor, whose
-    # windows are counted in chunks; the last case fuses and takes the set
+    # windows are counted in chunks; in the last case most of them touch
     for p, delta in _chunked_cases():
         yield p, 0.5, delta
         yield p, delta, 0.75
@@ -484,7 +448,8 @@ def test_window_walk_independent_of_chunk_size(monkeypatch, chunk):
 
 def test_window_walk_memory_is_bounded_by_chunk(monkeypatch):
     # with _CHUNK = 64 no window array is built over more than 64 indices,
-    # on the pair path, the one-sided path and the planar factor counts
+    # on the pair path, the one-sided path, the planar factor counts and at
+    # a threshold where the windows touch
     sizes = []
 
     def spy(coef, shift, eps, k=None):
@@ -499,20 +464,40 @@ def test_window_walk_memory_is_bounded_by_chunk(monkeypatch):
     cover_simultaneous(p, 0.3, 0.3)
     cover_simultaneous(p, 0.7, 0.3)
     cover_rectangles(p, 0.3, 0.3, 0.5)
+    simultaneous_set(p, 0.3, 0.5 - 3e-13)
+    cover_simultaneous(p, 0.5 - 3e-13, 0.5 - 3e-13)
     assert len(sizes) > 1000 and max(sizes) <= 64
 
 
-def test_fusion_found_across_chunks(monkeypatch):
-    # one window per chunk: windows 1e-14 apart fuse only across chunks
-    monkeypatch.setattr(approx_sets, "_CHUNK", 1)
-    p, eta, xi = FracParams(1, 40, 0, 0.5 - 2 ** -42), 0.6, 0.5 - 2 ** -42
-    assert cover_simultaneous(p, eta, xi) == _set_count(p, eta, xi)
+def test_touching_windows_join_across_chunks(monkeypatch):
+    # 155,904 of the 160,000 neighbouring b-windows touch in floats, and
+    # chunks of 7 windows cut chains of them: the joins across chunk edges
+    # give the dense set's 4,097 components
+    p, eta, xi = FracParams(1, 1.6e5), 0.6, 0.5 - 3e-13
+    want = _dense_simultaneous(p, eta, xi)
+    mesh = min(eta / p.a, xi / p.b)
+    monkeypatch.setattr(approx_sets, "_CHUNK", 7)
+    got = simultaneous_set(p, eta, xi)
+    assert len(want) == 4097
+    assert got.los.tobytes() == want.los.tobytes()
+    assert got.his.tobytes() == want.his.tobytes()
+    assert cover_simultaneous(p, eta, xi) == \
+        (int(mesh_piece_counts(want.los, want.his, mesh).sum()), mesh)
+
+
+def test_simultaneous_set_keeps_gaps_below_1e_12():
+    # the 2e-13 gap between the two windows is a gap of the set
+    p, eps = FracParams(1, 1), 0.5 - 1e-13
+    f = simultaneous_set(p, eps, eps)
+    assert f == _dense_simultaneous(p, eps, eps)
+    assert f.pairs() == [(0.0, eps), (1.0 - eps, 1.0)]
 
 
 def test_cover_cost_builds_no_interval_set(monkeypatch):
     # criterion-7 covers, the last annuli at thresholds of 1/2 and above
-    # included, are counted from windows with normalize and intersect gone
-    cases = list(_criterion_7_instances(20))
+    # included, and an annulus at 1/2 - 3e-13, where windows touch, are
+    # counted from windows with normalize and intersect gone
+    cases = [*_criterion_7_instances(20), (FracParams(3, 1.6e5, 1, 2), (0.5 - 3e-13) / 4)]
     assert any(2.0 ** len(dyadic_annuli(delta)) * delta >= 0.5 for _, delta in cases)
     want = [annulus_cover_cost(delta, lambda eta, xi: _set_count(p, eta, xi))
             for p, delta in cases]

@@ -509,6 +509,21 @@ def test_size_cap_exits_with_message(argv, message):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("cap", ["inf", "abc", "-5", "0", "nan"])
+def test_bad_cell_cap_exits_with_message(cap):
+    # a cap that is not a finite number >= 1 is refused by name: inf ended
+    # in an OverflowError traceback, abc in a message without the name, and
+    # -5 refused every size
+    env = {**os.environ, "DIOPHLAB_CELL_CAP": cap}
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", "set", "--a", "2",
+                           "--b", "11", "--delta", "0.1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: DIOPHLAB_CELL_CAP must be a finite number >= 1, "
+                           f"got {cap!r}\n")
+
+
 def test_cover_counts_pieces_past_the_cap():
     # 91 windows are under the cap; the 224 pieces are counted, not built,
     # so the cap does not bound them

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diophlab.intervals import (MERGE_EPS, IntervalSet, box_count, complement,
+from diophlab.intervals import (IntervalSet, box_count, complement,
                                 difference, intersect, lebesgue, mesh_cover,
                                 normalize, premeasure_upper,
                                 symmetric_difference, union, union_many)
@@ -18,9 +18,11 @@ def test_normalize_merges_overlap():
     assert normalize([(0, 0.3), (0.2, 0.5)]).pairs() == [(0.0, 0.5)]
 
 
-def test_normalize_merges_within_tolerance():
-    s = normalize([(0, 0.1), (0.1 + 1e-15, 0.2)])
-    assert s.pairs() == [(0.0, 0.2)]
+def test_normalize_joins_touching_and_keeps_one_ulp_gap():
+    # pieces that touch join; a gap of one ulp is a gap and is kept
+    assert normalize([(0, 0.1), (0.1, 0.2)]).pairs() == [(0.0, 0.2)]
+    up = math.nextafter(0.1, 1.0)
+    assert normalize([(0, 0.1), (up, 0.2)]).pairs() == [(0.0, 0.1), (up, 0.2)]
 
 
 def test_normalize_clips_to_unit_interval():
@@ -51,7 +53,7 @@ def _normalize_oracle(raw) -> IntervalSet:
     reach = np.maximum.accumulate(his)
     starts = np.empty(los.size, dtype=bool)
     starts[0] = True
-    starts[1:] = los[1:] > reach[:-1] + MERGE_EPS
+    starts[1:] = los[1:] > reach[:-1]
     first = np.flatnonzero(starts)
     return IntervalSet(los[first], np.maximum.reduceat(his, first))
 
@@ -60,10 +62,10 @@ def _normalize_oracle(raw) -> IntervalSet:
 _ENDPOINT = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.25, 1.25, math.nan]),
     st.floats(-0.25, 1.25))
-# gaps after an earlier piece: overlaps, touches, and just below, at and just
-# above the fusion threshold
-_GAP = st.sampled_from([-0.05, -MERGE_EPS, 0.0, 5e-16, MERGE_EPS * (1 - 1e-3),
-                        MERGE_EPS, MERGE_EPS * (1 + 1e-3), 2 * MERGE_EPS, 0.01])
+# gaps after an earlier piece: overlaps, touches, and gaps from a few ulp
+# up, many near 1e-12
+_GAP = st.sampled_from([-0.05, -1e-12, 0.0, 5e-16, 0.999e-12,
+                        1e-12, 1.001e-12, 2e-12, 0.01])
 
 
 @st.composite
@@ -92,7 +94,7 @@ def _raw_pieces(draw):
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(pieces=_raw_pieces())
-@example(pieces=[(0.1, 0.2), (0.2 + MERGE_EPS, 0.3), (0.3 + 2 * MERGE_EPS, 0.4)])
+@example(pieces=[(0.1, 0.2), (0.2 + 1e-12, 0.3), (0.3 + 2e-12, 0.4)])
 @example(pieces=[(0.0, 0.9), (0.1, 0.2), (0.3, 0.4), (0.95, 1.0)])
 @example(pieces=[(-0.0, 0.5), (0.5, 0.5), (math.nan, 0.7), (0.6, math.nan)])
 def test_normalize_matches_reduceat_oracle(pieces):
@@ -193,10 +195,10 @@ def _set_from(points) -> IntervalSet:
     return normalize((pts[0:-1:2], pts[1::2]))
 
 
-# moves of a shared endpoint: none, one ulp either way, and to either side
-# of the fusion threshold
-_SHIFT = st.sampled_from([0.0, "up", "down", MERGE_EPS, -MERGE_EPS,
-                          2 * MERGE_EPS, -2 * MERGE_EPS, 1e-3])
+# moves of a shared endpoint: none, one ulp either way, 1e-12 and 2e-12
+# either way, and 1e-3
+_SHIFT = st.sampled_from([0.0, "up", "down", 1e-12, -1e-12,
+                          2e-12, -2e-12, 1e-3])
 
 
 @st.composite
