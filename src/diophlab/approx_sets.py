@@ -20,9 +20,10 @@ bounded by `_CHUNK` beyond the O(a) a-windows, at every threshold.
 The product set is solved cell by cell: [0,1] is cut at every half-integer
 crossing of both linear forms, on each cell both nearest integers are
 constant and the condition is a pair of quadratic inequalities solved in
-closed form with the cancellation-safe root formula.  Cells are solved in
-cache-sized chunks, so the solve's working memory is small; the sorted
-array of cell cuts is still built whole, O(a + b) for b up to the cell cap.
+closed form with the cancellation-safe root formula.  A cell is a near pair
+at threshold 1/2, so the same walk yields the cells, with their integers,
+chunk by chunk: O(a + b) time, memory bounded by `_CHUNK` beyond the O(a)
+a-cells.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def dist_nearest_int(x):
 
 
 def check_thresholds(eta: float, xi: float) -> None:
-    """Refuse a NaN or negative threshold; a threshold of 0 gives the empty
-    set, and one at or above 1/2 a vacuous condition."""
-    if math.isnan(eta) or math.isnan(xi):
-        raise ValueError(f"thresholds must be numbers, got {eta}, {xi}")
+    """Refuse a NaN, infinite or negative threshold; a threshold of 0 gives
+    the empty set, and one at or above 1/2 a vacuous condition."""
+    if not (math.isfinite(eta) and math.isfinite(xi)):
+        raise ValueError(f"thresholds must be numbers, not inf or NaN: {eta}, {xi}")
     if eta < 0.0 or xi < 0.0:
         raise ValueError(f"thresholds must be nonnegative, got {eta}, {xi}")
 
@@ -106,7 +107,8 @@ def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
                his: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The near pairs (row, k) of the intervals [los, his] and the windows:
     chunks (rows, k) of at most _CHUNK pairs, k as floats, run by run in
-    row order.
+    row order.  At eps = 1/2 over the a-cells they are the product-set
+    cells of `_cells`.
 
     The window k meets [lo, hi] only if lo*coef + shift - eps < k <
     hi*coef + shift + eps.  Those bounds are rounded, and so are the window
@@ -188,31 +190,33 @@ def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
 # -- product condition: cell decomposition ------------------------------------
 
 
-def _cell_bounds(p: FracParams) -> np.ndarray:
-    """Sorted cut points of [0,1] where either nearest integer switches.
+def _cells(p: FracParams) -> Iterator[tuple[np.ndarray, ...]]:
+    """The cells of [0,1] on which both nearest integers are constant:
+    chunks (lo, hi, k, q) in x order, k and q those integers as floats.
 
-    Both factors' candidate indices are checked against the cap together,
-    before any array is built.  Their sum bounds the cell count from above:
-    the last index of each factor cuts beyond 1, so the inner cuts number
-    at most the sum minus two, and the cells one more than that.
+    A cell is a near pair at threshold 1/2, walked by `_near_runs`: the
+    overlap with hi > lo of the a-cell [(k - 1/2 - c)/a, (k + 1/2 - c)/a],
+    clipped to [0, 1], and the b-cell of q.  Both factors' cut counts are
+    checked against the cap together first; the walk then checks its
+    pairs, up to about b + 7a.
     """
-    ranges = [(coef, shift, math.floor(shift - 0.5), math.ceil(coef + shift + 0.5))
-              for coef, shift in ((p.a, p.c), (p.b, p.d))]
-    check_size(sum(hi - lo + 1 for _, _, lo, hi in ranges), "cell cuts")
-    cuts = [np.array([0.0])]
-    for coef, shift, lo, hi in ranges:
-        k = np.arange(lo, hi + 1, dtype=float)
-        x = (k + 0.5 - shift) / coef
-        cuts.append(x[(x > 0.0) & (x < 1.0)])
-    cuts.append(np.array([1.0]))
-    # the cuts are two sorted runs, which the stable sort (a merge sort)
-    # joins in linear time; then drop the cuts both forms share
-    x = np.sort(np.concatenate(cuts), kind="stable")
-    return x[np.append(True, x[1:] != x[:-1])]
+    check_size(sum(math.ceil(coef + shift + 0.5) - math.floor(shift - 0.5) + 1
+                   for coef, shift in ((p.a, p.c), (p.b, p.d))), "cell cuts")
+    k = np.arange(math.floor(p.c), math.ceil(p.a + p.c) + 1, dtype=float)
+    los = np.maximum((k - 0.5 - p.c) / p.a, 0.0)
+    his = np.minimum((k + 0.5 - p.c) / p.a, 1.0)
+    keep = his > los
+    k, los, his = k[keep], los[keep], his[keep]
+    for rows, q in _near_runs(p.b, p.d, 0.5, los, his):
+        lo = np.maximum(los[rows], (q - 0.5 - p.d) / p.b)
+        hi = np.minimum(his[rows], (q + 0.5 - p.d) / p.b)
+        keep = hi > lo
+        yield lo[keep], hi[keep], k[rows[keep]], q[keep]
 
 
-def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray):
-    """Solve |u v| < d2 on cells [lo, hi], u = a x + c - p0, v = b x + d - q0.
+def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray,
+                 k: np.ndarray, q: np.ndarray):
+    """Solve |u v| < d2 on cells [lo, hi], u = a x + c - k, v = b x + d - q.
 
     On a cell u v < d2 holds on one interval [lo1, hi1], and u v <= -d2 on
     a subinterval that splits it into a left and a right piece.  Returns
@@ -225,16 +229,8 @@ def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray):
     a, b, c, d = p.a, p.b, p.c, p.d
     A = a * b
     n = lo.size
-    mid = lo + hi
-    mid *= 0.5
-    em = np.multiply(a, mid)
-    em += c
-    np.round(em, out=em)
-    np.subtract(c, em, out=em)          # u(x) = a x + em
-    en = np.multiply(b, mid, out=mid)
-    en += d
-    np.round(en, out=en)
-    np.subtract(d, en, out=en)          # v(x) = b x + en
+    em = np.subtract(c, k)              # u(x) = a x + em
+    en = np.subtract(d, q)              # v(x) = b x + en
     B = np.multiply(a, en)
     tmp = np.multiply(b, em)
     B += tmp
@@ -277,15 +273,12 @@ def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray):
 
 def _product_pieces(p: FracParams,
                     delta: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Stream solution pieces of the product condition, one chunk of cells
-    at a time; the pieces are non-empty and in x order, within and across
-    chunks."""
-    bounds = _cell_bounds(p)
-    ncells = len(bounds) - 1
+    """Stream solution pieces of the product condition, one chunk of
+    `_cells` at a time; the pieces are non-empty and in x order, within and
+    across chunks."""
     d2 = delta * delta
-    for i0 in range(0, ncells, _CHUNK):
-        i1 = min(i0 + _CHUNK, ncells)
-        plo, phi = _solve_chunk(p, d2, bounds[i0:i1], bounds[i0 + 1:i1 + 1])
+    for lo, hi, k, q in _cells(p):
+        plo, phi = _solve_chunk(p, d2, lo, hi, k, q)
         # about half the pieces are empty, in no pattern a branch predictor
         # learns; indices and take() gather them without branching
         keep = np.flatnonzero(phi > plo)

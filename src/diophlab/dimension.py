@@ -424,6 +424,8 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
     Use product_set_cover_cost and AnnulusCoverCost.premeasure, which cover
     each index at its own meshes, for that exponent.
     """
+    if n_hi < n_lo:
+        raise ValueError(f"need n_lo <= n_hi, got n_lo={n_lo}, n_hi={n_hi}")
     scales = sorted(float(t) for t in scales)
     if len(scales) < 4:
         raise ValueError("need at least 4 scales")

@@ -234,8 +234,8 @@ def premeasure_upper(x: IntervalSet, s: float, mesh: float) -> float:
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must be in (0, 1], got {s}")
-    if not mesh > 0.0:
-        raise ValueError(f"mesh must be positive, got {mesh}")
+    if not 0.0 < mesh < math.inf:
+        raise ValueError(f"mesh must be positive and finite, got {mesh}")
     if x.is_empty():
         return 0.0
     return float(mesh_piece_counts(x.los, x.his, mesh).sum() * (mesh / 2.0) ** s)

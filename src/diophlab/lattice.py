@@ -5,9 +5,10 @@ window whose fractions (p-c)/a and (q-d)/b lie within eta/a + xi/b of each
 other, i.e. whose windows ((p-c) -+ eta)/a and ((q-d) -+ xi)/b overlap: the
 components of the simultaneous set.  The fast count takes its candidates
 from `approx_sets._near_runs`, the chunked window-pair walk that also builds
-`simultaneous_set` and counts its covers, and tests each with the naive
-double loop's float predicate, so the two agree bit for bit.  The Erdos-Turan
-right-hand side has one arithmetic: the scalar is the table's one-row case.
+`simultaneous_set`, counts its covers and yields the product-set cells, and
+tests each with the naive double loop's float predicate, so the two agree
+bit for bit.  The Erdos-Turan right-hand side has one arithmetic: the scalar
+is the table's one-row case.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
     |(p-c)/a - (q-d)/b| < eta/a + xi/b.  A NaN, infinite or negative
     threshold is rejected.
     """
-    if not (math.isfinite(eta) and math.isfinite(xi)):
-        raise ValueError(f"thresholds must be numbers, not inf or NaN: {eta}, {xi}")
     check_thresholds(eta, xi)
     plo, phi, qlo, qhi = _ranges(p)
     check_size(qhi - qlo + 1, "q values")

@@ -267,8 +267,9 @@ def test_criterion_09b_worked_exponent_box_dimension():
     # so its simultaneous set is the whole b-factor, and the annulus below
     # it has about b near window pairs.  Their memory is bounded by the
     # window walk's chunk size: the covers for n = 8..16 take about 2 s and
-    # under 40 MB on a 2-core host, and the test's peak memory is set by
-    # estimate_box_dimension below.
+    # under 40 MB on a 2-core host.  estimate_box_dimension below walks the
+    # product-set cells, about 4.3e7 at n = 16, on the same walk, so its
+    # memory is bounded by the chunk size too.
     #
     # The equal-scale box count at the stated size (n in [8, 16], scales
     # 2^-6..2^-16) saturates instead.  Every x = k/3^n lies in E_n, the

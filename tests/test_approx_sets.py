@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diophlab import approx_sets, intervals
-from diophlab.approx_sets import (FracParams, _cell_bounds, _factor_set,
+from diophlab.approx_sets import (FracParams, _cells, _factor_set,
                                   _product_pieces, _windows,
                                   annulus_cover_cost,
                                   decompose_product_set, dist_nearest_int,
@@ -349,7 +349,8 @@ def test_cover_cost_counts_match_dense_covers(cases):
 
 
 def _unique_cuts(p):
-    """Oracle for _cell_bounds: the same cuts, sorted and deduplicated by np.unique."""
+    """Oracle for _cells: the cuts where a nearest integer switches, with 0
+    and 1, sorted and deduplicated by np.unique."""
     cuts = [np.array([0.0, 1.0])]
     for coef, shift in ((p.a, p.c), (p.b, p.d)):
         k = np.arange(math.floor(shift - 0.5), math.ceil(coef + shift + 0.5) + 1,
@@ -359,17 +360,38 @@ def _unique_cuts(p):
     return np.unique(np.concatenate(cuts))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(p=_params())
-# every cut of one form is a cut of the other: a = b with c = d, and b = 2a
-@example(p=FracParams(3, 3, 0.2, 0.2))
-@example(p=FracParams(41.9, 41.9, -0.2, -0.2))
-@example(p=FracParams(2, 4))
-@example(p=FracParams(2, 4, 0.5, 0.5))
-# cuts at exactly 0 and 1, which are dropped in favour of the edges
-@example(p=FracParams(5, 7, 0.5, -0.5))
-def test_cell_bounds_match_np_unique(p):
-    assert _cell_bounds(p).tobytes() == _unique_cuts(p).tobytes()
+# at a chunk of 7 the walk steps once per 7 pairs, so that run draws fewer
+# examples
+@pytest.mark.parametrize("chunk, examples", [pytest.param(7, 25, id="7"),
+                                             pytest.param(None, 200, id="None")])
+def test_cells_match_np_unique(monkeypatch, chunk, examples):
+    if chunk is not None:
+        monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(p=_params())
+    # every cut of one form is a cut of the other: a = b with c = d, and b = 2a
+    @example(p=FracParams(3, 3, 0.2, 0.2))
+    @example(p=FracParams(41.9, 41.9, -0.2, -0.2))
+    @example(p=FracParams(2, 4))
+    @example(p=FracParams(2, 4, 0.5, 0.5))
+    # cuts at exactly 0 and 1, which are dropped in favour of the edges
+    @example(p=FracParams(5, 7, 0.5, -0.5))
+    # a and b one ulp apart: nearly every cut has a twin a rounding away
+    @example(p=FracParams(29.3, math.nextafter(29.3, 30.0), 0.1, 0.1))
+    def check(p):
+        # the walked cells are the consecutive cuts, bit for bit, and each
+        # lies in the windows of its integers (on a cell one float wide,
+        # not always the integers nearest at its midpoint)
+        lo, hi, k, q = map(np.concatenate, zip(*_cells(p)))
+        cuts = _unique_cuts(p)
+        assert lo.tobytes() == cuts[:-1].tobytes()
+        assert hi.tobytes() == cuts[1:].tobytes()
+        for coef, shift, j in ((p.a, p.c, k), (p.b, p.d, q)):
+            assert np.all((j - 0.5 - shift) / coef <= lo)
+            assert np.all(hi <= (j + 0.5 - shift) / coef)
+
+    check()
 
 
 def _chunked_cases():

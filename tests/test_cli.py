@@ -416,11 +416,12 @@ def test_domain_error_exit_code(capsys):
     ("set", "--a", "1", "--b", "5", "--eta", "0.2", "--xi", "-1"),
     ("planar", "area", "--a", "2", "--b", "11", "--eta", "-0.1", "--xi", "0.1"),
     ("planar", "cover", "--a", "2", "--b", "11", "--eta", "-0.1", "--xi", "0.1"),
+    ("measure", "--a", "2", "--b", "3", "--delta", "0.1", "--mesh", "inf"),
 ])
 def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
-    # a NaN or negative threshold, delta, mesh or s, s > 1, mesh 0, a second
-    # s where one is used, or fewer than one thread, is bad input, not an
-    # empty set, a value, a dropped value or a silent serial run
+    # a NaN or negative threshold, delta, mesh or s, s > 1, mesh 0 or inf, a
+    # second s where one is used, or fewer than one thread, is bad input, not
+    # an empty set, a value, a dropped value or a silent serial run
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and "error" in err
 
@@ -459,13 +460,23 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
      "cannot write the report /nonexistent/dir/o.json"),
     (("verify", "--count", "2", "--checks", "count-oracle", "--out", "."),
      "cannot write the report ."),
+    # an infinite set or planar threshold would be written as Infinity,
+    # which is not JSON
+    (("set", "--a", "2", "--b", "3", "--eta", "0.2", "--xi", "inf"),
+     "thresholds must be numbers, not inf or NaN: 0.2, inf"),
+    (("planar", "cover", "--a", "2", "--b", "3", "--eta", "inf", "--xi", "0.1"),
+     "thresholds must be numbers, not inf or NaN: inf, 0.1"),
+    # an empty index range is named, not blamed on the set
+    (("scan", "--a", "2", "--b", "3", "--t", "0.5", "--with-boxdim",
+      "--boxdim-n-lo", "5", "--boxdim-n-hi", "4"),
+     "need n_lo <= n_hi, got n_lo=5, n_hi=4"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
-    # a NaN or infinite coefficient, count threshold or psi parameter, a
-    # delta whose square underflows, a malformed scan grid, or a verify
-    # report path without its directory, is bad input: exit 1 with a
-    # message that names it, not a traceback, a count of 0, a tau, a
-    # division by zero or an empty CSV
+    # a NaN or infinite coefficient, threshold or psi parameter, a delta
+    # whose square underflows, a malformed scan grid or box-dimension index
+    # range, or a verify report path without its directory, is bad input:
+    # exit 1 with a message that names it, not a traceback, a count of 0, a
+    # tau, a division by zero or an empty CSV
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1

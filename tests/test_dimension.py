@@ -1,5 +1,8 @@
 import hashlib
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -331,3 +334,23 @@ def test_box_dimension_validates_scales():
         estimate_box_dimension(EXP23, psi, 2, 4, [0.5, 0.25])
     with pytest.raises(ValueError):
         estimate_box_dimension(EXP23, psi, 2, 4, [0.5, 0.3, 0.25, 0.125])
+
+
+def test_box_dimension_memory_is_bounded():
+    # n = 16 of the worked example has about 3^16 = 4.3e7 cells; they are
+    # walked in chunks, never held as one array (its floats alone take
+    # 344 MB), so the peak stays far below it
+    code = textwrap.dedent("""
+        import resource, sys
+        from diophlab.dimension import estimate_box_dimension
+        from diophlab.sequences import PsiSpec, SequenceSpec
+        seq = SequenceSpec(kind="exponential", a=2, b=3)
+        psi = PsiSpec(kind="scaled-base", t=1.0, seq=seq)
+        estimate_box_dimension(seq, psi, 15, 16, [2.0 ** -k for k in range(6, 17)])
+        # ru_maxrss is in bytes on macOS, in KiB elsewhere
+        unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert float(proc.stdout) < 256.0
