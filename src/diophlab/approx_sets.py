@@ -24,13 +24,18 @@ closed form with the cancellation-safe root formula.  A cell is a near pair
 at threshold 1/2, so the same walk yields the cells, with their integers,
 chunk by chunk: O(a + b) time, memory bounded by `_CHUNK` beyond the O(a)
 a-cells.
+
+Both sets come out of one join, `_joined`: it joins touching pieces chunk
+by chunk and holds each chunk back until the next shows whether its last
+component continues, so the set is the concatenation of its chunks and is
+never normalized again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -103,30 +108,31 @@ def _factor_set(coef: float, shift: float, eps: float) -> IntervalSet:
     return IntervalSet.full() if eps >= 0.5 else normalize(_windows(coef, shift, eps))
 
 
-def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
-               his: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The near pairs (row, k) of the intervals [los, his] and the windows:
-    chunks (rows, k) of at most _CHUNK pairs, k as floats, run by run in
-    row order.  At eps = 1/2 over the a-cells they are the product-set
-    cells of `_cells`.
+def _runs(coef: float, shift: float, eps: float, los: np.ndarray,
+          his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs (first, counts) of window indices k, as floats, that can
+    meet the intervals [los, his], one run per interval.
 
     The window k meets [lo, hi] only if lo*coef + shift - eps < k <
     hi*coef + shift + eps.  Those bounds are rounded, and so are the window
     endpoints they stand for, so each run is widened by 2 to keep every
     window whose float overlap with [lo, hi] is not empty.  Runs are clipped
-    to the full index range and may overlap.  The cap is checked once, on the
-    float total, before any index is built (a cast to int64 first would wrap
-    a huge run round to a negative length).
+    to the full index range and may overlap.
     """
     first = np.maximum(np.floor(los * coef + shift - eps) - 2.0, math.floor(shift))
     last = np.minimum(np.ceil(his * coef + shift + eps) + 2.0, math.ceil(coef + shift))
-    counts = np.maximum(last - first + 1.0, 0.0)
-    total = counts.sum()
-    check_size(int(total) if np.isfinite(total) else total, "windows")
+    return first, np.maximum(last - first + 1.0, 0.0)
+
+
+def _walk(first: np.ndarray,
+          counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (row, k) of the runs, chunks (rows, k) of at most _CHUNK
+    pairs, k as floats, run by run in row order."""
     # pair positions: run r holds [starts[r], ends[r]); a chunk is the
     # positions [g0, g1) and the runs that meet them, cut to them
     ends = np.cumsum(counts)
     starts = ends - counts
+    total = counts.sum()
     for g0 in range(0, int(total), _CHUNK):
         g1 = min(g0 + _CHUNK, total)
         r0, r1 = np.searchsorted(ends, g0, side="right"), np.searchsorted(starts, g1)
@@ -135,36 +141,35 @@ def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
         yield np.repeat(np.arange(r0, r1), n), k
 
 
-def _components(p: FracParams, eta: float,
-                xi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The simultaneous set's components (los, his), eta, xi > 0, chunk by
-    chunk in x order.
+def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
+               his: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The near pairs (row, k) of the intervals [los, his] and the windows,
+    walked by `_walk` over the `_runs`.
 
-    They are the overlaps [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo
-    of the near window pairs, each joined to its predecessor when they touch
-    or overlap: `intersect`'s picks of the same floats.  The a-windows are
-    clipped to [0, 1], the empty ones dropped and touching ones joined; a
-    vacuous factor, a threshold at or above 1/2, is the one window [0, 1],
-    and with both vacuous the set is [0, 1].  Each chunk is held back until
-    the next shows whether its last component continues.
+    The cap is checked once, on the float total of the runs, before any
+    index is built (a cast to int64 first would wrap a huge run round to a
+    negative length).
     """
-    live = [(coef, shift, eps) for coef, shift, eps in ((p.a, p.c, eta), (p.b, p.d, xi))
-            if eps < 0.5]
-    los, his = np.array([0.0]), np.array([1.0])
-    if not live:
-        yield los, his
-        return
-    if len(live) == 2:
-        los, his = np.clip(_windows(*live[0]), 0.0, 1.0)
-        los, his = join_touching(los[his > los], his[his > los])
-    coef, shift, eps = live[-1]
+    first, counts = _runs(coef, shift, eps, los, his)
+    total = counts.sum()
+    check_size(int(total) if np.isfinite(total) else total, "windows")
+    return _walk(first, counts)
+
+
+def _joined(chunks: Iterable[tuple[np.ndarray, np.ndarray]]
+            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The components of a stream of pieces, chunk by chunk.
+
+    The pieces are non-empty, sorted by lo with his nondecreasing, within
+    and across chunks.  Touching or overlapping pieces are joined within
+    each chunk by `join_touching`, and each chunk is held back until the
+    next non-empty one shows whether its last component continues there;
+    the first element of that chunk is overwritten when it does.  At least
+    one chunk, maybe empty, is yielded.
+    """
     held_lo, held_hi = np.empty(0), np.empty(0)
-    for rows, k in _near_runs(coef, shift, eps, los, his):
-        lo, hi = _windows(coef, shift, eps, k)
-        lo = np.maximum(los[rows], lo, out=lo)
-        hi = np.minimum(his[rows], hi, out=hi)
-        keep = hi > lo
-        lo, hi = join_touching(lo[keep], hi[keep])
+    for lo, hi in chunks:
+        lo, hi = join_touching(lo, hi)
         if lo.size == 0:
             continue
         if held_hi.size and lo[0] <= held_hi[-1]:
@@ -176,15 +181,44 @@ def _components(p: FracParams, eta: float,
     yield held_lo, held_hi
 
 
+def _overlaps(p: FracParams, eta: float,
+              xi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The overlaps [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo of the
+    near window pairs, eta, xi > 0, chunk by chunk in x order.  Joined by
+    `_joined` where they touch or overlap, they are the simultaneous set's
+    components: `intersect`'s picks of the same floats.
+
+    The a-windows are clipped to [0, 1], the empty ones dropped and touching
+    ones joined; a vacuous factor, a threshold at or above 1/2, is the one
+    window [0, 1], and with both vacuous the one overlap is [0, 1].
+    """
+    live = [(coef, shift, eps) for coef, shift, eps in ((p.a, p.c, eta), (p.b, p.d, xi))
+            if eps < 0.5]
+    los, his = np.array([0.0]), np.array([1.0])
+    if not live:
+        yield los, his
+        return
+    if len(live) == 2:
+        los, his = np.clip(_windows(*live[0]), 0.0, 1.0)
+        los, his = join_touching(los[his > los], his[his > los])
+    coef, shift, eps = live[-1]
+    for rows, k in _near_runs(coef, shift, eps, los, his):
+        lo, hi = _windows(coef, shift, eps, k)
+        lo = np.maximum(los[rows], lo, out=lo)
+        hi = np.minimum(his[rows], hi, out=hi)
+        keep = hi > lo
+        yield lo[keep], hi[keep]
+
+
 def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
     """Exact set where both forms are within (eta, xi) of integers: the
-    chunks of `_components`, O(a + output) time, O(b) with eta >= 1/2.
+    `_overlaps` `_joined`, O(a + output) time, O(b) with eta >= 1/2.
     A threshold of 0 gives the empty set; a NaN or negative one is refused.
     """
     check_thresholds(eta, xi)
     if eta == 0.0 or xi == 0.0:
         return IntervalSet.empty()
-    return IntervalSet(*map(np.concatenate, zip(*_components(p, eta, xi))))
+    return IntervalSet(*map(np.concatenate, zip(*_joined(_overlaps(p, eta, xi)))))
 
 
 # -- product condition: cell decomposition ------------------------------------
@@ -194,11 +228,11 @@ def _cells(p: FracParams) -> Iterator[tuple[np.ndarray, ...]]:
     """The cells of [0,1] on which both nearest integers are constant:
     chunks (lo, hi, k, q) in x order, k and q those integers as floats.
 
-    A cell is a near pair at threshold 1/2, walked by `_near_runs`: the
-    overlap with hi > lo of the a-cell [(k - 1/2 - c)/a, (k + 1/2 - c)/a],
-    clipped to [0, 1], and the b-cell of q.  Both factors' cut counts are
-    checked against the cap together first; the walk then checks its
-    pairs, up to about b + 7a.
+    A cell is a near pair at threshold 1/2, walked by `_walk`: the overlap
+    with hi > lo of the a-cell [(k - 1/2 - c)/a, (k + 1/2 - c)/a], clipped
+    to [0, 1], and the b-cell of q.  The cap counts both factors' cuts, at
+    least the cells solved, and not the walk's pairs: up to about b + 7a,
+    most of them the rounding margin of `_runs`, dropped by hi > lo.
     """
     check_size(sum(math.ceil(coef + shift + 0.5) - math.floor(shift - 0.5) + 1
                    for coef, shift in ((p.a, p.c), (p.b, p.d))), "cell cuts")
@@ -207,7 +241,7 @@ def _cells(p: FracParams) -> Iterator[tuple[np.ndarray, ...]]:
     his = np.minimum((k + 0.5 - p.c) / p.a, 1.0)
     keep = his > los
     k, los, his = k[keep], los[keep], his[keep]
-    for rows, q in _near_runs(p.b, p.d, 0.5, los, his):
+    for rows, q in _walk(*_runs(p.b, p.d, 0.5, los, his)):
         lo = np.maximum(los[rows], (q - 0.5 - p.d) / p.b)
         hi = np.minimum(his[rows], (q + 0.5 - p.d) / p.b)
         keep = hi > lo
@@ -296,6 +330,11 @@ def check_delta(delta: float) -> None:
 def product_set(p: FracParams, delta: float) -> IntervalSet:
     """Exact set where the product of the two distances is below delta**2.
 
+    The concatenation of `_product_pieces` `_joined` where they touch, at
+    cell cuts: the pieces are non-empty, inside [0, 1] and in x order, so
+    that is the normal form, and no `normalize` runs.  Peak memory is about
+    twice the output: the chunks and their concatenation.
+
     For delta > 1/2 the product never reaches delta**2 apart from a finite
     set of points, so the result is all of [0,1]; delta = 0 gives the empty
     set, and `check_delta` refuses delta in (0, 2**-511).
@@ -307,8 +346,7 @@ def product_set(p: FracParams, delta: float) -> IntervalSet:
     if delta > 0.5:
         return IntervalSet.full()
     check_delta(delta)
-    los, his = zip(*_product_pieces(p, delta))
-    return normalize((np.concatenate(los), np.concatenate(his)))
+    return IntervalSet(*map(np.concatenate, zip(*_joined(_product_pieces(p, delta)))))
 
 
 @dataclass
@@ -368,8 +406,10 @@ def product_membership(p: FracParams, delta: float, x):
 
 def _piece_count(p: FracParams, eta: float, xi: float, mesh: float) -> float:
     """Pieces of length mesh covering the simultaneous set, eta, xi > 0:
-    max(ceil(len/mesh), 1) per component, summed over `_components`."""
-    return sum(mesh_piece_counts(lo, hi, mesh).sum() for lo, hi in _components(p, eta, xi))
+    max(ceil(len/mesh), 1) per component, summed over the `_joined`
+    `_overlaps`."""
+    return sum(mesh_piece_counts(lo, hi, mesh).sum()
+               for lo, hi in _joined(_overlaps(p, eta, xi)))
 
 
 def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float]:

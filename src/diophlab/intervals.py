@@ -1,12 +1,13 @@
 """Exact algebra on finite unions of subintervals of [0,1].
 
-Sets are kept as sorted, pairwise-disjoint (lo, hi) pairs in two float64
-arrays.  Every boolean operation is one `intersect` sweep against a set or
-its complement, or a `normalize` of pieces already at hand, so endpoints
-are never re-derived by arithmetic and boolean combinations propagate the
-original endpoint values bit for bit.  Open/closed endpoints are not
-tracked: every set handled here differs from its closure by finitely many
-points.
+Sets are kept in normal form: sorted (lo, hi) pairs in two float64
+arrays, each with hi > lo, separated by positive gaps.  Every boolean
+operation is one `intersect` sweep against a set or its complement, whose
+pairs are already normal, or, for a union, a `normalize` of pieces already
+at hand, so endpoints are never re-derived by arithmetic and boolean
+combinations propagate the original endpoint values bit for bit.
+Open/closed endpoints are not tracked: every set handled here differs from
+its closure by finitely many points.
 """
 
 from __future__ import annotations
@@ -121,7 +122,9 @@ def join_touching(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def normalize(raw) -> IntervalSet:
     """Sort, clip to [0,1], drop empty pieces and join those that touch or
-    overlap; every positive gap is kept.
+    overlap; every positive gap is kept.  It builds unions and the window
+    sets of one factor; the product and simultaneous sets and `intersect`
+    emit normal form directly.
 
     Accepts a list of (lo, hi) pairs or a pair of arrays.  Reversed pairs
     (lo >= hi) are dropped rather than rejected, so degenerate input yields
@@ -160,9 +163,12 @@ def intersect(x: IntervalSet, y: IntervalSet) -> IntervalSet:
 
     Both inputs are sorted and disjoint, so each component of x overlaps a
     contiguous run of components of y; output endpoints are max/min picks
-    of the original endpoint values, never new arithmetic.  This is the one
-    boolean sweep: difference and symmetric difference run it against a
-    complement, and union is a `normalize`.
+    of the original endpoint values, never new arithmetic.  The pairs that
+    overlap in more than a point are already in normal form: each has
+    hi > lo, and consecutive ones are separated by a positive gap of x or
+    of y, so they are returned as they are.  This is the one boolean sweep:
+    difference and symmetric difference run it against a complement, and
+    union is a `normalize`.
     """
     if x.is_empty() or y.is_empty():
         return IntervalSet.empty()
@@ -179,7 +185,7 @@ def intersect(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     which_y = pos - np.repeat(offsets[:-1], counts) + np.repeat(start, counts)
     lo = np.maximum(x.los[which_x], y.los[which_y])
     hi = np.minimum(x.his[which_x], y.his[which_y])
-    return normalize((lo, hi))
+    return IntervalSet(lo, hi)
 
 
 def complement(x: IntervalSet) -> IntervalSet:

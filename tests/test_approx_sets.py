@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,14 +408,52 @@ def _chunked_cases():
     yield FracParams(3.3, 4e4 + 0.7, 0.1, 0.37), 1e-3
 
 
+def _joined_cases():
+    # the chunked cases, cells whose cuts all coincide (a = b with c = d,
+    # and b = 2a) at delta = 1/2, where most pieces touch at cuts, and the
+    # worked example for n <= 10 (n = 1 has delta > 1/2, the full set)
+    yield from _chunked_cases()
+    for p in (FracParams(3, 3, 0.2, 0.2), FracParams(41.9, 41.9, -0.2, -0.2),
+              FracParams(2, 4), FracParams(2, 4, 0.5, 0.5), FracParams(7.5, 15, 0.1, 0.3)):
+        yield p, 0.5
+    yield from _worked_example(range(2, 11))
+
+
+def _assert_product_set_is_normalized_pieces(cases):
+    # reference: normalize of every piece at once, bit for bit
+    for p, delta in cases:
+        got = product_set(p, delta)
+        want = intervals.normalize(tuple(map(np.concatenate,
+                                             zip(*_product_pieces(p, delta)))))
+        assert got.los.tobytes() == want.los.tobytes()
+        assert got.his.tobytes() == want.his.tobytes()
+
+
 @pytest.mark.parametrize("chunk", [7, 1 << 19])
 def test_product_set_independent_of_chunk_size(monkeypatch, chunk):
     default = [product_set(p, delta) for p, delta in _chunked_cases()]
+    _assert_product_set_is_normalized_pieces(_joined_cases())
     monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
     for want, (p, delta) in zip(default, _chunked_cases()):
         got = product_set(p, delta)
         assert got.los.tobytes() == want.los.tobytes()
         assert got.his.tobytes() == want.his.tobytes()
+    # and at the patched chunk: at 7 cells, joins cross chunk edges
+    _assert_product_set_is_normalized_pieces(_joined_cases())
+
+
+def test_product_set_peak_memory_is_about_twice_its_output():
+    # the chunks and their concatenation, about 2x; normalize's clipped,
+    # masked and joined copies on top of the gathered pieces reach 3.13x
+    p, delta = FracParams(73.9, 889416, 0.3, -1.2), 6.4e-4
+    tracemalloc.start()
+    try:
+        e = product_set(p, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(e) == 889471
+    assert peak <= 2.25 * (e.los.nbytes + e.his.nbytes)
 
 
 @pytest.mark.parametrize("chunk", [7, None])

@@ -520,6 +520,20 @@ def test_size_cap_exits_with_message(argv, message):
     assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("b", ["20", "40"])
+def test_cell_walk_margin_is_under_no_cap(b):
+    # the cap counts the cell cuts (46 and 66), not the walk's pairs (135
+    # and 177, most of them rounding margin), which were refused at 100
+    argv = [sys.executable, "-m", "diophlab.cli", "set", "--a", "20", "--b", b,
+            "--delta", "0.1"]
+    capped = subprocess.run(argv, capture_output=True, text=True,
+                            env={**os.environ, "DIOPHLAB_CELL_CAP": "100"})
+    assert capped.returncode == 0, capped.stderr
+    env = {k: v for k, v in os.environ.items() if k != "DIOPHLAB_CELL_CAP"}
+    assert capped.stdout == subprocess.run(argv, capture_output=True, text=True,
+                                           env=env, check=True).stdout
+
+
 @pytest.mark.parametrize("cap", ["inf", "abc", "-5", "0", "nan"])
 def test_bad_cell_cap_exits_with_message(cap):
     # a cap that is not a finite number >= 1 is refused by name: inf ended

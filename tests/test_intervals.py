@@ -172,6 +172,12 @@ def _assert_ops_match_sweep(x, y):
             got, want = op(first, second), _sweep_oracle(first, second, keep)
             assert got.los.tobytes() == want.los.tobytes(), op.__name__
             assert got.his.tobytes() == want.his.tobytes(), op.__name__
+            # intersect and difference return the sweep's pairs without a
+            # normalize: normal form means strictly increasing endpoints,
+            # so no piece is empty and no two touch
+            ends = np.column_stack([got.los, got.his]).ravel()
+            assert np.all(ends[1:] > ends[:-1]), op.__name__
+            assert ends.size == 0 or (ends[0] >= 0.0 and ends[-1] <= 1.0), op.__name__
 
 
 def test_boolean_ops_match_endpoint_sweep_on_jittered_pairs():
