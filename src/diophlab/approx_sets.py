@@ -230,9 +230,11 @@ def _cells(p: FracParams) -> Iterator[tuple[np.ndarray, ...]]:
 
     A cell is a near pair at threshold 1/2, walked by `_walk`: the overlap
     with hi > lo of the a-cell [(k - 1/2 - c)/a, (k + 1/2 - c)/a], clipped
-    to [0, 1], and the b-cell of q.  The cap counts both factors' cuts, at
-    least the cells solved, and not the walk's pairs: up to about b + 7a,
-    most of them the rounding margin of `_runs`, dropped by hi > lo.
+    to [0, 1], and the b-cell of q.  The cap counts the cell cuts of both
+    factors, about a + b + 6, which is at least the cells solved.  The
+    walk's pairs, up to about b + 7a, are not capped: most of them are the
+    rounding margin of `_runs`, dropped by hi > lo, and the chunk bounds
+    their memory.
     """
     check_size(sum(math.ceil(coef + shift + 0.5) - math.floor(shift - 0.5) + 1
                    for coef, shift in ((p.a, p.c), (p.b, p.d))), "cell cuts")

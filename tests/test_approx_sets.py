@@ -429,16 +429,17 @@ def _assert_product_set_is_normalized_pieces(cases):
         assert got.his.tobytes() == want.his.tobytes()
 
 
-@pytest.mark.parametrize("chunk", [7, 1 << 19])
+@pytest.mark.parametrize("chunk", [7, 1 << 19, None])
 def test_product_set_independent_of_chunk_size(monkeypatch, chunk):
-    default = [product_set(p, delta) for p, delta in _chunked_cases()]
-    _assert_product_set_is_normalized_pieces(_joined_cases())
-    monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
-    for want, (p, delta) in zip(default, _chunked_cases()):
-        got = product_set(p, delta)
-        assert got.los.tobytes() == want.los.tobytes()
-        assert got.his.tobytes() == want.his.tobytes()
-    # and at the patched chunk: at 7 cells, joins cross chunk edges
+    # a patched chunk gives the default chunk's bytes; at every chunk the
+    # set is its pieces normalized (at 7 cells, joins cross chunk edges)
+    if chunk is not None:
+        default = [product_set(p, delta) for p, delta in _chunked_cases()]
+        monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
+        for want, (p, delta) in zip(default, _chunked_cases()):
+            got = product_set(p, delta)
+            assert got.los.tobytes() == want.los.tobytes()
+            assert got.his.tobytes() == want.his.tobytes()
     _assert_product_set_is_normalized_pieces(_joined_cases())
 
 
