@@ -12,10 +12,11 @@ bound, and a multi-scale dyadic cover whose s-cost realizes the product-set
 premeasure bound; its core/annulus walk also serves the planar covers.
 
 The simultaneous-set components are the overlaps of the near window pairs,
-joined where they touch or overlap in floats.  One chunked walk,
-`_near_runs`, enumerates them for the set, its cover count, the planar
-square counts and `lattice.count_near_pairs`: O(a + pairs) time, memory
-bounded by `_CHUNK` beyond the O(a) a-windows, at every threshold.
+joined where they touch or overlap in floats; a one-factor window set is
+the simultaneous set with the other threshold at the vacuous 1/2.  One
+chunked walk, `_near_runs`, builds every window set and serves the cover
+and square counts and `lattice.count_near_pairs`: O(a + pairs) time,
+memory bounded by `_CHUNK` beyond the O(a) a-windows, at every threshold.
 
 The product set is solved cell by cell: [0,1] is cut at every half-integer
 crossing of both linear forms, on each cell both nearest integers are
@@ -40,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .intervals import (IntervalSet, check_size, complement, intersect,
-                        join_touching, mesh_piece_counts, normalize, union_many)
+                        join_touching, mesh_piece_counts, union_many)
 from .sequences import log_weight, require_finite
 
 _CHUNK = 1 << 14
@@ -89,23 +90,16 @@ def check_thresholds(eta: float, xi: float) -> None:
         raise ValueError(f"thresholds must be nonnegative, got {eta}, {xi}")
 
 
+def _index_range(coef: float, shift: float) -> tuple[int, int]:
+    """The integers k, first and last, whose windows can meet [0, 1]."""
+    return math.floor(shift), math.ceil(coef + shift)
+
+
 def _windows(coef: float, shift: float, eps: float,
-             k: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The windows ((k - shift) -+ eps)/coef, unclipped, over the integers k
-    in [floor(shift), ceil(coef + shift)], checked against the cap, or over
-    a float array k."""
-    if k is None:
-        lo, hi = math.floor(shift), math.ceil(coef + shift)
-        check_size(hi - lo + 1, "windows")
-        k = np.arange(lo, hi + 1, dtype=float)
+             k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The windows ((k - shift) -+ eps)/coef, unclipped, k as floats."""
     centers = k - shift
     return (centers - eps) / coef, (centers + eps) / coef
-
-
-def _factor_set(coef: float, shift: float, eps: float) -> IntervalSet:
-    """{x in [0,1] : ||coef*x + shift|| < eps} for eps > 0: the union of the
-    windows; all of [0,1] when eps >= 1/2 (the distance never exceeds 1/2)."""
-    return IntervalSet.full() if eps >= 0.5 else normalize(_windows(coef, shift, eps))
 
 
 def _runs(coef: float, shift: float, eps: float, los: np.ndarray,
@@ -119,8 +113,9 @@ def _runs(coef: float, shift: float, eps: float, los: np.ndarray,
     window whose float overlap with [lo, hi] is not empty.  Runs are clipped
     to the full index range and may overlap.
     """
-    first = np.maximum(np.floor(los * coef + shift - eps) - 2.0, math.floor(shift))
-    last = np.minimum(np.ceil(his * coef + shift + eps) + 2.0, math.ceil(coef + shift))
+    k0, k1 = _index_range(coef, shift)
+    first = np.maximum(np.floor(los * coef + shift - eps) - 2.0, k0)
+    last = np.minimum(np.ceil(his * coef + shift + eps) + 2.0, k1)
     return first, np.maximum(last - first + 1.0, 0.0)
 
 
@@ -188,9 +183,9 @@ def _overlaps(p: FracParams, eta: float,
     `_joined` where they touch or overlap, they are the simultaneous set's
     components: `intersect`'s picks of the same floats.
 
-    The a-windows are clipped to [0, 1], the empty ones dropped and touching
-    ones joined; a vacuous factor, a threshold at or above 1/2, is the one
-    window [0, 1], and with both vacuous the one overlap is [0, 1].
+    A vacuous factor, a threshold at or above 1/2, is the one window
+    [0, 1]; with both below 1/2 the a-windows are the one-factor set, the
+    `_joined` `_overlaps(p, eta, 1/2)`, so one walk clips and joins both.
     """
     live = [(coef, shift, eps) for coef, shift, eps in ((p.a, p.c, eta), (p.b, p.d, xi))
             if eps < 0.5]
@@ -199,8 +194,7 @@ def _overlaps(p: FracParams, eta: float,
         yield los, his
         return
     if len(live) == 2:
-        los, his = np.clip(_windows(*live[0]), 0.0, 1.0)
-        los, his = join_touching(los[his > los], his[his > los])
+        los, his = map(np.concatenate, zip(*_joined(_overlaps(p, eta, 0.5))))
     coef, shift, eps = live[-1]
     for rows, k in _near_runs(coef, shift, eps, los, his):
         lo, hi = _windows(coef, shift, eps, k)
@@ -238,7 +232,8 @@ def _cells(p: FracParams) -> Iterator[tuple[np.ndarray, ...]]:
     """
     check_size(sum(math.ceil(coef + shift + 0.5) - math.floor(shift - 0.5) + 1
                    for coef, shift in ((p.a, p.c), (p.b, p.d))), "cell cuts")
-    k = np.arange(math.floor(p.c), math.ceil(p.a + p.c) + 1, dtype=float)
+    k0, k1 = _index_range(p.a, p.c)
+    k = np.arange(k0, k1 + 1, dtype=float)
     los = np.maximum((k - 0.5 - p.c) / p.a, 0.0)
     his = np.minimum((k + 0.5 - p.c) / p.a, 1.0)
     keep = his > los
@@ -373,8 +368,8 @@ class ProductDecomposition:
 def decompose_product_set(p: FracParams, delta: float) -> ProductDecomposition:
     """Core/remainder split of E = product_set(delta), for delta in (0, 1/2].
 
-    With A the O(a) windows where u = ||a x + c|| < delta, and the core
-    simultaneous_set(delta, delta) where also v = ||b x + d|| < delta:
+    With A = simultaneous_set(delta, 1/2), where u = ||a x + c|| < delta,
+    and the core simultaneous_set(delta, delta) where also v < delta:
 
       first_far  = E minus A
       second_far = (E intersect A) minus core
@@ -385,7 +380,7 @@ def decompose_product_set(p: FracParams, delta: float) -> ProductDecomposition:
     """
     check_delta(delta)
     e = product_set(p, delta)
-    near = _factor_set(p.a, p.c, delta)
+    near = simultaneous_set(p, delta, 0.5)
     core = simultaneous_set(p, delta, delta)
     return ProductDecomposition(
         simultaneous=core,

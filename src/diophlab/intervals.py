@@ -4,8 +4,9 @@ Sets are kept in normal form: sorted (lo, hi) pairs in two float64
 arrays, each with hi > lo, separated by positive gaps.  Every boolean
 operation is one `intersect` sweep against a set or its complement, whose
 pairs are already normal, or, for a union, a `normalize` of pieces already
-at hand, so endpoints are never re-derived by arithmetic and boolean
-combinations propagate the original endpoint values bit for bit.
+at hand (its only use: every set is built in normal form), so endpoints
+are never re-derived by arithmetic and boolean combinations propagate the
+original endpoint values bit for bit.
 Open/closed endpoints are not tracked: every set handled here differs from
 its closure by finitely many points.
 """
@@ -122,9 +123,9 @@ def join_touching(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def normalize(raw) -> IntervalSet:
     """Sort, clip to [0,1], drop empty pieces and join those that touch or
-    overlap; every positive gap is kept.  It builds unions and the window
-    sets of one factor; the product and simultaneous sets and `intersect`
-    emit normal form directly.
+    overlap; every positive gap is kept.  It builds unions only: the
+    product set, every window set and `intersect` emit normal form
+    directly.
 
     Accepts a list of (lo, hi) pairs or a pair of arrays.  Reversed pairs
     (lo >= hi) are dropped rather than rejected, so degenerate input yields

@@ -18,32 +18,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import FracParams, _near_runs, check_thresholds
+from .approx_sets import (FracParams, _index_range, _near_runs, _windows,
+                          check_thresholds)
 from .intervals import check_size
 
 
-def _ranges(p: FracParams) -> tuple[int, int, int, int]:
-    return (math.floor(p.c), math.ceil(p.a + p.c),
-            math.floor(p.d), math.ceil(p.b + p.d))
-
-
 def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
-    """Exact count of nearly coincident fraction pairs, O(a + b*eta) time.
+    """Exact count of nearly coincident fraction pairs.
 
     For each admissible p the candidate q are the b-windows that can meet
-    the unclipped a-window of p, walked in chunks by `_near_runs` (memory
-    bounded by _CHUNK); each is tested with the strict inequality
-    |(p-c)/a - (q-d)/b| < eta/a + xi/b.  A NaN, infinite or negative
-    threshold is rejected.
+    the unclipped a-window of p, walked in chunks by `_near_runs`; each is
+    tested with the strict inequality |(p-c)/a - (q-d)/b| < eta/a + xi/b.
+    O(a + pairs) time and O(a) memory beyond the chunk; the cap counts the
+    a-windows and the pairs walked, about 2*b*eta + 7*a, not b.  A NaN,
+    infinite or negative threshold is rejected.
     """
     check_thresholds(eta, xi)
-    plo, phi, qlo, qhi = _ranges(p)
-    check_size(qhi - qlo + 1, "q values")
+    plo, phi = _index_range(p.a, p.c)
+    check_size(phi - plo + 1, "windows")
+    k = np.arange(plo, phi + 1, dtype=float)
     theta = eta / p.a + xi / p.b
-    pc = np.arange(plo, phi + 1, dtype=float) - p.c
-    x = pc / p.a
+    x = (k - p.c) / p.a
     hits = 0
-    for rows, y in _near_runs(p.b, p.d, xi, (pc - eta) / p.a, (pc + eta) / p.a):
+    for rows, y in _near_runs(p.b, p.d, xi, *_windows(p.a, p.c, eta, k)):
         y -= p.d
         y /= p.b
         # (p-c)/a once per p, and |y - x| = |x - y|: the naive loop's bits, in place
@@ -54,7 +51,8 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
 
 def count_near_pairs_naive(p: FracParams, eta: float, xi: float) -> int:
     """Oracle: full (p, q) double loop over the window.  O(a*b)."""
-    plo, phi, qlo, qhi = _ranges(p)
+    plo, phi = _index_range(p.a, p.c)
+    qlo, qhi = _index_range(p.b, p.d)
     check_size((phi - plo + 1) * (qhi - qlo + 1), "(p, q) pairs")
     theta = eta / p.a + xi / p.b
     pv = np.arange(plo, phi + 1, dtype=float)[:, None]
@@ -95,10 +93,11 @@ class SamplePoints:
 
 def lattice_fraction_points(p: FracParams) -> SamplePoints:
     """The Q = ceil(b+d) - floor(d) + 1 points (a/b)(q + floor(d) - 1) - ad/b + c mod 1."""
-    Q = math.ceil(p.b + p.d) - math.floor(p.d) + 1
+    qlo, qhi = _index_range(p.b, p.d)
+    Q = qhi - qlo + 1
     check_size(Q, "lattice points")
     q = np.arange(1, Q + 1, dtype=float)
-    u = (p.a / p.b) * (q + math.floor(p.d) - 1.0) - p.a * p.d / p.b + p.c
+    u = (p.a / p.b) * (q + qlo - 1.0) - p.a * p.d / p.b + p.c
     return SamplePoints(points=np.mod(u, 1.0), Q=Q)
 
 

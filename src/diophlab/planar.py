@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import (AnnulusCoverCost, FracParams, _factor_set, _piece_count,
+from .approx_sets import (AnnulusCoverCost, FracParams, _piece_count,
                           annulus_cover_cost, check_thresholds, dist_nearest_int,
-                          dyadic_annuli)
+                          dyadic_annuli, simultaneous_set)
 from .intervals import IntervalSet, lebesgue
 
 _MC_BLOCK = 1 << 20
@@ -45,11 +45,12 @@ class BoxSet:
 
 
 def product_rectangle_set(p: FracParams, eta: float, xi: float) -> BoxSet:
-    """Exact {(x,y) : ||a x + c|| < eta, ||b y + d|| < xi} as a box product."""
+    """Exact {(x,y) : ||a x + c|| < eta, ||b y + d|| < xi} as a box product,
+    each factor a `simultaneous_set` with the other threshold at 1/2."""
     check_thresholds(eta, xi)
     if eta == 0.0 or xi == 0.0:
         return BoxSet(IntervalSet.empty(), IntervalSet.empty())
-    return BoxSet(_factor_set(p.a, p.c, eta), _factor_set(p.b, p.d, xi))
+    return BoxSet(simultaneous_set(p, eta, 0.5), simultaneous_set(p, 0.5, xi))
 
 
 @dataclass

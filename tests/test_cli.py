@@ -489,10 +489,10 @@ _BIG = ("--a", "2", "--b", "1000")
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("count", *_BIG, "--eta", "0.1", "--xi", "0.1"),
-                 "1001 q values exceed the cap 100", id="count"),
+                 "215 windows exceed the cap 100", id="count"),
     pytest.param(("count", *_BIG, "--eta", "0.1", "--xi", "0.1",
                   "--integer-bound"),
-                 "1001 q values exceed the cap 100", id="count-integer-bound"),
+                 "215 windows exceed the cap 100", id="count-integer-bound"),
     pytest.param(("cover", *_BIG, "--eta", "0.1", "--xi", "0.1"),
                  "windows exceed the cap 100", id="cover"),
     pytest.param(("set", *_BIG, "--eta", "0.6", "--xi", "0.1"),

@@ -107,6 +107,14 @@ def test_count_matches_six_candidate_oracle_at_large_b():
         assert count_near_pairs(p, eta, xi) == count_six_candidates(p, eta, xi)
 
 
+def test_count_is_capped_by_its_walk_not_by_b():
+    # b = 2e8 + 1 q values pass the default cap of 1e8, but the walk meets
+    # the 3 a-windows in about 600 pairs: |p/2 - q/2e8| < 5e-7 + 5e-15
+    # holds for q = 0..100 at p = 0, q = 1e8 - 100..1e8 + 100 at p = 1 and
+    # q = 2e8 - 100..2e8 at p = 2
+    assert count_near_pairs(FracParams(2, 2e8), 1e-6, 1e-6) == 101 + 201 + 101
+
+
 # thresholds on the domain boundaries (0, 1/2 and next to it) and inside
 _COUNT_THRESHOLD = st.one_of(
     st.sampled_from([0.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]),

@@ -172,7 +172,7 @@ def test_index_split_builds_no_set(monkeypatch):
     def no_sets(*args):
         raise AssertionError("index_split built a set")
 
-    monkeypatch.setattr(approx_sets, "_factor_set", no_sets)
+    monkeypatch.setattr(approx_sets, "_near_runs", no_sets)
     j1, j2 = index_split(FracParams(1.0, 1e8), 1e-3)
     assert j1 == list(range(9)) and j2 == []
 
