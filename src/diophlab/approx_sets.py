@@ -40,8 +40,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .intervals import (IntervalSet, check_size, complement, intersect,
-                        join_touching, mesh_piece_counts, union_many)
+from .intervals import (IntervalSet, check_s, check_size, complement,
+                        intersect, join_touching, mesh_piece_counts, union_many)
 from .sequences import log_weight, require_finite
 
 _CHUNK = 1 << 14
@@ -445,10 +445,9 @@ class AnnulusCoverCost:
 
     def premeasure(self, s: float) -> float:
         """Total s-cost sum(count * (mesh/2)**s) of all pieces, s in (0, 1]."""
-        if not 0.0 < s <= 1.0:
-            raise ValueError(f"s must be in (0, 1], got {s}")
-        total = self.core[0] * (self.core[1] / 2.0) ** s
-        for count, mesh in self.first_far + self.second_far:
+        check_s(s)
+        total = 0.0
+        for count, mesh in [self.core] + self.first_far + self.second_far:
             total += count * (mesh / 2.0) ** s
         return float(total)
 

@@ -28,13 +28,13 @@ from functools import reduce
 import numpy as np
 
 from .approx_sets import FracParams, _product_pieces
-from .intervals import _check_dyadic
+from .intervals import _check_dyadic, check_size
 from .sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence, sequence_gcd
 
 BISECT_LO = 1e-3
 BISECT_HI = 1.0 - 1e-3
 N_MAX = 10_000
-RATIO_BAND = 1e-3
+RAABE_BAND = 0.1
 
 # family -> terms; the rows (f, u, v) of a term give log t_n as the sum of
 # (u + s v) * f_n in row order, over the log features f
@@ -288,24 +288,25 @@ def converges(spec: SeriesSpec, s: float) -> ConvergenceVerdict:
                       for r, e in zip(rates, polys))
         return ConvergenceVerdict(verdict, {
             "method": "closed-form", "rates": rates, "poly_exponents": polys})
-    # table input: ratio heuristic on the available tail
+    # table input: Raabe's test n (1 - r) against 1, r the tail's mean ratio per
+    # index step; a p-series has r = 1 - p/n + O(n**-2) < 1, a flat tail n (1 - r) = 0
     ns = np.arange(1, _table_limit(spec) + 1)
     logs = _log_terms(_Features(_SAMPLED, spec, ns), s)
-    nz = logs[logs > -np.inf]
+    nonzero = logs > -np.inf
+    nz = logs[nonzero]
     if not nz.size:
         return ConvergenceVerdict(True, {"method": "all-zero"})
     tail = nz[-10:]
     if len(tail) < 2:
         return ConvergenceVerdict(None, {"method": "ratio-test", "reason": "tail too short"})
-    r = float(np.mean(np.exp(np.diff(tail))))
-    cert = {"method": "ratio-test", "tail_ratio": r, "terms_used": int(nz.size)}
-    # terms settling on a positive value cannot sum to a finite series
-    if tail.max() - tail.min() <= math.log(1.001):
-        cert["reason"] = "terms do not vanish"
-        return ConvergenceVerdict(False, cert)
-    if r < 1.0 - RATIO_BAND:
+    at = ns[nonzero][-10:]
+    r = float(np.mean(np.exp(np.diff(tail) / np.diff(at))))
+    raabe = float(at[-1]) * (1.0 - r)
+    cert = {"method": "ratio-test", "tail_ratio": r, "raabe": raabe,
+            "terms_used": int(nz.size)}
+    if raabe > 1.0 + RAABE_BAND:
         return ConvergenceVerdict(True, cert)
-    if r > 1.0 + RATIO_BAND:
+    if raabe < 1.0 - RAABE_BAND:
         return ConvergenceVerdict(False, cert)
     return ConvergenceVerdict(None, cert)
 
@@ -433,6 +434,7 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
         _check_dyadic(t)
     finest = scales[0]
     nbox = round(1.0 / finest)
+    check_size(nbox, "finest-scale boxes")
     diff = np.zeros(nbox + 1, dtype=np.int64)
 
     def mark(lo_arr, hi_arr):

@@ -62,12 +62,11 @@ def count_near_pairs_naive(p: FracParams, eta: float, xi: float) -> int:
 
 
 def count_integer_bound(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
-    """Exact count and its quotient against the integer-case bound b*eta + gcd(a,b)."""
+    """(count, bound): the exact near-pair count and the integer-case bound
+    b*eta + gcd(a, b), for integer a, b; callers take the ratio count/bound."""
     if p.a != int(p.a) or p.b != int(p.b):
         raise ValueError("integer bound needs integer a, b")
-    g = math.gcd(int(p.a), int(p.b))
-    n = count_near_pairs(p, eta, xi)
-    return n, n / (p.b * eta + g)
+    return count_near_pairs(p, eta, xi), p.b * eta + math.gcd(int(p.a), int(p.b))
 
 
 def large_regime(p: FracParams, eta: float, xi: float) -> bool:

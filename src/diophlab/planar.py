@@ -18,9 +18,9 @@ import numpy as np
 from .approx_sets import (AnnulusCoverCost, FracParams, _piece_count,
                           annulus_cover_cost, check_thresholds, dist_nearest_int,
                           dyadic_annuli, simultaneous_set)
-from .intervals import IntervalSet, lebesgue
+from .intervals import IntervalSet, check_s, lebesgue
 
-_MC_BLOCK = 1 << 20
+_BLOCK = 1 << 20
 
 
 @dataclass
@@ -35,10 +35,13 @@ class BoxSet:
         return lebesgue(self.x_set) * lebesgue(self.y_set)
 
     def area_by_boxes(self) -> float:
-        """Area by summing every component box; independent summation route."""
+        """Area by summing every component box, an independent summation
+        route, in row blocks of at most max(_BLOCK, len(y_set)) boxes."""
         lx = self.x_set.his - self.x_set.los
         ly = self.y_set.his - self.y_set.los
-        return float(np.sum(np.outer(lx, ly)))
+        rows = max(_BLOCK // max(ly.size, 1), 1)
+        return float(sum(np.sum(np.outer(lx[i:i + rows], ly))
+                         for i in range(0, lx.size, rows)))
 
     def contains(self, x, y) -> np.ndarray:
         return self.x_set.contains(x) & self.y_set.contains(y)
@@ -77,8 +80,7 @@ def _square_count(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
 
 def cover_rectangles(p: FracParams, eta: float, xi: float, s: float) -> SquareCover:
     """Cover the box product by squares of side min(eta/a, xi/b)."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must be in (0, 1], got {s}")
+    check_s(s)
     squares, mesh = _square_count(p, eta, xi)
     if not squares:
         return SquareCover(squares=0, mesh=mesh, premeasure=0.0, bound=0.0, ratio=0.0)
@@ -111,7 +113,7 @@ def mc_planar_product_area(p: FracParams, delta: float, samples: int,
     done = 0
     block = 0
     while done < samples:
-        m = min(_MC_BLOCK, samples - done)
+        m = min(_BLOCK, samples - done)
         rng = np.random.Generator(np.random.Philox(key=[seed, block]))
         pts = rng.random((m, 2))
         hits += int(np.count_nonzero(planar_membership(p, delta, pts[:, 0], pts[:, 1])))
@@ -132,8 +134,7 @@ def decompose_planar_product_set(p: FracParams, delta: float) -> AnnulusCoverCos
 def planar_premeasure(cost: AnnulusCoverCost, s: float) -> float:
     """Square-cover s-cost core + sum(first) + sum(second), s in (0, 1], at
     squares * side**(1+s) per pair, the convention of `cover_rectangles`."""
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must be in (0, 1], got {s}")
+    check_s(s)
     return sum(sum(n * side ** (1.0 + s) for n, side in part)
                for part in ([cost.core], cost.first_far, cost.second_far))
 

@@ -332,8 +332,8 @@ def _sample_integer_count(rng):
 
 
 def _eval_integer_count_ratio(inst):
-    n, ratio = count_integer_bound(_params(inst), inst["eta"], inst["xi"])
-    return {"count": n, "ratio": ratio}
+    n, bound = count_integer_bound(_params(inst), inst["eta"], inst["xi"])
+    return {"count": n, "ratio": n / bound}
 
 
 def _eval_uq_rhs(inst):

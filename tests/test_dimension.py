@@ -11,13 +11,13 @@ from diophlab.approx_sets import FracParams, product_set
 from diophlab.dimension import (SeriesSpec, compute_tau, converges,
                                 single_series_threshold,
                                 estimate_box_dimension, term_value)
-from diophlab.intervals import box_count
+from diophlab.intervals import CellCapExceeded, box_count
 from diophlab.sequences import PsiSpec, SequenceSpec
 
 EXP23 = SequenceSpec(kind="exponential", a=2, b=3)
 PSI_THIRD = PsiSpec(kind="exponential", lam=math.log(3))
-PINNED_TAU_DIGEST = ("82d690c0f1462c8bcfed1541363b1340"
-                     "85a1b4e16c60416b0fee144d8adde0b8")
+PINNED_TAU_DIGEST = ("c562b9ecd07bb7008ff7769a90ed7248"
+                     "0550765b7e7421d5f2bde0b8876dddd7")
 
 
 def spec(family, seq=EXP23, psi=PSI_THIRD):
@@ -90,6 +90,25 @@ def test_converges_table_heuristics():
     assert converges(SeriesSpec(seq=seq, psi=geo, family="plain"), 0.9).verdict is True
     flat = PsiSpec(kind="explicit-table", values=(0.8,) * 30)
     assert converges(SeriesSpec(seq=seq, psi=flat, family="plain"), 0.5).verdict is False
+
+
+def test_converges_table_p_series():
+    # psi(n) = n^-2 over a_n = 1, b_n = 2: the terms 2^(1-s) n^(-2s) sum
+    # to a finite value for s > 1/2 only, and every tail ratio is below 1
+    seq = SequenceSpec(kind="explicit-table", a_table=(1.0,) * 200, b_table=(2.0,) * 200)
+    psi = PsiSpec(kind="explicit-table", values=tuple(n ** -2.0 for n in range(1, 201)))
+    spec = SeriesSpec(seq=seq, psi=psi, family="plain")
+    verdicts = {s: converges(spec, s) for s in (0.1, 0.3, 0.5, 0.7, 0.9)}
+    assert all(v.certificate["tail_ratio"] < 1.0 for v in verdicts.values())
+    assert [verdicts[s].verdict for s in (0.1, 0.3)] == [False, False]
+    assert verdicts[0.5].verdict is None
+    assert [verdicts[s].verdict for s in (0.7, 0.9)] == [True, True]
+    assert compute_tau(spec).tau == pytest.approx(0.5, abs=1e-3)
+    # the same terms at even n only, psi = 0 at odd n: the same verdicts
+    even = PsiSpec(kind="explicit-table",
+                   values=tuple(n ** -2.0 if n % 2 == 0 else 0.0 for n in range(1, 201)))
+    spec = SeriesSpec(seq=seq, psi=even, family="plain")
+    assert [converges(spec, s).verdict for s in (0.3, 0.5, 0.7)] == [False, None, True]
 
 
 def test_second_term_threshold_value():
@@ -326,6 +345,13 @@ def test_box_dimension_empty_set_raises():
     psi0 = PsiSpec(kind="explicit-table", values=(0.0,) * 4)
     with pytest.raises(ValueError):
         estimate_box_dimension(EXP23, psi0, 1, 4, [0.5, 0.25, 0.125, 0.0625])
+
+
+def test_box_dimension_refuses_a_finest_scale_over_the_cap():
+    # 2^40 boxes would take two 8 TiB arrays; the cap refuses them first
+    psi = PsiSpec(kind="scaled-base", t=1.0, seq=EXP23)
+    with pytest.raises(CellCapExceeded, match="finest-scale boxes"):
+        estimate_box_dimension(EXP23, psi, 2, 3, [2.0 ** -k for k in (2, 3, 4, 40)])
 
 
 def test_box_dimension_validates_scales():

@@ -341,3 +341,20 @@ def test_union_many_matches_iterated_union():
     for s in sets:
         step = union(step, s)
     assert abs(lebesgue(symmetric_difference(merged, step))) < 1e-15
+
+
+def test_endpoint_distance_is_the_nearest_endpoint():
+    rng = np.random.default_rng(5)
+    sets = [normalize([(0.0, 0.1), (0.25, 0.5), (0.7, 1.0)]),
+            normalize([(0.3, 0.4)]),
+            normalize(np.sort(rng.random((40, 2)), axis=1).tolist())]
+    for x_set in sets:
+        ends = np.concatenate([x_set.los, x_set.his])
+        # every endpoint, the midpoints between neighbours, and points beyond
+        x = np.concatenate([ends, (ends[:-1] + np.sort(ends)[1:]) / 2,
+                            [-0.5, 0.0, 0.05, 0.175, 0.6, 1.0, 1.5], rng.random(200)])
+        brute = np.min(np.abs(x[:, None] - ends[None, :]), axis=1)
+        assert np.array_equal(x_set.endpoint_distance(x), brute)
+        assert np.all(x_set.endpoint_distance(ends) == 0.0)
+    assert np.array_equal(IntervalSet.empty().endpoint_distance([0.0, 0.5, 2.0]),
+                          np.full(3, np.inf))

@@ -156,9 +156,9 @@ def test_integer_bound_grid():
     p = FracParams(4, 6)
     for eta in np.linspace(0.01, 0.49, 9):
         for xi in np.linspace(0.01, 0.49, 9):
-            n, ratio = count_integer_bound(p, float(eta), float(xi))
+            n, bound = count_integer_bound(p, float(eta), float(xi))
             assert n == count_near_pairs_naive(p, float(eta), float(xi))
-            assert math.isfinite(ratio)
+            assert bound == 6 * float(eta) + math.gcd(4, 6)
 
 
 def test_integer_bound_diagonal():
@@ -169,9 +169,9 @@ def test_integer_bound_diagonal():
 
 
 def test_integer_bound_large_b():
-    n, ratio = count_integer_bound(FracParams(1, 1000), 0.001, 0.3)
+    n, bound = count_integer_bound(FracParams(1, 1000), 0.001, 0.3)
     assert n == count_near_pairs_naive(FracParams(1, 1000), 0.001, 0.3)
-    assert math.isfinite(ratio)
+    assert bound == 1000 * 0.001 + math.gcd(1, 1000)
 
 
 def test_integer_bound_rejects_reals():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,21 @@ def test_area_product_identity_randomized():
         box = product_rectangle_set(p, float(rng.uniform(1e-3, 0.6)),
                                     float(rng.uniform(1e-3, 0.6)))
         assert abs(box.area() - box.area_by_boxes()) < 1e-12
+
+
+def test_area_by_boxes_memory_is_bounded_by_its_block():
+    # 51 x-components by 100,001 y-components: a 41 MB outer product at once
+    box = product_rectangle_set(FracParams(50, 1e5), 0.4, 0.3)
+    lx, ly = box.x_set.his - box.x_set.los, box.y_set.his - box.y_set.los
+    assert len(box.x_set) * len(box.y_set) * 8 > 20 * 2 ** 20
+    tracemalloc.start()
+    try:
+        got = box.area_by_boxes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 2 ** 20 + 8 * len(box.y_set)
+    assert got == pytest.approx(float(np.sum(lx)) * float(np.sum(ly)), rel=1e-12)
 
 
 def test_vacuous_threshold_keeps_full_factor():
