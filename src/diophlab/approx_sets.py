@@ -14,9 +14,11 @@ premeasure bound; its core/annulus walk also serves the planar covers.
 The simultaneous-set components are the overlaps of the near window pairs,
 joined where they touch or overlap in floats; a one-factor window set is
 the simultaneous set with the other threshold at the vacuous 1/2.  One
-chunked walk, `_near_runs`, builds every window set and serves the cover
-and square counts and `lattice.count_near_pairs`: O(a + pairs) time,
-memory bounded by `_CHUNK` beyond the O(a) a-windows, at every threshold.
+chunked walk, `_walk`, builds every window set and serves the cover and
+square counts and `lattice.count_near_pairs`: O(a + pairs) time, memory
+bounded by `_CHUNK` beyond the O(a) a-windows, at every threshold.  A
+multi-scale cover's 2J + 1 threshold pairs, J about log2(1/delta), share
+one a-walk and one b-walk, each piece tagged with its pair.
 
 The product set is solved cell by cell: [0,1] is cut at every half-integer
 crossing of both linear forms, on each cell both nearest integers are
@@ -40,7 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .intervals import (IntervalSet, check_s, check_size, complement,
+from .intervals import (IntervalSet, cell_cap, check_s, check_size, complement,
                         intersect, join_touching, mesh_piece_counts, union_many)
 from .sequences import log_weight, require_finite
 
@@ -102,10 +104,10 @@ def _windows(coef: float, shift: float, eps: float,
     return (centers - eps) / coef, (centers + eps) / coef
 
 
-def _runs(coef: float, shift: float, eps: float, los: np.ndarray,
+def _runs(coef: float, shift: float, eps, los: np.ndarray,
           his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The runs (first, counts) of window indices k, as floats, that can
-    meet the intervals [los, his], one run per interval.
+    meet the intervals [los, his], one run per interval, at eps (or eps[i]).
 
     The window k meets [lo, hi] only if lo*coef + shift - eps < k <
     hi*coef + shift + eps.  Those bounds are rounded, and so are the window
@@ -119,10 +121,12 @@ def _runs(coef: float, shift: float, eps: float, los: np.ndarray,
     return first, np.maximum(last - first + 1.0, 0.0)
 
 
-def _walk(first: np.ndarray,
-          counts: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The pairs (row, k) of the runs, chunks (rows, k) of at most _CHUNK
-    pairs, k as floats, run by run in row order."""
+def _walk(first: np.ndarray, counts: np.ndarray,
+          *values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The pairs of the runs, chunks (k, *values) of at most _CHUNK pairs,
+    run by run: k as floats, and each per-run array of `values` repeated
+    over the run's pairs, so no consumer gathers through a row index.
+    O(runs) set-up, then a dozen numpy calls per chunk and one per value."""
     # pair positions: run r holds [starts[r], ends[r]); a chunk is the
     # positions [g0, g1) and the runs that meet them, cut to them
     ends = np.cumsum(counts)
@@ -133,75 +137,93 @@ def _walk(first: np.ndarray,
         r0, r1 = np.searchsorted(ends, g0, side="right"), np.searchsorted(starts, g1)
         n = (np.minimum(ends[r0:r1], g1) - np.maximum(starts[r0:r1], g0)).astype(np.int64)
         k = np.arange(g0, g1, dtype=float) - np.repeat(starts[r0:r1] - first[r0:r1], n)
-        yield np.repeat(np.arange(r0, r1), n), k
+        yield (k, *(np.repeat(v[r0:r1], n) for v in values))
 
 
 def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
-               his: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The near pairs (row, k) of the intervals [los, his] and the windows,
-    walked by `_walk` over the `_runs`.
-
-    The cap is checked once, on the float total of the runs, before any
-    index is built (a cast to int64 first would wrap a huge run round to a
-    negative length).
-    """
+               his: np.ndarray, *values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The near pairs (k, *values) of the intervals [los, his] and the
+    windows, walked by `_walk`, the cap checked first on the runs' total."""
     first, counts = _runs(coef, shift, eps, los, his)
-    total = counts.sum()
-    check_size(int(total) if np.isfinite(total) else total, "windows")
-    return _walk(first, counts)
+    check_size(counts.sum(), "windows")
+    return _walk(first, counts, *values)
 
 
-def _joined(chunks: Iterable[tuple[np.ndarray, np.ndarray]]
-            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The components of a stream of pieces, chunk by chunk.
+def _joined(chunks: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The components of a stream of chunks (lo, hi) or (lo, hi, tag).
 
-    The pieces are non-empty, sorted by lo with his nondecreasing, within
-    and across chunks.  Touching or overlapping pieces are joined within
-    each chunk by `join_touching`, and each chunk is held back until the
-    next non-empty one shows whether its last component continues there;
-    the first element of that chunk is overwritten when it does.  At least
-    one chunk, maybe empty, is yielded.
+    A tag's pieces are consecutive, non-empty, sorted by lo with his
+    nondecreasing; pieces of two tags never join.  Touching pieces are
+    joined within each chunk by `join_touching`, and each chunk is held
+    back until the next non-empty one shows whether its last component
+    continues there, overwriting that one's first element.  At least one
+    chunk, maybe empty, is yielded when one comes in.
     """
-    held_lo, held_hi = np.empty(0), np.empty(0)
-    for lo, hi in chunks:
-        lo, hi = join_touching(lo, hi)
-        if lo.size == 0:
-            continue
-        if held_hi.size and lo[0] <= held_hi[-1]:
-            lo[0] = held_lo[-1]
-            held_lo, held_hi = held_lo[:-1], held_hi[:-1]
-        if held_lo.size:
-            yield held_lo, held_hi
-        held_lo, held_hi = lo, hi
-    yield held_lo, held_hi
+    held = None
+    for chunk in chunks:
+        lo, hi, *tag = chunk = join_touching(*chunk)
+        if held is not None and held[0].size:
+            if lo.size == 0:
+                continue
+            if lo[0] <= held[1][-1] and all(t[0] == h[-1] for t, h in zip(tag, held[2:])):
+                lo[0] = held[0][-1]
+                held = tuple(a[:-1] for a in held)
+            if held[0].size:
+                yield held
+        held = chunk
+    if held is not None:
+        yield held
 
 
-def _overlaps(p: FracParams, eta: float,
-              xi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The overlaps [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo of the
-    near window pairs, eta, xi > 0, chunk by chunk in x order.  Joined by
-    `_joined` where they touch or overlap, they are the simultaneous set's
-    components: `intersect`'s picks of the same floats.
-
-    A vacuous factor, a threshold at or above 1/2, is the one window
-    [0, 1]; with both below 1/2 the a-windows are the one-factor set, the
-    `_joined` `_overlaps(p, eta, 1/2)`, so one walk clips and joins both.
-    """
-    live = [(coef, shift, eps) for coef, shift, eps in ((p.a, p.c, eta), (p.b, p.d, xi))
-            if eps < 0.5]
-    los, his = np.array([0.0]), np.array([1.0])
-    if not live:
-        yield los, his
-        return
-    if len(live) == 2:
-        los, his = map(np.concatenate, zip(*_joined(_overlaps(p, eta, 0.5))))
-    coef, shift, eps = live[-1]
-    for rows, k in _near_runs(coef, shift, eps, los, his):
-        lo, hi = _windows(coef, shift, eps, k)
-        lo = np.maximum(los[rows], lo, out=lo)
-        hi = np.minimum(his[rows], hi, out=hi)
+def _clipped(coef: float, shift: float, eps: np.ndarray, los: np.ndarray,
+             his: np.ndarray, tags: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The windows at eps[tag] clipped to the intervals [los, his] of that
+    tag, sorted by tag, with hi > lo: chunks (lo, hi, tag) in x order within
+    each interval.  A vacuous threshold, at or above 1/2, is the one window
+    (-inf, inf).  Each tag's walk is capped on its own total, in tag order."""
+    eps = np.where(eps < 0.5, eps, np.inf)
+    first, counts = _runs(coef, shift, eps[tags], los, his)
+    counts[eps[tags] == np.inf] = 1.0
+    if counts.sum() > cell_cap():
+        # some walk may be over the cap: refuse the first, in tag order
+        cuts = np.flatnonzero(np.diff(tags, prepend=-1))
+        for i, j in zip(cuts, [*cuts[1:], tags.size]):
+            if eps[tags[i]] < np.inf:
+                check_size(counts[i:j].sum(), "windows")
+    for k, lo, hi, tag in _walk(first, counts, los, his, tags):
+        # a chunk of one tag, most of them, takes its threshold as a float
+        wlo, whi = _windows(coef, shift, eps[tag[0]] if tag[0] == tag[-1] else eps[tag], k)
+        np.maximum(lo, wlo, out=lo)
+        np.minimum(hi, whi, out=hi)
         keep = hi > lo
-        yield lo[keep], hi[keep]
+        yield lo[keep], hi[keep], tag[keep]
+
+
+def _overlaps(p: FracParams, etas, xis) -> Iterator[tuple[np.ndarray, ...]]:
+    """The overlaps [max(a_lo, b_lo), min(a_hi, b_hi)] with hi > lo of the
+    near window pairs of each threshold pair (etas[i], xis[i]) > 0: chunks
+    (lo, hi, tag i), pairs in order, x order within one.  `_joined`, they
+    are each simultaneous set's components: `intersect`'s picks of the same
+    floats.  A pair's a-set is its a-windows `_clipped` to [0, 1], joined;
+    its overlaps its b-windows `_clipped` to the a-set.  Every a-walk has one
+    index range, so one a-walk and one b-walk serve a group of pairs whose
+    a-windows fit in _CHUNK (or one pair): O(a + pairs) time per group, O(a
+    + _CHUNK) memory.  A group also starts at the first live a-factor, so
+    the caps refuse the walk that pair order meets first."""
+    etas, xis = np.asarray(etas, dtype=float), np.asarray(xis, dtype=float)
+    k0, k1 = _index_range(p.a, p.c)
+    live = etas < 0.5
+    first_live, bounds, used = np.flatnonzero(live)[:1], [], math.inf
+    for i, size in enumerate(np.where(live, k1 - k0 + 1.0, 1.0)):
+        if used + size > _CHUNK or i in first_live:
+            bounds.append(i)
+            used = 0.0
+        used += size
+    for g0, g1 in zip(bounds, [*bounds[1:], etas.size]):
+        whole = np.zeros(g1 - g0), np.ones(g1 - g0), np.arange(g0, g1, dtype=np.int32)
+        a_set = _joined(_clipped(p.a, p.c, etas, *whole))
+        # unbound, the a-set lives as long as its b-walk, its chunks no longer
+        yield from _clipped(p.b, p.d, xis, *[np.concatenate(a) for a in zip(*a_set)])
 
 
 def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
@@ -212,7 +234,8 @@ def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
     check_thresholds(eta, xi)
     if eta == 0.0 or xi == 0.0:
         return IntervalSet.empty()
-    return IntervalSet(*map(np.concatenate, zip(*_joined(_overlaps(p, eta, xi)))))
+    chunks = _joined((lo, hi) for lo, hi, _ in _overlaps(p, [eta], [xi]))
+    return IntervalSet(*map(np.concatenate, zip(*chunks)))
 
 
 # -- product condition: cell decomposition ------------------------------------
@@ -238,11 +261,11 @@ def _cells(p: FracParams) -> Iterator[tuple[np.ndarray, ...]]:
     his = np.minimum((k + 0.5 - p.c) / p.a, 1.0)
     keep = his > los
     k, los, his = k[keep], los[keep], his[keep]
-    for rows, q in _walk(*_runs(p.b, p.d, 0.5, los, his)):
-        lo = np.maximum(los[rows], (q - 0.5 - p.d) / p.b)
-        hi = np.minimum(his[rows], (q + 0.5 - p.d) / p.b)
+    for q, lo, hi, k in _walk(*_runs(p.b, p.d, 0.5, los, his), los, his, k):
+        lo = np.maximum(lo, (q - 0.5 - p.d) / p.b)
+        hi = np.minimum(hi, (q + 0.5 - p.d) / p.b)
         keep = hi > lo
-        yield lo[keep], hi[keep], k[rows[keep]], q[keep]
+        yield lo[keep], hi[keep], k[keep], q[keep]
 
 
 def _solve_chunk(p: FracParams, d2: float, lo: np.ndarray, hi: np.ndarray,
@@ -401,12 +424,21 @@ def product_membership(p: FracParams, delta: float, x):
 # -- covers -------------------------------------------------------------------
 
 
-def _piece_count(p: FracParams, eta: float, xi: float, mesh: float) -> float:
-    """Pieces of length mesh covering the simultaneous set, eta, xi > 0:
-    max(ceil(len/mesh), 1) per component, summed over the `_joined`
-    `_overlaps`."""
-    return sum(mesh_piece_counts(lo, hi, mesh).sum()
-               for lo, hi in _joined(_overlaps(p, eta, xi)))
+def _piece_counts(p: FracParams, etas, xis, meshes: np.ndarray) -> np.ndarray:
+    """Pieces of length meshes[i] covering the simultaneous set of each
+    threshold pair i, all positive: max(ceil(len/mesh), 1) per component of
+    the `_joined` `_overlaps`, summed per pair, as floats."""
+    total = np.zeros(len(etas))
+    for lo, hi, tag in _joined(_overlaps(p, etas, xis)):
+        if tag.size and tag[0] == tag[-1]:
+            total[tag[0]] += mesh_piece_counts(lo, hi, meshes[tag[0]]).sum()
+        elif tag.size:
+            # the chunk holds a run of components per pair, in pair order
+            cuts = np.concatenate(([0], np.flatnonzero(tag[1:] != tag[:-1]) + 1, [tag.size]))
+            pairs = tag[cuts[:-1]]
+            n = mesh_piece_counts(lo, hi, np.repeat(meshes[pairs], cuts[1:] - cuts[:-1]))
+            total[pairs] += np.add.reduceat(n, cuts[:-1])
+    return total
 
 
 def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
@@ -414,15 +446,24 @@ def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float
 
     The mesh is min(eta/a, xi/b), and a component of length len takes
     max(ceil(len/mesh), 1) pieces; callers compare the sum with
-    `FracParams.count_bound`.  No piece is formed and no interval set is
-    built: O(a + pairs) time, memory bounded by _CHUNK.
+    `FracParams.count_bound`.  The one-pair case of `_cover_counts`:
+    O(a + pairs walked) time, O(b) with eta >= 1/2, O(a + _CHUNK) memory.
     """
-    if not (0.0 < eta < 1.0 and 0.0 < xi < 1.0):
+    return _cover_counts(p, [(eta, xi)])[0]
+
+
+def _cover_counts(p: FracParams, pairs) -> list[tuple[int, float]]:
+    """(pieces, mesh) of `cover_simultaneous` for each threshold pair, all
+    counted by `_piece_counts`: no piece is formed and no interval set is
+    built, O(a + pairs walked) time per group of `_overlaps`."""
+    etas, xis = np.array(pairs, dtype=float).T
+    if not np.all((0.0 < etas) & (etas < 1.0) & (0.0 < xis) & (xis < 1.0)):
         raise ValueError("cover needs 0 < eta, xi < 1")
-    mesh = min(eta / p.a, xi / p.b)
-    if not mesh > 0.0:
+    meshes = np.minimum(etas / p.a, xis / p.b)
+    if not np.all(meshes > 0.0):
         raise ValueError("mesh must be positive")
-    return int(_piece_count(p, eta, xi, mesh)), mesh
+    counts = _piece_counts(p, etas, xis, meshes)
+    return [(int(n), float(mesh)) for n, mesh in zip(counts, meshes)]
 
 
 def dyadic_annuli(delta: float) -> list[int]:
@@ -453,8 +494,10 @@ class AnnulusCoverCost:
 
 
 def annulus_cover_cost(delta: float, count) -> AnnulusCoverCost:
-    """`count(eta, xi) -> (pieces, mesh)` once per threshold pair of the
-    core (delta, delta) and the dyadic annuli, for delta in [2**-511, 1/2].
+    """`count(pairs) -> [(pieces, mesh), ...]` once, on every threshold pair
+    (eta, xi) of the core (delta, delta) and the dyadic annuli, in the order
+    core, then first and second side of each j, for delta in
+    [2**-511, 1/2].
 
     A point of the product set outside the core has one distance in
     [2**j delta, 2**(j+1) delta), so the other is below 2**-j delta: the
@@ -462,29 +505,30 @@ def annulus_cover_cost(delta: float, count) -> AnnulusCoverCost:
     its mirror on the second.
     """
     check_delta(delta)
-    core = count(delta, delta)
-    first, second = [], []
+    pairs = [(delta, delta)]
     for j in dyadic_annuli(delta):
         big = 2.0 ** (j + 1) * delta
         small = 2.0 ** (-j) * delta
-        first.append(count(big, small))
-        second.append(count(small, big))
-    return AnnulusCoverCost(core=core, first_far=first, second_far=second)
+        pairs += [(big, small), (small, big)]
+    core, *annuli = count(pairs)
+    return AnnulusCoverCost(core=core, first_far=annuli[0::2], second_far=annuli[1::2])
 
 
 def product_set_cover_cost(p: FracParams, delta: float) -> AnnulusCoverCost:
     """Multi-scale cover of the product set via dyadic annuli.
 
-    Each pair of `annulus_cover_cost` is counted by `cover_simultaneous`,
-    at its own mesh min(eta/a, xi/b).  A single global mesh cannot
-    reproduce the two-term premeasure bound; the per-annulus meshes are
-    what make the bound hold with an absolute constant.
+    The 2J + 1 pairs of `annulus_cover_cost`, J about log2(1/delta), are
+    counted as `cover_simultaneous` counts them, each at its own mesh
+    min(eta/a, xi/b).  A single global mesh cannot reproduce the two-term
+    premeasure bound; the per-annulus meshes are what make the bound hold
+    with an absolute constant.
 
-    No cover piece and no interval set is built.  Each annulus takes
-    O(a + pairs) time on the one window-pair walk, O(b) for the last one
-    when its larger threshold reaches 1/2, and memory bounded by _CHUNK.
+    No cover piece and no interval set is built.  The pairs share one
+    a-walk and one b-walk while their a-windows, about a + 2 per pair, fit
+    in one _CHUNK: O(a*J + pairs walked) time, O(b) for a last annulus
+    whose larger threshold reaches 1/2, and O(a + _CHUNK) memory.
     """
-    return annulus_cover_cost(delta, lambda eta, xi: cover_simultaneous(p, eta, xi))
+    return annulus_cover_cost(delta, lambda pairs: _cover_counts(p, pairs))
 
 
 # -- displayed bound values ---------------------------------------------------

@@ -23,7 +23,7 @@ from .approx_sets import (FracParams, dyadic_annuli, measure_bound,
                           cover_simultaneous, simultaneous_set)
 from .dimension import (SeriesSpec, compute_tau, single_series_threshold,
                         estimate_box_dimension)
-from .intervals import (CellCapExceeded, lebesgue, premeasure_upper,
+from .intervals import (CellCapExceeded, check_s, lebesgue, premeasure_upper,
                         to_json_pairs)
 from .lattice import (count_integer_bound, count_near_pairs, default_K,
                       discrepancy, erdos_turan_rhs, lattice_fraction_points)
@@ -183,6 +183,8 @@ def _cmd_discrepancy(args) -> int:
 def _cmd_measure(args) -> int:
     p = _frac_params(args)
     _require(args, "delta")
+    for s in args.s:
+        check_s(s)
     delta = args.delta
     e = product_set(p, delta)
     leb = lebesgue(e)

@@ -26,9 +26,8 @@ class CellCapExceeded(RuntimeError):
     """Raised when a construction would enumerate too many cells."""
 
 
-def check_size(n: int, what: str) -> None:
-    """Refuse, before allocating, n entries above DIOPHLAB_CELL_CAP or its
-    default; a cap that is not a finite number of at least 1 is refused."""
+def cell_cap() -> int:
+    """DIOPHLAB_CELL_CAP or its default, refused unless a finite number >= 1."""
     raw = os.environ.get("DIOPHLAB_CELL_CAP")
     try:
         cap = float(raw) if raw else DEFAULT_CELL_CAP
@@ -36,8 +35,15 @@ def check_size(n: int, what: str) -> None:
         cap = math.nan
     if not 1.0 <= cap < math.inf:
         raise ValueError(f"DIOPHLAB_CELL_CAP must be a finite number >= 1, got {raw!r}")
-    limit = int(cap)
+    return int(cap)
+
+
+def check_size(n: int | float, what: str) -> None:
+    """Refuse, before allocating, n entries above the `cell_cap`; a float n,
+    a count int64 could wrap round, is named as an int when finite."""
+    limit = cell_cap()
     if n > limit:
+        n = int(n) if isinstance(n, float) and math.isfinite(n) else n
         raise CellCapExceeded(
             f"{n} {what} exceed the cap {limit} (set DIOPHLAB_CELL_CAP to raise)")
 
@@ -108,17 +114,20 @@ class IntervalSet:
         return np.minimum(np.abs(x - pts[idx - 1]), np.abs(x - pts[idx]))
 
 
-def join_touching(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Components of non-empty pieces sorted by lo, with his nondecreasing:
-    each piece that touches or overlaps its predecessor (lo <= previous hi)
-    joins it.  One comparison, and a gather only when some piece joins."""
+def join_touching(los: np.ndarray, his: np.ndarray,
+                  *tags: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Components (los, his, *tags) of non-empty pieces sorted by lo, his
+    nondecreasing: a piece that touches or overlaps its predecessor (lo <=
+    previous hi) joins it unless a tag differs.  A gather only on a join."""
     # starts[i]: piece i begins a component, and so piece i - 1 ends one
     starts = np.empty(los.size + 1, dtype=bool)
     starts[0] = starts[-1] = True
     np.greater(los[1:], his[:-1], out=starts[1:-1])
+    for tag in tags:
+        starts[1:-1] |= tag[1:] != tag[:-1]
     if np.count_nonzero(starts) == starts.size:
-        return los, his
-    return los[starts[:-1]], his[starts[1:]]
+        return (los, his, *tags)
+    return (los[starts[:-1]], his[starts[1:]], *(tag[starts[:-1]] for tag in tags))
 
 
 def normalize(raw) -> IntervalSet:

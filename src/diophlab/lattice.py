@@ -4,11 +4,11 @@ The central count is the number of integer pairs (p, q) in the standard
 window whose fractions (p-c)/a and (q-d)/b lie within eta/a + xi/b of each
 other, i.e. whose windows ((p-c) -+ eta)/a and ((q-d) -+ xi)/b overlap: the
 components of the simultaneous set.  The fast count takes its candidates
-from `approx_sets._near_runs`, the chunked window-pair walk that also builds
-`simultaneous_set`, counts its covers and yields the product-set cells, and
-tests each with the naive double loop's float predicate, so the two agree
-bit for bit.  The Erdos-Turan right-hand side has one arithmetic: the scalar
-is the table's one-row case.
+from `approx_sets._near_runs`, on the chunked window-pair walk that also
+builds `simultaneous_set`, counts its covers and yields the product-set
+cells, and tests each with the naive double loop's float predicate, so the
+two agree bit for bit.  The Erdos-Turan right-hand side has one arithmetic:
+the scalar is the table's one-row case.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
     theta = eta / p.a + xi / p.b
     x = (k - p.c) / p.a
     hits = 0
-    for rows, y in _near_runs(p.b, p.d, xi, *_windows(p.a, p.c, eta, k)):
+    for y, x_p in _near_runs(p.b, p.d, xi, *_windows(p.a, p.c, eta, k), x):
         y -= p.d
         y /= p.b
         # (p-c)/a once per p, and |y - x| = |x - y|: the naive loop's bits, in place
-        y -= x[rows]
+        y -= x_p
         hits += int(np.count_nonzero(np.abs(y, out=y) < theta))
     return hits
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import (AnnulusCoverCost, FracParams, _piece_count,
+from .approx_sets import (AnnulusCoverCost, FracParams, _piece_counts,
                           annulus_cover_cost, check_thresholds, dist_nearest_int,
                           dyadic_annuli, simultaneous_set)
 from .intervals import IntervalSet, check_s, lebesgue
@@ -67,21 +67,25 @@ class SquareCover:
     ratio: float
 
 
-def _square_count(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
-    """(squares, mesh) of the cover of the box product at (eta, xi) by
-    squares of side mesh = min(eta/a, xi/b): the product of the factors'
-    piece counts, each on the window walk with the other factor vacuous."""
-    check_thresholds(eta, xi)
-    mesh = min(eta / p.a, xi / p.b)
-    if mesh <= 0.0:
-        return 0, mesh
-    return int(_piece_count(p, eta, 0.5, mesh)) * int(_piece_count(p, 0.5, xi, mesh)), mesh
+def _square_counts(p: FracParams, pairs) -> list[tuple[int, float]]:
+    """(squares, mesh) of the box product at each pair (eta, xi) covered by
+    squares of side mesh = min(eta/a, xi/b): the product of the piece counts
+    of its factors (eta, 1/2) and (1/2, xi), all on one `_piece_counts`."""
+    etas, xis = np.array(pairs, dtype=float).T
+    meshes = np.minimum(etas / p.a, xis / p.b)
+    live = meshes > 0.0
+    half = np.full(np.count_nonzero(live), 0.5)
+    counts = _piece_counts(p, np.concatenate([etas[live], half]),
+                           np.concatenate([half, xis[live]]), np.tile(meshes[live], 2))
+    squares = iter([int(x) * int(y) for x, y in zip(counts[:half.size], counts[half.size:])])
+    return [(next(squares) if ok else 0, float(mesh)) for ok, mesh in zip(live, meshes)]
 
 
 def cover_rectangles(p: FracParams, eta: float, xi: float, s: float) -> SquareCover:
     """Cover the box product by squares of side min(eta/a, xi/b)."""
     check_s(s)
-    squares, mesh = _square_count(p, eta, xi)
+    check_thresholds(eta, xi)
+    squares, mesh = _square_counts(p, [(eta, xi)])[0]
     if not squares:
         return SquareCover(squares=0, mesh=mesh, premeasure=0.0, bound=0.0, ratio=0.0)
     bound = p.a * p.b * max(eta / p.a, xi / p.b) / mesh
@@ -125,10 +129,10 @@ def mc_planar_product_area(p: FracParams, delta: float, samples: int,
 
 def decompose_planar_product_set(p: FracParams, delta: float) -> AnnulusCoverCost:
     """Square counts of the box products over the core and the dyadic annulus
-    pairs of `annulus_cover_cost`, each counted once by `_square_count`
+    pairs of `annulus_cover_cost`, all counted by one `_square_counts`
     without building a set; the annulus products cover supersets of the two
     one-sided remainders of the planar set."""
-    return annulus_cover_cost(delta, lambda eta, xi: _square_count(p, eta, xi))
+    return annulus_cover_cost(delta, lambda pairs: _square_counts(p, pairs))
 
 
 def planar_premeasure(cost: AnnulusCoverCost, s: float) -> float:

@@ -17,7 +17,8 @@ from diophlab.intervals import (CellCapExceeded, difference, intersect,
                                 lebesgue, mesh_cover, mesh_piece_counts,
                                 symmetric_difference)
 from diophlab.lattice import count_near_pairs
-from diophlab.planar import cover_rectangles
+from diophlab.planar import (_square_counts, cover_rectangles,
+                             decompose_planar_product_set)
 from diophlab.sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence
 
 
@@ -599,7 +600,7 @@ def test_cover_cost_builds_no_interval_set(monkeypatch):
     # counted from windows with normalize and intersect gone
     cases = [*_criterion_7_instances(20), (FracParams(3, 1.6e5, 1, 2), (0.5 - 3e-13) / 4)]
     assert any(2.0 ** len(dyadic_annuli(delta)) * delta >= 0.5 for _, delta in cases)
-    want = [annulus_cover_cost(delta, lambda eta, xi: _set_count(p, eta, xi))
+    want = [annulus_cover_cost(delta, lambda pairs: [_set_count(p, *t) for t in pairs])
             for p, delta in cases]
 
     def refuse(*args):
@@ -610,6 +611,71 @@ def test_cover_cost_builds_no_interval_set(monkeypatch):
         monkeypatch.setattr(module, "normalize", refuse, raising=False)
         monkeypatch.setattr(module, "intersect", refuse)
     assert [product_set_cover_cost(p, delta) for p, delta in cases] == want
+
+
+def _batched_cases():
+    # random instances with b < 3000, whose plane covers walk every
+    # b-window once per pair; a = 6, whose 7 a-windows fill a chunk of 7, so
+    # that a chunk edge falls where one pair's last window reaches 1 and the
+    # next pair's first starts at 0; windows that touch in floats at
+    # 1/2 - 3e-13; and the vacuous factors of the last annulus
+    yield from list(_chunked_cases())[:6]
+    yield FracParams(6, 40.3, 0.0, 0.2), 0.01
+    yield FracParams(3, 1.6e4, 1, 2), (0.5 - 3e-13) / 4
+    yield FracParams(3, 1.6e4, 1, 2), 0.5 - 3e-13
+
+
+@pytest.mark.parametrize("chunk", [7, 64, None])
+def test_batched_pairs_equal_their_one_pair_counts(monkeypatch, chunk):
+    # every pair counted on the shared walk, on the line and in the plane,
+    # equals its count alone
+    want = [(annulus_cover_cost(delta, lambda pairs: [cover_simultaneous(p, *t)
+                                                      for t in pairs]),
+             annulus_cover_cost(delta, lambda pairs: [_square_counts(p, [t])[0]
+                                                      for t in pairs]))
+            for p, delta in _batched_cases()]
+    if chunk is not None:
+        monkeypatch.setattr(approx_sets, "_CHUNK", chunk)
+    assert [(product_set_cover_cost(p, delta), decompose_planar_product_set(p, delta))
+            for p, delta in _batched_cases()] == want
+
+
+def test_joined_never_joins_two_tags():
+    # within a chunk and across a chunk edge, pieces that touch or overlap
+    # stay apart when their tags differ
+    tagged = [(np.array([0.0, 0.5, 0.25]), np.array([0.5, 1.0, 0.75]), np.array([0, 0, 1])),
+              (np.array([0.0]), np.array([0.3]), np.array([2]))]
+    got = [tuple(a.tolist() for a in chunk) for chunk in approx_sets._joined(tagged)]
+    assert got == [([0.0, 0.25], [1.0, 0.75], [0, 1]), ([0.0], [0.3], [2])]
+
+
+def test_cover_cost_walks_each_factor_once(monkeypatch):
+    # the 27 pairs at delta = 1e-4 share one a-walk and one b-walk, where
+    # each pair walked each live factor on its own
+    coefs, runs = [], approx_sets._runs
+
+    def spy(coef, *args):
+        coefs.append(coef)
+        return runs(coef, *args)
+
+    monkeypatch.setattr(approx_sets, "_runs", spy)
+    p = FracParams(100, 1e5, 0.3, -0.6)
+    cost = product_set_cover_cost(p, 1e-4)
+    assert 1 + len(cost.first_far) + len(cost.second_far) == 27
+    assert coefs == [p.a, p.b]
+
+
+def test_cover_cost_peak_memory_is_bounded():
+    # a pair whose own a-windows pass the chunk forms its own group, so one
+    # a-set is held at a time: the peak stays within 1.25x the 10,740,563
+    # bytes of the pair-by-pair walk (tracemalloc, numpy 2.4)
+    tracemalloc.start()
+    try:
+        product_set_cover_cost(FracParams(2e5, 3e5), 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 10_740_563
 
 
 def test_dyadic_annuli():

@@ -352,24 +352,25 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, case):
 
 def test_planar_decompose_counts_each_box_once(capsys, monkeypatch):
     # one square count for the core and one per annulus and side, 2|J| + 1
-    # in all, however many s values read them; no box set is built
+    # in all, in one call, however many s values read them; no box set is
+    # built
     from diophlab import planar
-    count, calls = planar._square_count, []
+    count, calls = planar._square_counts, []
 
-    def counted(*args):
-        calls.append(args)
-        return count(*args)
+    def counted(p, pairs):
+        calls.append(pairs)
+        return count(p, pairs)
 
     def refuse(*args):
         raise AssertionError("box set built")
 
-    monkeypatch.setattr(planar, "_square_count", counted)
+    monkeypatch.setattr(planar, "_square_counts", counted)
     monkeypatch.setattr(planar, "product_rectangle_set", refuse)
     code, out, _ = run_cli(capsys, "planar", "decompose", "--a", "7.5", "--b", "4000",
                            "--delta", "0.01", "--s", "0.3", "0.5", "0.7", "0.9")
     doc = json.loads(out)
     assert code == 0 and len(doc["premeasure"]) == 4
-    assert len(calls) == 2 * len(doc["J"]) + 1
+    assert len(calls) == 1 and len(calls[0]) == 2 * len(doc["J"]) + 1
 
 
 def test_tau_reads_seq_psi_config(capsys, tmp_path):
@@ -507,6 +508,18 @@ _BIG = ("--a", "2", "--b", "1000")
                    f"{count} windows exceed the cap 100", id=f"cover-runs-{b}")
       for b, count in (("2e19", 8 * 10 ** 18), ("3e19", 12 * 10 ** 18),
                        ("1e20", 4 * 10 ** 19))),
+    # product sets under the cap whose annulus covers are not: the core's
+    # b-walk, then the first b-walk over the cap in pair order, that of
+    # annulus j = 1 on the first side
+    pytest.param(("measure", "--a", "40", "--b", "50", "--delta", "0.3"),
+                 "285 windows exceed the cap 100", id="measure-core"),
+    pytest.param(("measure", "--a", "2", "--b", "92", "--delta", "0.12"),
+                 "103 windows exceed the cap 100", id="measure-annulus"),
+    # the plane's factor walks: the b-walk, and the a-walk that comes first
+    pytest.param(("planar", "decompose", "--a", "3", "--b", "150", "--delta", "0.1"),
+                 "151 windows exceed the cap 100", id="planar-decompose-b"),
+    pytest.param(("planar", "decompose", "--a", "150.5", "--b", "200", "--delta", "0.1"),
+                 "152 windows exceed the cap 100", id="planar-decompose-a"),
 ])
 def test_size_cap_exits_with_message(argv, message):
     # an array above DIOPHLAB_CELL_CAP is refused before it is allocated:
@@ -518,6 +531,16 @@ def test_size_cap_exits_with_message(argv, message):
     assert proc.stdout == ""
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("delta", ["0.7", "0.1"])
+@pytest.mark.parametrize("s", ["2", "0"])
+def test_measure_checks_every_s_first(capsys, delta, s):
+    # at delta > 1/2 no premeasure reads s, so s = 2 was ignored with exit 0
+    code, out, err = run_cli(capsys, "measure", "--a", "2", "--b", "11",
+                             "--delta", delta, "--s", "0.5", s)
+    assert code == 1 and out == ""
+    assert "s must be in (0, 1]" in err
 
 
 @pytest.mark.parametrize("b", ["20", "40"])
