@@ -140,12 +140,21 @@ def _walk(first: np.ndarray, counts: np.ndarray,
         yield (k, *(np.repeat(v[r0:r1], n) for v in values))
 
 
-def _near_runs(coef: float, shift: float, eps: float, los: np.ndarray,
-               his: np.ndarray, *values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """The near pairs (k, *values) of the intervals [los, his] and the
-    windows, walked by `_walk`, the cap checked first on the runs' total."""
+def _near_runs(coef: float, shift: float, eps: np.ndarray, los: np.ndarray, his: np.ndarray,
+               tags: np.ndarray, *values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The near pairs (k, *values) of each interval [los[i], his[i]] and the
+    windows at eps[i], walked by `_walk`; a threshold of inf is the one
+    window (-inf, inf).  The intervals of a tag are consecutive, and each
+    tag's walk is capped on its own float total, in tag order, before any
+    index is built."""
     first, counts = _runs(coef, shift, eps, los, his)
-    check_size(counts.sum(), "windows")
+    counts[eps == np.inf] = 1.0
+    if counts.sum() > cell_cap():
+        # some walk may be over the cap: refuse the first, in tag order
+        cuts = np.flatnonzero(np.diff(tags, prepend=-1))
+        for i, j in zip(cuts, [*cuts[1:], tags.size]):
+            if eps[i] < np.inf:
+                check_size(counts[i:j].sum(), "windows")
     return _walk(first, counts, *values)
 
 
@@ -179,20 +188,10 @@ def _clipped(coef: float, shift: float, eps: np.ndarray, los: np.ndarray,
              his: np.ndarray, tags: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """The windows at eps[tag] clipped to the intervals [los, his] of that
     tag, sorted by tag, with hi > lo: chunks (lo, hi, tag) in x order within
-    each interval.  A vacuous threshold, at or above 1/2, is the one window
-    (-inf, inf).  Each tag's walk is capped on its own total, in tag order."""
+    each interval; a threshold at or above 1/2 is vacuous, one window."""
     eps = np.where(eps < 0.5, eps, np.inf)
-    first, counts = _runs(coef, shift, eps[tags], los, his)
-    counts[eps[tags] == np.inf] = 1.0
-    if counts.sum() > cell_cap():
-        # some walk may be over the cap: refuse the first, in tag order
-        cuts = np.flatnonzero(np.diff(tags, prepend=-1))
-        for i, j in zip(cuts, [*cuts[1:], tags.size]):
-            if eps[tags[i]] < np.inf:
-                check_size(counts[i:j].sum(), "windows")
-    for k, lo, hi, tag in _walk(first, counts, los, his, tags):
-        # a chunk of one tag, most of them, takes its threshold as a float
-        wlo, whi = _windows(coef, shift, eps[tag[0]] if tag[0] == tag[-1] else eps[tag], k)
+    for k, lo, hi, tag in _near_runs(coef, shift, eps[tags], los, his, tags, los, his, tags):
+        wlo, whi = _windows(coef, shift, eps.take(tag), k)
         np.maximum(lo, wlo, out=lo)
         np.minimum(hi, whi, out=hi)
         keep = hi > lo
@@ -208,14 +207,12 @@ def _overlaps(p: FracParams, etas, xis) -> Iterator[tuple[np.ndarray, ...]]:
     its overlaps its b-windows `_clipped` to the a-set.  Every a-walk has one
     index range, so one a-walk and one b-walk serve a group of pairs whose
     a-windows fit in _CHUNK (or one pair): O(a + pairs) time per group, O(a
-    + _CHUNK) memory.  A group also starts at the first live a-factor, so
-    the caps refuse the walk that pair order meets first."""
+    + _CHUNK) memory."""
     etas, xis = np.asarray(etas, dtype=float), np.asarray(xis, dtype=float)
     k0, k1 = _index_range(p.a, p.c)
-    live = etas < 0.5
-    first_live, bounds, used = np.flatnonzero(live)[:1], [], math.inf
-    for i, size in enumerate(np.where(live, k1 - k0 + 1.0, 1.0)):
-        if used + size > _CHUNK or i in first_live:
+    bounds, used = [], math.inf
+    for i, size in enumerate(np.where(etas < 0.5, k1 - k0 + 1.0, 1.0)):
+        if used + size > _CHUNK:
             bounds.append(i)
             used = 0.0
         used += size
@@ -234,8 +231,9 @@ def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
     check_thresholds(eta, xi)
     if eta == 0.0 or xi == 0.0:
         return IntervalSet.empty()
-    chunks = _joined((lo, hi) for lo, hi, _ in _overlaps(p, [eta], [xi]))
-    return IntervalSet(*map(np.concatenate, zip(*chunks)))
+    # with an empty a-set the b-walk, and so the join, yields no chunk
+    chunks = [(lo, hi) for lo, hi, _ in _joined(_overlaps(p, [eta], [xi]))]
+    return IntervalSet(*map(np.concatenate, zip(*chunks))) if chunks else IntervalSet.empty()
 
 
 # -- product condition: cell decomposition ------------------------------------
@@ -430,14 +428,11 @@ def _piece_counts(p: FracParams, etas, xis, meshes: np.ndarray) -> np.ndarray:
     the `_joined` `_overlaps`, summed per pair, as floats."""
     total = np.zeros(len(etas))
     for lo, hi, tag in _joined(_overlaps(p, etas, xis)):
-        if tag.size and tag[0] == tag[-1]:
-            total[tag[0]] += mesh_piece_counts(lo, hi, meshes[tag[0]]).sum()
-        elif tag.size:
-            # the chunk holds a run of components per pair, in pair order
-            cuts = np.concatenate(([0], np.flatnonzero(tag[1:] != tag[:-1]) + 1, [tag.size]))
-            pairs = tag[cuts[:-1]]
-            n = mesh_piece_counts(lo, hi, np.repeat(meshes[pairs], cuts[1:] - cuts[:-1]))
-            total[pairs] += np.add.reduceat(n, cuts[:-1])
+        # each pair's components are one slice of the chunk, in pair order
+        pairs = range(tag[0], tag[-1] + 1) if tag.size else ()
+        cuts = np.searchsorted(tag, [*pairs, len(etas)])
+        for i, c0, c1 in zip(pairs, cuts, cuts[1:]):
+            total[i] += mesh_piece_counts(lo[c0:c1], hi[c0:c1], meshes[i]).sum()
     return total
 
 

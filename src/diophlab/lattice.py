@@ -40,7 +40,8 @@ def count_near_pairs(p: FracParams, eta: float, xi: float) -> int:
     theta = eta / p.a + xi / p.b
     x = (k - p.c) / p.a
     hits = 0
-    for y, x_p in _near_runs(p.b, p.d, xi, *_windows(p.a, p.c, eta, k), x):
+    for y, x_p in _near_runs(p.b, p.d, np.broadcast_to(xi, k.shape), *_windows(p.a, p.c, eta, k),
+                             np.broadcast_to(0, k.shape), x):
         y -= p.d
         y /= p.b
         # (p-c)/a once per p, and |y - x| = |x - y|: the naive loop's bits, in place

@@ -56,6 +56,19 @@ def test_simultaneous_set_vacuous_thresholds():
         [(0.0, 1.0)]
 
 
+def test_collapsed_a_windows_give_the_empty_set():
+    # eta/a = 1e-20 is below the ulp of every a-window centre, so each
+    # a-window collapses in floats, the a-set is empty and no b-window is
+    # walked; the product set keeps its sliver at x = 0, where v is small
+    p = FracParams(1, 1, 0.3)
+    assert simultaneous_set(p, 1e-20, 0.1).is_empty()
+    dec = decompose_product_set(p, 1e-20)
+    sliver = [(0.0, 3.333333333333333e-40)]
+    assert [part.pairs() for part in (dec.simultaneous, dec.first_far,
+                                      dec.second_far, dec.product)] == \
+        [[], sliver, [], sliver]
+
+
 def test_simultaneous_set_identical_constraints():
     d = 0.15
     got = simultaneous_set(FracParams(1, 1), d, d)
