@@ -42,9 +42,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .intervals import (IntervalSet, cell_cap, check_s, check_size, complement,
-                        intersect, join_touching, mesh_piece_counts, union_many)
-from .sequences import log_weight, require_finite
+from .intervals import (IntervalSet, cell_cap, check_pieces, check_s, check_size,
+                        complement, intersect, join_touching, mesh_piece_counts,
+                        union_many)
+from .sequences import log_weight, refined_log, require_finite
 
 _CHUNK = 1 << 14
 
@@ -125,14 +126,15 @@ def _walk(first: np.ndarray, counts: np.ndarray,
           *values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """The pairs of the runs, chunks (k, *values) of at most _CHUNK pairs,
     run by run: k as floats, and each per-run array of `values` repeated
-    over the run's pairs, so no consumer gathers through a row index.
-    O(runs) set-up, then a dozen numpy calls per chunk and one per value."""
+    over the run's pairs, so no consumer gathers through a row index; one
+    empty chunk if there is no pair.  O(runs) set-up, then a dozen numpy
+    calls per chunk and one per value."""
     # pair positions: run r holds [starts[r], ends[r]); a chunk is the
     # positions [g0, g1) and the runs that meet them, cut to them
     ends = np.cumsum(counts)
     starts = ends - counts
     total = counts.sum()
-    for g0 in range(0, int(total), _CHUNK):
+    for g0 in range(0, max(int(total), 1), _CHUNK):
         g1 = min(g0 + _CHUNK, total)
         r0, r1 = np.searchsorted(ends, g0, side="right"), np.searchsorted(starts, g1)
         n = (np.minimum(ends[r0:r1], g1) - np.maximum(starts[r0:r1], g0)).astype(np.int64)
@@ -166,7 +168,7 @@ def _joined(chunks: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarr
     joined within each chunk by `join_touching`, and each chunk is held
     back until the next non-empty one shows whether its last component
     continues there, overwriting that one's first element.  At least one
-    chunk, maybe empty, is yielded when one comes in.
+    chunk, maybe empty, is yielded when one comes in, as from every walk.
     """
     held = None
     for chunk in chunks:
@@ -231,9 +233,8 @@ def simultaneous_set(p: FracParams, eta: float, xi: float) -> IntervalSet:
     check_thresholds(eta, xi)
     if eta == 0.0 or xi == 0.0:
         return IntervalSet.empty()
-    # with an empty a-set the b-walk, and so the join, yields no chunk
     chunks = [(lo, hi) for lo, hi, _ in _joined(_overlaps(p, [eta], [xi]))]
-    return IntervalSet(*map(np.concatenate, zip(*chunks))) if chunks else IntervalSet.empty()
+    return IntervalSet(*map(np.concatenate, zip(*chunks)))
 
 
 # -- product condition: cell decomposition ------------------------------------
@@ -327,7 +328,17 @@ def _product_pieces(p: FracParams,
                     delta: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream solution pieces of the product condition, one chunk of
     `_cells` at a time; the pieces are non-empty and in x order, within and
-    across chunks."""
+    across chunks.  The stream owns delta's domain: one empty chunk at 0,
+    the piece [0, 1] above 1/2, where the product reaches delta**2 at
+    finitely many points only, and a ValueError for a NaN, a negative delta
+    or one in (0, 2**-511).
+    """
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be a nonnegative number, got {delta}")
+    if delta == 0.0 or delta > 0.5:
+        yield (np.empty(0), np.empty(0)) if delta == 0.0 else (np.zeros(1), np.ones(1))
+        return
+    check_delta(delta)
     d2 = delta * delta
     for lo, hi, k, q in _cells(p):
         plo, phi = _solve_chunk(p, d2, lo, hi, k, q)
@@ -351,19 +362,9 @@ def product_set(p: FracParams, delta: float) -> IntervalSet:
     The concatenation of `_product_pieces` `_joined` where they touch, at
     cell cuts: the pieces are non-empty, inside [0, 1] and in x order, so
     that is the normal form, and no `normalize` runs.  Peak memory is about
-    twice the output: the chunks and their concatenation.
-
-    For delta > 1/2 the product never reaches delta**2 apart from a finite
-    set of points, so the result is all of [0,1]; delta = 0 gives the empty
-    set, and `check_delta` refuses delta in (0, 2**-511).
+    twice the output: the chunks and their concatenation.  The stream owns
+    delta's domain: all of [0, 1] above 1/2, the empty set at 0.
     """
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be a nonnegative number, got {delta}")
-    if delta == 0.0:
-        return IntervalSet.empty()
-    if delta > 0.5:
-        return IntervalSet.full()
-    check_delta(delta)
     return IntervalSet(*map(np.concatenate, zip(*_joined(_product_pieces(p, delta)))))
 
 
@@ -425,14 +426,16 @@ def product_membership(p: FracParams, delta: float, x):
 def _piece_counts(p: FracParams, etas, xis, meshes: np.ndarray) -> np.ndarray:
     """Pieces of length meshes[i] covering the simultaneous set of each
     threshold pair i, all positive: max(ceil(len/mesh), 1) per component of
-    the `_joined` `_overlaps`, summed per pair, as floats."""
+    the `_joined` `_overlaps`, summed per pair, as floats; an inf is refused."""
     total = np.zeros(len(etas))
-    for lo, hi, tag in _joined(_overlaps(p, etas, xis)):
-        # each pair's components are one slice of the chunk, in pair order
-        pairs = range(tag[0], tag[-1] + 1) if tag.size else ()
-        cuts = np.searchsorted(tag, [*pairs, len(etas)])
-        for i, c0, c1 in zip(pairs, cuts, cuts[1:]):
-            total[i] += mesh_piece_counts(lo[c0:c1], hi[c0:c1], meshes[i]).sum()
+    with np.errstate(over="ignore"):
+        for lo, hi, tag in _joined(_overlaps(p, etas, xis)):
+            # each pair's components are one slice of the chunk, in pair order
+            pairs = range(tag[0], tag[-1] + 1) if tag.size else ()
+            cuts = np.searchsorted(tag, [*pairs, len(etas)])
+            for i, c0, c1 in zip(pairs, cuts, cuts[1:]):
+                total[i] += mesh_piece_counts(lo[c0:c1], hi[c0:c1], meshes[i]).sum()
+    check_pieces(total, meshes)
     return total
 
 
@@ -538,7 +541,6 @@ def premeasure_bound(p: FracParams, delta: float, s: float) -> float:
 
 def measure_bound(p: FracParams, delta: float) -> float:
     """delta^2 * L * log(1/delta) + sqrt(a/b) * delta * L (refined log)."""
-    from .sequences import refined_log
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     L = p.weight()

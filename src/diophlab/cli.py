@@ -193,7 +193,7 @@ def _cmd_measure(args) -> int:
                "components": len(e), "lebesgue": leb,
                "measure_bound": mbound, "measure_ratio": leb / mbound,
                "premeasure": {}}
-    if 0.0 < delta <= 0.5:
+    if delta <= 0.5:
         cost = product_set_cover_cost(p, delta)
         for s in args.s:
             pm, pb = cost.premeasure(s), premeasure_bound(p, delta, s)

@@ -415,8 +415,9 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
     """Box-count slope of the truncated union, streamed without materializing it.
 
     Dyadic boxes are marked at the finest scale while the per-n solution
-    pieces stream out of the cell solver; coarser counts roll up from the
-    finest occupancy bitmap, which is exact for nested dyadic scales.
+    pieces stream out of `_product_pieces` at delta = sqrt(psi(n)), which
+    refuses psi(n) in (0, 2**-1022) as `product_set` does; coarser counts
+    roll up from the finest occupancy bitmap, exact for nested dyadic scales.
 
     When the pieces of one index lie closer together than the finest scale
     (for a_n = 2^n, b_n = 3^n, psi(n) = 3^-n every point k/3^n is a
@@ -435,35 +436,17 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
     finest = scales[0]
     nbox = round(1.0 / finest)
     check_size(nbox, "finest-scale boxes")
+    # a piece adds 1 at its first finest box and -1 just past its last
     diff = np.zeros(nbox + 1, dtype=np.int64)
-
-    def mark(lo_arr, hi_arr):
-        jlo = np.floor(lo_arr / finest).astype(np.int64)
-        jhi = (np.ceil(hi_arr / finest) - 1.0).astype(np.int64)
-        np.add.at(diff, jlo, 1)
-        np.add.at(diff, jhi + 1, -1)
-
     for n in range(n_lo, n_hi + 1):
-        pval = eval_psi(psi, n)
-        if pval == 0.0:
-            continue
-        delta = math.sqrt(pval)
-        an, bn, cn, dn = eval_sequence(seq, n)
-        params = FracParams(an, bn, cn, dn)
-        if delta > 0.5:
-            mark(np.array([0.0]), np.array([1.0]))
-            continue
-        for plo, phi in _product_pieces(params, delta):
-            if plo.size:
-                mark(plo, phi)
-
+        delta = math.sqrt(eval_psi(psi, n))
+        for plo, phi in _product_pieces(FracParams(*eval_sequence(seq, n)), delta):
+            np.add.at(diff, np.floor(plo / finest).astype(np.int64), 1)
+            np.add.at(diff, np.ceil(phi / finest).astype(np.int64), -1)
     hit = np.cumsum(diff)[:nbox] > 0
     if not hit.any():
         raise ValueError("degenerate fit: truncated set is empty")
-    counts = []
-    for t in scales:
-        factor = round(t / finest)
-        counts.append(int(hit.reshape(nbox // factor, factor).any(axis=1).sum()))
+    counts = [int(hit.reshape(-1, round(t / finest)).any(axis=1).sum()) for t in scales]
     slope, stderr = _fit_slope(scales, counts)
     return BoxDimEstimate(slope=slope, stderr=stderr,
                           scales=tuple(scales), counts=tuple(counts))

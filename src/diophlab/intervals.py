@@ -180,8 +180,6 @@ def intersect(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     difference and symmetric difference run it against a complement, and
     union is a `normalize`.
     """
-    if x.is_empty() or y.is_empty():
-        return IntervalSet.empty()
     # only pairs that overlap in more than a point: y.his > x.lo, y.lo < x.hi
     start = np.searchsorted(y.his, x.los, side="right")
     stop = np.searchsorted(y.los, x.his, side="left")
@@ -256,9 +254,10 @@ def premeasure_upper(x: IntervalSet, s: float, mesh: float) -> float:
     check_s(s)
     if not 0.0 < mesh < math.inf:
         raise ValueError(f"mesh must be positive and finite, got {mesh}")
-    if x.is_empty():
-        return 0.0
-    return float(mesh_piece_counts(x.los, x.his, mesh).sum() * (mesh / 2.0) ** s)
+    with np.errstate(over="ignore"):
+        total = mesh_piece_counts(x.los, x.his, mesh).sum()
+    check_pieces(total, mesh)
+    return float(total * (mesh / 2.0) ** s)
 
 
 def _check_dyadic(scale: float) -> None:
@@ -297,7 +296,10 @@ class Cover:
     mesh: float
     piece_los: np.ndarray = field(repr=False)
     piece_his: np.ndarray = field(repr=False)
-    count: int = 0
+
+    @property
+    def count(self) -> int:
+        return len(self.piece_los)
 
     def covers(self, x: IntervalSet) -> bool:
         """Exact containment check of x in the union of the pieces."""
@@ -306,8 +308,17 @@ class Cover:
 
 def mesh_piece_counts(los: np.ndarray, his: np.ndarray, mesh: float) -> np.ndarray:
     """Pieces of length mesh per interval [lo, hi], max(ceil(len/mesh), 1),
-    as floats, so that a tiny mesh cannot overflow them."""
+    as floats; at a subnormal mesh a count or sum may pass the largest
+    float, so callers sum under np.errstate(over="ignore") and refuse the
+    inf total with `check_pieces`."""
     return np.maximum(np.ceil((his - los) / mesh), 1.0)
+
+
+def check_pieces(totals, meshes) -> None:
+    """Refuse a piece total, totals[i] at meshes[i], that overflowed to inf."""
+    over = np.asarray(meshes)[np.asarray(totals) == math.inf]
+    if over.size:
+        raise ValueError(f"mesh {over[0]} is too fine: its piece count overflows a float")
 
 
 def mesh_cover(x: IntervalSet, mesh: float) -> Cover:
@@ -319,11 +330,9 @@ def mesh_cover(x: IntervalSet, mesh: float) -> Cover:
     """
     if not mesh > 0.0:
         raise ValueError("mesh must be positive")
-    if x.is_empty():
-        return Cover(mesh=mesh, piece_los=np.empty(0), piece_his=np.empty(0),
-                     count=0)
-    counts = mesh_piece_counts(x.los, x.his, mesh)
-    check_size(int(counts.sum()), "cover pieces")
+    with np.errstate(over="ignore"):
+        counts = mesh_piece_counts(x.los, x.his, mesh)
+        check_size(counts.sum(), f"cover pieces of mesh {mesh}")
     counts = counts.astype(np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     total = int(offsets[-1])
@@ -333,7 +342,7 @@ def mesh_cover(x: IntervalSet, mesh: float) -> Cover:
     his = base + (idx + 1) * mesh
     last = offsets[1:] - 1
     his[last] = np.maximum(his[last], x.his)
-    return Cover(mesh=mesh, piece_los=los, piece_his=his, count=total)
+    return Cover(mesh=mesh, piece_los=los, piece_his=his)
 
 
 def to_json_pairs(x: IntervalSet) -> list[list[float]]:

@@ -83,12 +83,15 @@ class SamplePoints:
     """Q points on the torus, stored reduced mod 1."""
 
     points: np.ndarray
-    Q: int
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        if self.Q != len(self.points) or self.Q < 1:
-            raise ValueError("Q must equal the number of points and be >= 1")
+        if self.Q < 1:
+            raise ValueError("need at least one point")
+
+    @property
+    def Q(self) -> int:
+        return len(self.points)
 
 
 def lattice_fraction_points(p: FracParams) -> SamplePoints:
@@ -98,7 +101,7 @@ def lattice_fraction_points(p: FracParams) -> SamplePoints:
     check_size(Q, "lattice points")
     q = np.arange(1, Q + 1, dtype=float)
     u = (p.a / p.b) * (q + qlo - 1.0) - p.a * p.d / p.b + p.c
-    return SamplePoints(points=np.mod(u, 1.0), Q=Q)
+    return SamplePoints(points=np.mod(u, 1.0))
 
 
 def exp_sums(points: SamplePoints, kmax: int) -> np.ndarray:

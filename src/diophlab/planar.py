@@ -92,7 +92,7 @@ def cover_rectangles(p: FracParams, eta: float, xi: float, s: float) -> SquareCo
     return SquareCover(squares=squares, mesh=mesh,
                        premeasure=squares * mesh ** (1.0 + s),
                        bound=bound,
-                       ratio=squares / bound if bound > 0 else math.inf)
+                       ratio=squares / bound)
 
 
 def planar_membership(p: FracParams, delta: float, x, y) -> np.ndarray:

@@ -187,7 +187,7 @@ def _eval_erdos_turan(inst):
     would find.
     """
     sub = np.random.default_rng(inst["seed"])
-    pts = SamplePoints(points=sub.random(inst["Q"]), Q=inst["Q"])
+    pts = SamplePoints(points=sub.random(inst["Q"]))
     los, lengths = sub.uniform([0.0, 1e-6], [1.0, 1.0], size=(_ET_INTERVALS, 2)).T
     his = los + lengths
     d = np.abs(discrepancies(pts, los, his))[:, None]

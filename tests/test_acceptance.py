@@ -94,7 +94,7 @@ def test_criterion_03_erdos_turan_inequality():
     violations = 0
     for _ in range(200):
         Q = int(np.exp(rng.uniform(np.log(8), np.log(4096))))
-        pts = SamplePoints(points=rng.random(Q), Q=Q)
+        pts = SamplePoints(points=rng.random(Q))
         los, lengths = rng.uniform([0.0, 1e-6], [1.0, 1.0], size=(100, 2)).T
         his = los + lengths
         d = np.abs(discrepancies(pts, los, his))[:, None]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diophlab import approx_sets, intervals
-from diophlab.approx_sets import (FracParams, _cells, _product_pieces,
-                                  _windows, annulus_cover_cost,
+from diophlab.approx_sets import (FracParams, _cells, _joined, _product_pieces,
+                                  _walk, _windows, annulus_cover_cost,
                                   decompose_product_set, dist_nearest_int,
                                   dyadic_annuli, measure_bound,
                                   premeasure_bound, product_membership,
@@ -102,6 +102,32 @@ def test_product_set_measure_matches_monte_carlo():
     leb = lebesgue(e)
     se = math.sqrt(leb * (1 - leb) / x.size)
     assert abs(freq - leb) < 4 * se
+
+
+@pytest.mark.parametrize("counts", [np.empty(0), np.zeros(3)])
+def test_a_walk_with_no_pair_yields_one_empty_chunk(counts):
+    chunks = list(_walk(np.arange(counts.size, dtype=float), counts, counts))
+    assert len(chunks) == 1
+    assert [a.size for a in chunks[0]] == [0, 0]
+
+
+@pytest.mark.parametrize("delta, chunks", [(0.0, [[]]), (0.5, None), (0.75, [[(0.0, 1.0)]])])
+def test_product_pieces_joined_are_the_product_set(delta, chunks):
+    # the stream owns delta's domain: one empty chunk at 0, the cell solve
+    # at 1/2, and the one piece [0, 1] above 1/2
+    p = FracParams(3, 7, 0.3, 0.6)
+    got = list(_joined(_product_pieces(p, delta)))
+    if chunks is not None:
+        assert [list(zip(*map(np.ndarray.tolist, c))) for c in got] == chunks
+    los, his = map(np.concatenate, zip(*got))
+    want = product_set(p, delta)
+    assert np.array_equal(los, want.los) and np.array_equal(his, want.his)
+
+
+@pytest.mark.parametrize("delta", [math.nan, -0.1, 1e-200])
+def test_product_pieces_refuse_a_delta_outside_their_domain(delta):
+    with pytest.raises(ValueError, match="delta must be"):
+        next(_product_pieces(FracParams(2, 3), delta))
 
 
 def test_product_set_monotone_in_delta():

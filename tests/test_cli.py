@@ -533,6 +533,37 @@ def test_size_cap_exits_with_message(argv, message):
     assert "Warning" not in proc.stderr
 
 
+_TOO_FINE = "is too fine: its piece count overflows a float"
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    # the canonical premeasure was Infinity, which is not JSON
+    pytest.param(("measure", "--a", "2", "--b", "11", "--delta", "0.1", "--mesh", "1e-320"),
+                 1, f"error: mesh 1e-320 {_TOO_FINE}\n", id="measure-mesh"),
+    # the factor (0.3, 1/2) overflows its count: int(inf) was a traceback
+    pytest.param(("planar", "cover", "--a", "1", "--b", "1", "--eta", "0.3", "--xi", "1e-320"),
+                 1, f"error: mesh 1e-320 {_TOO_FINE}\n", id="planar-cover"),
+    pytest.param(("planar", "decompose", "--a", "1", "--b", "1000000",
+                  "--delta", repr(2.0 ** -511)),
+                 1, f"error: mesh 1.139237815556e-311 {_TOO_FINE}\n", id="planar-decompose"),
+    # the simultaneous set's components are as narrow as the mesh: finite
+    pytest.param(("cover", "--a", "1", "--b", "1", "--eta", "0.3", "--xi", "1e-320"),
+                 0, {"a": 1.0, "b": 1.0, "bound": 1.3, "c": 0.0, "d": 0.0, "eta": 0.3,
+                     "mesh": 1e-320, "pieces": 1, "ratio": 0.7692307692307692,
+                     "xi": 1e-320}, id="cover"),
+])
+def test_subnormal_mesh_counts(argv, code, text):
+    # a piece count past the largest float is refused with its mesh, with no
+    # overflow warning; a finite one is still counted
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    if code:
+        assert (proc.stdout, proc.stderr) == ("", text)
+    else:
+        assert (json.loads(proc.stdout), proc.stderr) == (text, "")
+
+
 @pytest.mark.parametrize("delta", ["0.7", "0.1"])
 @pytest.mark.parametrize("s", ["2", "0"])
 def test_measure_checks_every_s_first(capsys, delta, s):

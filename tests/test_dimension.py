@@ -347,6 +347,26 @@ def test_box_dimension_empty_set_raises():
         estimate_box_dimension(EXP23, psi0, 1, 4, [0.5, 0.25, 0.125, 0.0625])
 
 
+def test_box_dimension_refuses_a_delta_below_2_to_the_minus_511():
+    # delta = sqrt(1e-310) < 2**-511: product_set refuses it, and the box
+    # counts read (1, 1, 1, 1, 1, 1) from a product threshold of 0
+    psi = PsiSpec(kind="explicit-table", values=(1e-310,) * 3)
+    with pytest.raises(ValueError, match=r"delta must be in \[2\*\*-511, 1/2\]"):
+        estimate_box_dimension(EXP23, psi, 1, 3, [2.0 ** -k for k in range(1, 7)])
+
+
+@pytest.mark.parametrize("values, counts", [
+    # psi(n) = 0 marks nothing
+    ((0.0, 0.02, 0.0, 0.003, 0.0), (236, 154, 108, 64, 32, 16, 8, 4)),
+    # psi(n) > 1/4, delta > 1/2, marks all of [0, 1]
+    ((0.0, 0.3, 0.001), (512, 256, 128, 64, 32, 16, 8, 4)),
+])
+def test_box_dimension_counts_of_zero_and_large_psi(values, counts):
+    psi = PsiSpec(kind="explicit-table", values=values)
+    est = estimate_box_dimension(EXP23, psi, 1, len(values), [2.0 ** -k for k in range(2, 10)])
+    assert est.counts == counts
+
+
 def test_box_dimension_refuses_a_finest_scale_over_the_cap():
     # 2^40 boxes would take two 8 TiB arrays; the cap refuses them first
     psi = PsiSpec(kind="scaled-base", t=1.0, seq=EXP23)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diophlab.intervals import (IntervalSet, box_count, complement,
+from diophlab.intervals import (CellCapExceeded, IntervalSet, box_count, complement,
                                 difference, intersect, lebesgue, mesh_cover,
                                 normalize, premeasure_upper,
                                 symmetric_difference, union, union_many)
@@ -331,6 +331,12 @@ def test_mesh_cover_contains_and_counts():
     cov = mesh_cover(x, 0.1)
     assert cov.count == 3 + 1
     assert cov.covers(x)
+
+
+def test_mesh_cover_refuses_a_count_past_the_largest_float():
+    # 1/1e-320 overflows: the count is inf, which int() could not take
+    with pytest.raises(CellCapExceeded, match="inf cover pieces of mesh 1e-320"):
+        mesh_cover(IntervalSet.full(), 1e-320)
 
 
 def test_union_many_matches_iterated_union():

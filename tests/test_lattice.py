@@ -196,7 +196,7 @@ def test_build_points_count_with_shift():
 
 def test_exp_sum_uniform_points():
     Q = 16
-    pts = SamplePoints(points=np.arange(Q) / Q, Q=Q)
+    pts = SamplePoints(points=np.arange(Q) / Q)
     sums = exp_sums(pts, 3 * Q)
     assert sums[5 - 1] < 1e-9
     assert sums[Q - 1] == pytest.approx(Q)
@@ -204,7 +204,7 @@ def test_exp_sum_uniform_points():
 
 
 def test_exp_sum_rejects_bad_k():
-    pts = SamplePoints(points=np.array([0.1]), Q=1)
+    pts = SamplePoints(points=np.array([0.1]))
     with pytest.raises(ValueError, match="kmax must be >= 1"):
         exp_sums(pts, 0)
 
@@ -212,7 +212,7 @@ def test_exp_sum_rejects_bad_k():
 def test_exp_sums_match_exp_sum():
     # each k against its own direct sum |sum e(k u)|
     rng = np.random.default_rng(8)
-    pts = SamplePoints(points=rng.random(100), Q=100)
+    pts = SamplePoints(points=rng.random(100))
     batch = exp_sums(pts, 20)
     singles = [abs(np.sum(np.exp((2j * np.pi * k) * pts.points)))
                for k in range(1, 21)]
@@ -221,7 +221,7 @@ def test_exp_sums_match_exp_sum():
 
 def test_exp_sums_checks_the_cap_before_the_loop(monkeypatch):
     monkeypatch.setenv("DIOPHLAB_CELL_CAP", "1000")
-    pts = SamplePoints(points=np.zeros(12), Q=12)
+    pts = SamplePoints(points=np.zeros(12))
     assert len(exp_sums(pts, 83)) == 83
     with pytest.raises(CellCapExceeded, match="1008 exponential-sum terms"):
         exp_sums(pts, 84)
@@ -240,17 +240,17 @@ def test_integer_orthogonality_four_six():
 
 def test_discrepancy_examples():
     Q = 10
-    uniform = SamplePoints(points=np.arange(Q) / Q, Q=Q)
+    uniform = SamplePoints(points=np.arange(Q) / Q)
     assert discrepancy(uniform, (0.0, 1.0)) == pytest.approx(0.0)
-    single = SamplePoints(points=np.array([0.5]), Q=1)
+    single = SamplePoints(points=np.array([0.5]))
     assert discrepancy(single, (0.4, 0.6)) == pytest.approx(0.8)
     rng = np.random.default_rng(3)
-    pts = SamplePoints(points=rng.random(40), Q=40)
+    pts = SamplePoints(points=rng.random(40))
     assert discrepancy(pts, (0.25, 1.25)) == pytest.approx(0.0)
 
 
 def test_discrepancy_wraparound():
-    pts = SamplePoints(points=np.array([0.05, 0.95, 0.5]), Q=3)
+    pts = SamplePoints(points=np.array([0.05, 0.95, 0.5]))
     # interval wrapping through 0 catches the two edge points
     assert discrepancy(pts, (0.9, 1.1)) == pytest.approx(2 - 0.2 * 3)
 
@@ -258,7 +258,7 @@ def test_discrepancy_wraparound():
 @pytest.mark.parametrize("Q", [1, 2, 7, 64, 999, 4096])
 def test_discrepancies_equal_discrepancy_row_by_row(Q):
     rng = np.random.default_rng(Q)
-    pts = SamplePoints(points=rng.random(Q), Q=Q)
+    pts = SamplePoints(points=rng.random(Q))
     lo = rng.uniform(-1.5, 1.5, 60)
     length = rng.uniform(1e-6, 1.0, 60)
     # drawn as (lo, lo + length); wraparound rows cross 0 or 1, and the
@@ -278,7 +278,7 @@ def test_discrepancies_equal_discrepancy_row_by_row(Q):
 def test_rhs_table_matches_scalar_rhs():
     rng = np.random.default_rng(31)
     for Q in (1, 9, 300, 4096):
-        pts = SamplePoints(points=rng.random(Q), Q=Q)
+        pts = SamplePoints(points=rng.random(Q))
         los = rng.uniform(0.0, 1.0, 20)
         his = los + rng.uniform(1e-6, 1.0, 20)
         table = erdos_turan_rhs_table(pts, los, his, 50)
@@ -292,7 +292,7 @@ def test_rhs_table_matches_scalar_rhs():
                                     (0.0, math.nan)])
 def test_batched_kernels_reject_bad_length(lo, hi):
     # one bad row (length 0, above 1, negative or NaN) among good ones
-    pts = SamplePoints(points=np.array([0.1, 0.6]), Q=2)
+    pts = SamplePoints(points=np.array([0.1, 0.6]))
     los, his = [0.0, lo, 0.5], [0.5, hi, 1.5]
     with pytest.raises(ValueError, match=r"interval length must be in \(0, 1\]"):
         discrepancies(pts, los, his)
@@ -304,7 +304,7 @@ def test_erdos_turan_inequality_randomized():
     rng = np.random.default_rng(12)
     for _ in range(20):
         Q = int(rng.integers(5, 400))
-        pts = SamplePoints(points=rng.random(Q), Q=Q)
+        pts = SamplePoints(points=rng.random(Q))
         for _ in range(20):
             lo = float(rng.uniform(0, 1))
             length = float(rng.uniform(1e-4, 1.0))
@@ -314,7 +314,7 @@ def test_erdos_turan_inequality_randomized():
 
 
 def test_erdos_turan_rhs_nonnegative():
-    pts = SamplePoints(points=np.arange(32) / 32, Q=32)
+    pts = SamplePoints(points=np.arange(32) / 32)
     for K in (1, 7, 31):
         assert erdos_turan_rhs(pts, (0.1, 0.4), K) >= 0.0
 

@@ -166,7 +166,7 @@ def test_report_bytes_are_pinned(seed, count, threads, digest):
 
 def erdos_turan_oracle(inst):
     sub = np.random.default_rng(inst["seed"])
-    pts = SamplePoints(points=sub.random(inst["Q"]), Q=inst["Q"])
+    pts = SamplePoints(points=sub.random(inst["Q"]))
     sums = L.exp_sums(pts, V._ET_KMAX)
     worst = -math.inf
     # exp_sums(pts, K) is sums[:K] bit for bit (the same loop), so the scalar
