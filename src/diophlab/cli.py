@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default="two-term",
                     choices=("plain", "two-term", "gcd", "four-term"))
     sp.add_argument("--psi", default=None, help="pow:T | exp:L | sb:T | table:@f")
-    sp.add_argument("--numeric", action="store_true", help="force bisection")
+    sp.add_argument("--numeric", action="store_true", help="force the tail fit")
     sp.add_argument("--out", default=None, help="write output to this path")
     sp.set_defaults(fn=_cmd_tau)
 

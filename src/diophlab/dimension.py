@@ -7,15 +7,15 @@ is bounded by min(1, tau).
 
 `_TERMS` is the one definition of the families (plain, two-term, gcd,
 four-term, lebesgue): each is a list of terms, each term a weighted sum
-of log features such as log b_n and log psi(n).  Exact feature growth
-gives the closed-form rates, sampled feature logs give the tail fits,
-term values and ratio tests.
+of log features such as log b_n and log psi(n).
 
-For exponential and linear sequences with power, exponential or
-scaled-base psi every feature grows as rate * n + poly * log n, so every
-term has log t_n = R(s) n + E(s) log n + const with R, E affine in s,
-and thresholds are solved in closed form.  Explicit tables fall back to
-tail heuristics and numeric bisection.
+Each feature grows as rate * n + poly * log n + const, so every term has
+log t_n = R(s) n + E(s) log n + const with R, E affine in s, and one
+threshold algebra solves tau and the convergence verdicts.  For
+exponential and linear sequences with power, exponential or scaled-base
+psi the feature growth is exact (the closed form); for tables, or on
+request, each feature's sampled logs are least-squares fitted on the tail
+(the tail fit).  Sampled feature logs also give the term values.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .approx_sets import FracParams, _product_pieces
 from .intervals import _check_dyadic, check_size
 from .sequences import PsiSpec, SequenceSpec, eval_psi, eval_sequence, sequence_gcd
 
-BISECT_LO = 1e-3
-BISECT_HI = 1.0 - 1e-3
 N_MAX = 10_000
-RAABE_BAND = 0.1
+# a fitted term on the p-series boundary, R(s) = 0 and |E(s) + 1| below
+# this, gets no verdict: the fit cannot tell its side
+POLY_BAND = 0.1
 
 # family -> terms; the rows (f, u, v) of a term give log t_n as the sum of
 # (u + s v) * f_n in row order, over the log features f
@@ -84,8 +84,8 @@ def _check_s(spec: SeriesSpec, s: float) -> None:
 
 
 class _Features(dict):
-    """Feature name -> value for one spec (and index array), each computed
-    on its first lookup as make[name](self) and kept."""
+    """Feature name -> value for one spec (and the indices sampled or
+    fitted), each computed on its first lookup as make[name](self) and kept."""
 
     def __init__(self, make: dict, spec: SeriesSpec, ns: np.ndarray | None = None):
         super().__init__()
@@ -123,16 +123,6 @@ _EXACT = {
     "llb": lambda f: (None, 1.0 if f["b"][0] > 0.0 else 0.0),
     "llpsi": lambda f: (None, 1.0 if f["psi"][0] != 0.0 else 0.0),
 }
-
-
-def _exact_features(spec: SeriesSpec) -> _Features | None:
-    """The exact feature map, or None unless both sequences are exponential
-    or linear and psi is not a table."""
-    base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
-    if (spec.psi.kind == "explicit-table"
-            or not {spec.seq.kind, base.kind} <= {"exponential", "linear"}):
-        return None
-    return _Features(_EXACT, spec)
 
 
 def _log0(x) -> np.ndarray:
@@ -178,22 +168,75 @@ _SAMPLED = {
 }
 
 
-def _log_terms(f: _Features, s: float) -> np.ndarray:
-    """log of the family's series term at each index of the sampled map f."""
-    logs = [reduce(operator.add, ((u + s * v) * f[name] for name, u, v in term))
-            for term in _TERMS[f.spec.family]]
-    return reduce(np.logaddexp, logs)
-
-
 def term_value(spec: SeriesSpec, s: float, n: int) -> float:
     """The n-th term of the selected series; zero wherever psi(n) = 0."""
     _check_s(spec, s)
     if n < 1:
         raise IndexError(f"series index must be >= 1, got {n}")
-    return float(np.exp(_log_terms(_Features(_SAMPLED, spec, np.array([n])), s)[0]))
+    f = _Features(_SAMPLED, spec, np.array([n]))
+    logs = [reduce(operator.add, ((u + s * v) * f[name] for name, u, v in term))
+            for term in _TERMS[spec.family]]
+    return float(np.exp(reduce(np.logaddexp, logs)[0]))
 
 
-# -- closed-form threshold algebra --------------------------------------------
+# -- feature growth, exact or fitted on the tail -------------------------------
+
+
+def _table_limit(spec: SeriesSpec) -> int:
+    """The last index every table of the spec covers, at most N_MAX."""
+    base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
+    lengths = (spec.seq.length, spec.psi.length, base.length)
+    return min([N_MAX] + [n for n in lengths if n is not None])
+
+
+def _fitted_features(spec: SeriesSpec) -> _Features:
+    """(rate, poly) per feature, least-squares fitted to its sampled logs as
+    rate * n + poly * log n + c on 48 geometric indices in [N/2, N], N the
+    table limit, where psi > 0.  The log log features have no rate, as in
+    _EXACT, and a |rate| below 1e-9 is 0.  A fit is linear in its data, so
+    a term's fitted features sum to the fit of its log; fitting features,
+    not the logaddexp of the terms, keeps each term's own growth.  The
+    map's ns are the indices fitted.
+    """
+    limit = _table_limit(spec)
+    if limit < 8:
+        raise ValueError("table too short for numeric tau")
+    ns = np.unique(np.round(np.geomspace(max(2, limit // 2), limit, 48)).astype(int))
+    sampled = _Features(_SAMPLED, spec, ns)
+    keep = sampled["psi"] > -np.inf
+    if np.count_nonzero(keep) < 4:
+        raise ValueError("tail is all zero or non-finite; cannot fit")
+    x = ns[keep].astype(float)
+    basis = np.column_stack([x, np.log(x), np.ones_like(x)])
+
+    def fit(name):
+        y = sampled[name][keep]
+        if name not in ("llb", "llpsi"):
+            (rate, poly, _), *_ = np.linalg.lstsq(basis, y, rcond=None)
+            return (0.0 if abs(rate) < 1e-9 else float(rate)), float(poly)
+        # log log b_n is -inf where b_n = 1, and so is every term it enters
+        finite = y > -np.inf
+        if not finite.any():
+            return None, -math.inf
+        (poly, _), *_ = np.linalg.lstsq(basis[finite, 1:], y[finite], rcond=None)
+        return None, float(poly)
+    return _Features({name: lambda f, name=name: fit(name) for name in _SAMPLED},
+                     spec, ns[keep])
+
+
+def _growth(spec: SeriesSpec, numeric: bool = False) -> tuple[_Features, str, dict]:
+    """The (rate, poly) feature map, its method and what it was fitted on:
+    exact when both sequences are exponential or linear, psi is not a table
+    and numeric is not set, else fitted."""
+    base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
+    if (numeric or spec.psi.kind == "explicit-table"
+            or not {spec.seq.kind, base.kind} <= {"exponential", "linear"}):
+        grow = _fitted_features(spec)
+        return grow, "tail-fit", {"n_max": int(grow.ns[-1]), "indices": int(grow.ns.size)}
+    return _Features(_EXACT, spec), "closed-form", {}
+
+
+# -- threshold algebra ---------------------------------------------------------
 
 
 def _threshold(A: float, B: float, C: float, D: float) -> float:
@@ -219,14 +262,11 @@ def _sum(parts) -> float:
     return reduce(operator.add, parts) if parts else 0.0
 
 
-def _term_descriptors(spec: SeriesSpec) -> list[tuple[float, float, float, float]] | None:
-    """(A, B, C, D) per term, R(s) = A - s B and E(s) = C - s D, or None
-    when no closed form applies."""
-    grow = _exact_features(spec)
-    if grow is None:
-        return None
+def _term_descriptors(grow: _Features) -> list[tuple[float, float, float, float]]:
+    """(A, B, C, D) per term, R(s) = A - s B and E(s) = C - s D, from the
+    feature growth map grow."""
     out = []
-    for term in _TERMS[spec.family]:
+    for term in _TERMS[grow.spec.family]:
         rows = [(grow[name], u, v) for name, u, v in term]
         out.append((_sum(u * r for (r, _), u, _ in rows if u and r is not None),
                     _sum(-v * r for (r, _), _, v in rows if v and r is not None),
@@ -235,42 +275,14 @@ def _term_descriptors(spec: SeriesSpec) -> list[tuple[float, float, float, float
     return out
 
 
-# -- numeric tail analysis -----------------------------------------------------
-
-
-def _table_limit(spec: SeriesSpec) -> int:
-    """The last index every table of the spec covers, at most N_MAX."""
-    base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
-    lengths = (spec.seq.length, spec.psi.length, base.length)
-    return min([N_MAX] + [n for n in lengths if n is not None])
-
-
-def _tail_fit(tail: _Features, s: float) -> tuple[float, float]:
-    """Fit log t_n ~ R n + E log n + c on the sampled tail; returns (R, E)."""
-    logs = _log_terms(tail, s)
-    keep = np.isfinite(logs)
-    if int(np.count_nonzero(keep)) < 4:
-        raise ValueError("tail is all zero or non-finite; cannot fit")
-    x = tail.ns[keep].astype(float)
-    M = np.column_stack([x, np.log(x), np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(M, logs[keep], rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
-def _tail_converges(tail: _Features, s: float) -> bool:
-    R, E = _tail_fit(tail, s)
-    if R < -1e-9:
-        return True
-    if R > 1e-9:
-        return False
-    return E < -1.0
-
-
 @dataclass
 class ConvergenceVerdict:
     """Convergence decision with its certificate.
 
-    verdict is True, False, or None (inconclusive, table tails only).
+    verdict is True, False, or None (inconclusive, tail fits only: a term
+    with R(s) = 0 and E(s) within POLY_BAND of -1 and none diverging, or a
+    table too short to fit, the certificate's reason).  The certificate
+    holds the method and each term's R(s) and E(s).
     """
 
     verdict: bool | None
@@ -278,45 +290,39 @@ class ConvergenceVerdict:
 
 
 def converges(spec: SeriesSpec, s: float) -> ConvergenceVerdict:
-    """Decide convergence of the family's series at exponent s."""
+    """Decide convergence of the family's series at exponent s.
+
+    A term converges when R(s) < 0, or R(s) = 0 and E(s) < -1, read from
+    the exact feature growth or, for tables, the tail fit; the series
+    converges when every term does.  A psi table that is 0 at every index
+    converges.
+    """
     _check_s(spec, s)
-    desc = _term_descriptors(spec)
-    if desc is not None:
-        rates = [A - s * B for A, B, _, _ in desc]
-        polys = [C - s * D for _, _, C, D in desc]
-        verdict = all(r < 0.0 or (r == 0.0 and e < -1.0)
-                      for r, e in zip(rates, polys))
-        return ConvergenceVerdict(verdict, {
-            "method": "closed-form", "rates": rates, "poly_exponents": polys})
-    # table input: Raabe's test n (1 - r) against 1, r the tail's mean ratio per
-    # index step; a p-series has r = 1 - p/n + O(n**-2) < 1, a flat tail n (1 - r) = 0
-    ns = np.arange(1, _table_limit(spec) + 1)
-    logs = _log_terms(_Features(_SAMPLED, spec, ns), s)
-    nonzero = logs > -np.inf
-    nz = logs[nonzero]
-    if not nz.size:
+    if spec.psi.kind == "explicit-table" and not any(spec.psi.values[:_table_limit(spec)]):
         return ConvergenceVerdict(True, {"method": "all-zero"})
-    tail = nz[-10:]
-    if len(tail) < 2:
-        return ConvergenceVerdict(None, {"method": "ratio-test", "reason": "tail too short"})
-    at = ns[nonzero][-10:]
-    r = float(np.mean(np.exp(np.diff(tail) / np.diff(at))))
-    raabe = float(at[-1]) * (1.0 - r)
-    cert = {"method": "ratio-test", "tail_ratio": r, "raabe": raabe,
-            "terms_used": int(nz.size)}
-    if raabe > 1.0 + RAABE_BAND:
-        return ConvergenceVerdict(True, cert)
-    if raabe < 1.0 - RAABE_BAND:
-        return ConvergenceVerdict(False, cert)
-    return ConvergenceVerdict(None, cert)
+    try:
+        grow, method, facts = _growth(spec)
+    except ValueError as exc:  # a table too short to fit
+        return ConvergenceVerdict(None, {"method": "tail-fit", "reason": str(exc)})
+    desc = _term_descriptors(grow)
+    rates = [A - s * B for A, B, _, _ in desc]
+    polys = [C - s * D for _, _, C, D in desc]
+    band = POLY_BAND if method == "tail-fit" else 0.0
+    each = [None if r == 0.0 and abs(e + 1.0) < band
+            else r < 0.0 or (r == 0.0 and e < -1.0) for r, e in zip(rates, polys)]
+    verdict = False if False in each else None if None in each else True
+    return ConvergenceVerdict(verdict, {
+        "method": method, "rates": rates, "poly_exponents": polys, **facts})
 
 
 @dataclass
 class TauResult:
     """Convergence exponent with provenance.
 
-    tau is clamped to [0, 1]; thresholds holds the raw per-term values
-    (closed form) or the bisection bracket (numeric).
+    tau is clamped to [0, 1]; thresholds holds the raw per-term values, and
+    method says whether they come from the exact feature growth
+    ("closed-form") or the tail fit ("tail-fit", whose diagnostics give
+    n_max and the number of indices fitted).
     """
 
     tau: float
@@ -326,40 +332,19 @@ class TauResult:
 
 
 def compute_tau(spec: SeriesSpec, numeric: bool = False) -> TauResult:
-    """inf{s > 0 : the family's series converges}, clamped to [0, 1]."""
+    """inf{s > 0 : the family's series converges}, clamped to [0, 1].
+
+    The largest per-term threshold, from the exact feature growth, or from
+    the tail fit for tables and when numeric is set; ValueError when the
+    table is too short to fit.
+    """
     if spec.family == "lebesgue":
         raise ValueError("lebesgue family has no s-threshold")
-    desc = None if numeric else _term_descriptors(spec)
-    if desc is not None:
-        thresholds = [_threshold(*d) for d in desc]
-        raw = max(thresholds)
-        return TauResult(tau=min(max(raw, 0.0), 1.0), method="closed-form",
-                         thresholds=tuple(thresholds), diagnostics={"raw_max": raw})
-    # bisection on the tail-fit convergence predicate; the features are
-    # sampled once and only re-weighted for each s
-    limit = _table_limit(spec)
-    if limit < 8:
-        raise ValueError("table too short for numeric tau")
-    ns = np.unique(np.round(np.geomspace(max(2, limit // 2), limit, 48)).astype(int))
-    tail = _Features(_SAMPLED, spec, ns)
-    lo, hi = BISECT_LO, BISECT_HI
-    if _tail_converges(tail, lo):
-        return TauResult(tau=lo, method="numeric-bisection", thresholds=(lo, lo),
-                         diagnostics={"note": "converges at bracket floor"})
-    if not _tail_converges(tail, hi):
-        return TauResult(tau=hi, method="numeric-bisection", thresholds=(hi, hi),
-                         diagnostics={"note": "diverges at bracket ceiling"})
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _tail_converges(tail, mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-9:
-            break
-    tau = 0.5 * (lo + hi)
-    return TauResult(tau=tau, method="numeric-bisection", thresholds=(lo, hi),
-                     diagnostics={"n_max": limit})
+    grow, method, facts = _growth(spec, numeric)
+    thresholds = [_threshold(*d) for d in _term_descriptors(grow)]
+    raw = max(thresholds)
+    return TauResult(tau=min(max(raw, 0.0), 1.0), method=method,
+                     thresholds=tuple(thresholds), diagnostics={"raw_max": raw, **facts})
 
 
 def single_series_threshold(a: float, b: float) -> float:
@@ -416,8 +401,9 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
 
     Dyadic boxes are marked at the finest scale while the per-n solution
     pieces stream out of `_product_pieces` at delta = sqrt(psi(n)), which
-    refuses psi(n) in (0, 2**-1022) as `product_set` does; coarser counts
-    roll up from the finest occupancy bitmap, exact for nested dyadic scales.
+    refuses psi(n) in (0, 2**-1022) as `product_set` does, here with n and
+    psi(n) named; coarser counts roll up from the finest occupancy bitmap,
+    exact for nested dyadic scales.
 
     When the pieces of one index lie closer together than the finest scale
     (for a_n = 2^n, b_n = 3^n, psi(n) = 3^-n every point k/3^n is a
@@ -439,10 +425,13 @@ def estimate_box_dimension(seq: SequenceSpec, psi: PsiSpec, n_lo: int, n_hi: int
     # a piece adds 1 at its first finest box and -1 just past its last
     diff = np.zeros(nbox + 1, dtype=np.int64)
     for n in range(n_lo, n_hi + 1):
-        delta = math.sqrt(eval_psi(psi, n))
-        for plo, phi in _product_pieces(FracParams(*eval_sequence(seq, n)), delta):
-            np.add.at(diff, np.floor(plo / finest).astype(np.int64), 1)
-            np.add.at(diff, np.ceil(phi / finest).astype(np.int64), -1)
+        p, psi_n = FracParams(*eval_sequence(seq, n)), eval_psi(psi, n)
+        try:
+            for plo, phi in _product_pieces(p, math.sqrt(psi_n)):
+                np.add.at(diff, np.floor(plo / finest).astype(np.int64), 1)
+                np.add.at(diff, np.ceil(phi / finest).astype(np.int64), -1)
+        except ValueError as exc:  # sqrt(psi(n)) outside the stream's delta domain
+            raise ValueError(f"psi({n}) = {psi_n!r}: {exc}") from None
     hit = np.cumsum(diff)[:nbox] > 0
     if not hit.any():
         raise ValueError("degenerate fit: truncated set is empty")

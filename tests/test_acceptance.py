@@ -234,11 +234,11 @@ def test_criterion_08_tau_closed_form_vs_numeric():
         if a * a <= b and single_series_threshold(a, b) != 0.0:
             threshold_failures += 1
     elapsed = time.monotonic() - t0
-    ok = worst_gap <= 1e-3 and threshold_failures == 0 and elapsed < 60.0
+    ok = worst_gap <= 1e-9 and threshold_failures == 0 and elapsed < 60.0
     report("8 tau closed form vs numeric", ok,
            f"100 instances, worst gap {worst_gap:.2e}, "
            f"{threshold_failures} threshold failures, {elapsed:.0f}s")
-    assert worst_gap <= 1e-3
+    assert worst_gap <= 1e-9
     assert threshold_failures == 0
     assert elapsed < 60.0
 

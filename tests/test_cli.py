@@ -162,7 +162,7 @@ def _reads(key, value):
                  lambda out: abs(json.loads(out)["tau"] - 0.5) < 1e-3,
                  id="tau-psi-object-without-seq"),
     pytest.param(("tau", "--a", "2", "--b", "3", "--psi", "sb:1"),
-                 {"numeric": True}, 0, _reads("method", "numeric-bisection"),
+                 {"numeric": True}, 0, _reads("method", "tail-fit"),
                  id="tau-numeric"),
     pytest.param(("discrepancy", "--a", "3", "--b", "17"), {"K": 2}, 0,
                  lambda out: "K:    2\n" in out, id="discrepancy-K"),
@@ -273,7 +273,7 @@ PINNED = {
         "bcb3bf60569b75af9225b3fbe9715d8006efa254396ab1f1ee558ff06eed38d4"),
     "tau-plain-numeric": ("tau --family plain --a 2 --b 3 --psi sb:1 --numeric",
         None,
-        "7760930d5e499cfd8a6fab4904cf69a772ade7c5409e793508817a0ae7142b32"),
+        "ac5dff3df4e601a7dce4e30256b1d89a072b900fdfa4c26d6b6d32ad06608606"),
     "tau-pow": ("tau --a 2 --b 3 --psi pow:2",
         None,
         "616e09e60048deafa4072dcf4499ce8983f094e7e5d3016c18548453abbcd4c0"),
@@ -471,6 +471,11 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     (("scan", "--a", "2", "--b", "3", "--t", "0.5", "--with-boxdim",
       "--boxdim-n-lo", "5", "--boxdim-n-hi", "4"),
      "need n_lo <= n_hi, got n_lo=5, n_hi=4"),
+    # psi(6) = 3^-660 is subnormal: its index and value are named, not only
+    # delta = sqrt(psi(6))
+    (("scan", "--a", "2", "--b", "3", "--t", "110", "--with-boxdim",
+      "--boxdim-n-lo", "4", "--boxdim-n-hi", "6"),
+     "psi(6) = 1.258843915e-315: delta must be in [2**-511, 1/2]"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
     # a NaN or infinite coefficient, threshold or psi parameter, a delta
@@ -705,7 +710,7 @@ def test_psi_table_syntax(capsys, tmp_path):
                            "--b", "3", "--psi", f"table:@{table}", "--numeric")
     assert code == 0
     doc = json.loads(out)
-    assert doc["method"] == "numeric-bisection"
+    assert doc["method"] == "tail-fit"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from diophlab.approx_sets import FracParams, product_set
-from diophlab.dimension import (SeriesSpec, compute_tau, converges,
-                                single_series_threshold,
+from diophlab.dimension import (N_MAX, _TERMS, SeriesSpec, _growth, _term_descriptors,
+                                compute_tau, converges, single_series_threshold,
                                 estimate_box_dimension, term_value)
 from diophlab.intervals import CellCapExceeded, box_count
 from diophlab.sequences import PsiSpec, SequenceSpec
 
 EXP23 = SequenceSpec(kind="exponential", a=2, b=3)
 PSI_THIRD = PsiSpec(kind="exponential", lam=math.log(3))
-PINNED_TAU_DIGEST = ("c562b9ecd07bb7008ff7769a90ed7248"
-                     "0550765b7e7421d5f2bde0b8876dddd7")
+PINNED_TAU_DIGEST = ("8190957ae1f41e0035acce255b2c8aac"
+                     "ac6bf1b4a7a52a850da63f5b54f813f0")
 
 
 def spec(family, seq=EXP23, psi=PSI_THIRD):
@@ -94,12 +94,12 @@ def test_converges_table_heuristics():
 
 def test_converges_table_p_series():
     # psi(n) = n^-2 over a_n = 1, b_n = 2: the terms 2^(1-s) n^(-2s) sum
-    # to a finite value for s > 1/2 only, and every tail ratio is below 1
+    # to a finite value for s > 1/2 only, and the fit reads no geometric rate
     seq = SequenceSpec(kind="explicit-table", a_table=(1.0,) * 200, b_table=(2.0,) * 200)
     psi = PsiSpec(kind="explicit-table", values=tuple(n ** -2.0 for n in range(1, 201)))
     spec = SeriesSpec(seq=seq, psi=psi, family="plain")
     verdicts = {s: converges(spec, s) for s in (0.1, 0.3, 0.5, 0.7, 0.9)}
-    assert all(v.certificate["tail_ratio"] < 1.0 for v in verdicts.values())
+    assert all(v.certificate["rates"] == [0.0] for v in verdicts.values())
     assert [verdicts[s].verdict for s in (0.1, 0.3)] == [False, False]
     assert verdicts[0.5].verdict is None
     assert [verdicts[s].verdict for s in (0.7, 0.9)] == [True, True]
@@ -204,8 +204,13 @@ def test_tau_results_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TAU_DIGEST
 
 
-def test_bisection_matches_closed_form():
+def test_tail_fit_matches_closed_form():
+    # the tail fit, forced by numeric=True or taken for a psi table, gives
+    # the closed form's tau.  It fits each feature, not the whole log-term:
+    # the logaddexp of two power laws is no power law on a finite tail, so
+    # a fit of the sum misses wherever two terms grow polynomially
     rng = np.random.default_rng(42)
+    cases = []
     for family in ("two-term", "plain", "four-term", "gcd"):
         for _ in range(15):
             if family == "gcd":  # integer bases
@@ -217,14 +222,60 @@ def test_bisection_matches_closed_form():
             seq = SequenceSpec(kind="exponential", a=a, b=b)
             psi = PsiSpec(kind="scaled-base", t=float(rng.uniform(0.2, 3)), seq=seq)
             s = SeriesSpec(seq=seq, psi=psi, family=family)
-            closed = compute_tau(s)
-            numeric = compute_tau(s, numeric=True)
-            assert numeric.method == "numeric-bisection"
-            assert abs(closed.tau - numeric.tau) <= 1e-3
+            cases.append((s, s))
+    # linear sequences with power psi: pure p-series terms
+    for family in ("plain", "two-term", "four-term"):
+        for a, b, t in ((2, 5, 2.8), (1, 1, 0.5), (1.5, 40, 4.0)):
+            s = SeriesSpec(seq=SequenceSpec(kind="linear", a=a, b=b),
+                           psi=PsiSpec(kind="power", t=t), family=family)
+            cases.append((s, s))
+    # psi = 3^-n as a 24-entry table against its exponential form
+    seq = SequenceSpec(kind="exponential", a=1.5, b=4.2)
+    table = PsiSpec(kind="explicit-table", values=tuple(3.0 ** -n for n in range(1, 25)))
+    for family in ("plain", "two-term", "four-term"):
+        cases.append((SeriesSpec(seq=seq, psi=table, family=family),
+                      SeriesSpec(seq=seq, psi=PSI_THIRD, family=family)))
+    for fitted, exact in cases:
+        closed = compute_tau(exact)
+        numeric = compute_tau(fitted, numeric=True)
+        assert closed.method == "closed-form" and numeric.method == "tail-fit"
+        assert abs(closed.tau - numeric.tau) <= 1e-9, (fitted, closed.tau, numeric.tau)
+    two = SeriesSpec(seq=SequenceSpec(kind="linear", a=2, b=5),
+                     psi=PsiSpec(kind="power", t=2.8), family="two-term")
+    assert compute_tau(two, numeric=True).tau == pytest.approx(5 / 6, abs=1e-9)
+    four = SeriesSpec(seq=seq, psi=table, family="four-term")
+    assert compute_tau(four).tau == pytest.approx(math.log(4.2) / math.log(12.6), abs=1e-9)
+
+
+def test_fitted_term_descriptors_match_exact():
+    # each term's fitted (A, B, C, D) against the exact ones, so that a
+    # wrong term that the max in tau hides still shows.  Rates and the
+    # log n exponents of the power features are fitted to 1e-9.  A log log
+    # feature over a polynomially growing argument, whose exact exponent is
+    # 0, fits the slope of log log n against log n, 1/log n <= 1/log(N_MAX/2)
+    # over the tail, once per weight u of its row
+    loglog = 1.0 / math.log(N_MAX / 2)
+    seqs = [EXP23, SequenceSpec(kind="exponential", a=2, b=6),
+            SequenceSpec(kind="exponential", a=1.5, b=4.2),
+            SequenceSpec(kind="linear", a=1, b=2), SequenceSpec(kind="linear", a=3, b=3)]
+    for seq in seqs:
+        for psi in (PsiSpec(kind="power", t=0.5), PsiSpec(kind="power", t=2.0),
+                    PSI_THIRD, PsiSpec(kind="scaled-base", t=1.5, seq=seq)):
+            for family in _TERMS:
+                if family == "gcd" and not seq.is_integer():
+                    continue
+                s = SeriesSpec(seq=seq, psi=psi, family=family)
+                exact = _term_descriptors(_growth(s)[0])
+                fitted = _term_descriptors(_growth(s, numeric=True)[0])
+                for term, e, f in zip(_TERMS[family], exact, fitted):
+                    slack = sum(abs(u) for name, u, _ in term if name in ("llb", "llpsi"))
+                    tols = (1e-9, 1e-9, 1e-9 + slack * loglog, 1e-9)
+                    assert all(abs(x - y) <= tol for x, y, tol in zip(e, f, tols)), \
+                        (s, term, e, f)
 
 
 def test_scaled_base_psi_reads_its_own_sequence():
-    # psi(n) = 5^-n over b_n = 3^n: the bisection reads psi's bound
+    # psi(n) = 5^-n over b_n = 3^n: the tail fit reads psi's bound
     # sequence, as the closed form does, and a table bound sequence sets the
     # last index either reads
     other = SequenceSpec(kind="exponential", a=2, b=5)
@@ -233,8 +284,8 @@ def test_scaled_base_psi_reads_its_own_sequence():
     assert compute_tau(s, numeric=True).tau == pytest.approx(compute_tau(s).tau, abs=1e-6)
     tab = SequenceSpec(kind="explicit-table", a_table=(2.0,) * 10, b_table=(3.0,) * 10)
     s = spec("plain", psi=PsiSpec(kind="scaled-base", t=1.0, seq=tab))
-    assert compute_tau(s).diagnostics == {"note": "diverges at bracket ceiling"}
-    assert converges(s, 0.5).certificate["terms_used"] == 10
+    assert compute_tau(s).diagnostics["n_max"] == 10
+    assert converges(s, 0.5).certificate["n_max"] == 10
 
 
 def test_four_term_matches_two_term_for_exponential():

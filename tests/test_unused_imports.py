@@ -1,10 +1,12 @@
-"""Every name a diophlab module imports is used in that module, and every
-import of a package module is at the module's head.
+"""Every name a diophlab module imports is used in that module, every
+import of a package module is at the module's head, and every module-level
+_private name and UPPER_CASE constant is read by the package or perfbench.
 
 No linter runs on this package, so a refactor that drops the last use of
-an import leaves it behind unnoticed.  `__init__` is exempt from the first
-check: its imports are the public re-exports.  With no package import
-inside a function, the module headers show the whole import graph.
+an import, helper or constant leaves it behind unnoticed.  `__init__` is
+exempt from the first check: its imports are the public re-exports.  With
+no package import inside a function, the module headers show the whole
+import graph.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diophlab"
+PERFBENCH = SRC.parents[1] / "perfbench"
 FILES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in FILES if p.name != "__init__.py"]
 
@@ -62,3 +65,52 @@ def test_a_local_package_import_is_found():
             "    from .b import c\n    import diophlab.d\n"
             "async def g():\n    from diophlab import e\n")
     assert _local_package_imports(ast.parse(code)) == [5, 6, 8]
+
+
+def _module_names(tree: ast.Module) -> list[str]:
+    """The module-level _private names and UPPER_CASE constants defined in
+    tree, dunders aside.  A tuple of names bound at once, such as cli's
+    exit-code table, is one table, read or not as a whole, and not listed."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")
+            and (name.startswith("_") or name.isupper())]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name tree loads, attribute it reads, and string it holds: a
+    name can be read by a lookup in a table of names, as perfbench's are."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+
+
+def _unread(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """module.name for each module-level _private name or constant that no
+    source in reading reads; defining maps module names to their source."""
+    read = set().union(*(_reads(ast.parse(code)) for code in reading))
+    return sorted(f"{module}.{name}" for module, code in defining.items()
+                  for name in _module_names(ast.parse(code)) if name not in read)
+
+
+def test_every_private_name_and_constant_is_read():
+    # a leftover of a deleted path, read by no code the package or its
+    # benchmark runs; tests do not count, or a test would keep it alive
+    sources = [p.read_text() for p in FILES + sorted(PERFBENCH.glob("*.py"))]
+    assert _unread({p.stem: p.read_text() for p in FILES}, sources) == []
+
+
+def test_an_unread_private_name_is_found():
+    code = ("BISECT_LO = 1e-3\nRAABE_BAND: float = 0.1\nN_MAX = 10\n__all__ = []\n"
+            "def _tail_converges():\n    return N_MAX\n"
+            "def compute_tau():\n    return _tail_converges()\n"
+            "def _tail_fit():\n    pass\n_kept = 1\n")
+    assert _unread({"dimension": code}, [code, "x = m._kept\n"]) == \
+        ["dimension.BISECT_LO", "dimension.RAABE_BAND", "dimension._tail_fit"]
