@@ -182,44 +182,43 @@ def term_value(spec: SeriesSpec, s: float, n: int) -> float:
 # -- feature growth, exact or fitted on the tail -------------------------------
 
 
-def _table_limit(spec: SeriesSpec) -> int:
-    """The last index every table of the spec covers, at most N_MAX."""
-    base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
-    lengths = (spec.seq.length, spec.psi.length, base.length)
-    return min([N_MAX] + [n for n in lengths if n is not None])
-
-
 def _fitted_features(spec: SeriesSpec) -> _Features:
     """(rate, poly) per feature, least-squares fitted to its sampled logs as
     rate * n + poly * log n + c on 48 geometric indices in [N/2, N], N the
-    table limit, where psi > 0.  The log log features have no rate, as in
-    _EXACT, and a |rate| below 1e-9 is 0.  A fit is linear in its data, so
-    a term's fitted features sum to the fit of its log; fitting features,
-    not the logaddexp of the terms, keeps each term's own growth.  The
-    map's ns are the indices fitted.
+    last index every table covers (at most N_MAX), where psi > 0, or on all
+    of them when psi is 0 on the whole tail.  The log log features have no
+    rate, as in _EXACT, and a |rate| below 1e-9 is 0.  A feature that is
+    log 0 at every index fitted vanishes, and so does every term it enters:
+    psi and q fall at rate -inf (poly 0), log log b_n (b_n = 1) has poly
+    -inf.  A fit is linear in its data, so a term's fitted features sum to
+    the fit of its log; fitting features, not the logaddexp of the terms,
+    keeps each term's own growth.  The map's ns are the indices fitted.
     """
-    limit = _table_limit(spec)
+    base = spec.psi.seq if spec.psi.kind == "scaled-base" else spec.seq
+    lengths = (spec.seq.length, spec.psi.length, base.length)
+    limit = min([N_MAX] + [n for n in lengths if n is not None])
     if limit < 8:
         raise ValueError("table too short for numeric tau")
     ns = np.unique(np.round(np.geomspace(max(2, limit // 2), limit, 48)).astype(int))
     sampled = _Features(_SAMPLED, spec, ns)
     keep = sampled["psi"] > -np.inf
+    if not keep.any():  # psi is 0 on the whole tail
+        keep[:] = True
     if np.count_nonzero(keep) < 4:
-        raise ValueError("tail is all zero or non-finite; cannot fit")
+        raise ValueError("psi > 0 at fewer than 4 tail indices; cannot fit")
     x = ns[keep].astype(float)
     basis = np.column_stack([x, np.log(x), np.ones_like(x)])
 
     def fit(name):
-        y = sampled[name][keep]
-        if name not in ("llb", "llpsi"):
-            (rate, poly, _), *_ = np.linalg.lstsq(basis, y, rcond=None)
-            return (0.0 if abs(rate) < 1e-9 else float(rate)), float(poly)
-        # log log b_n is -inf where b_n = 1, and so is every term it enters
+        y, rated = sampled[name][keep], name not in ("llb", "llpsi")
         finite = y > -np.inf
         if not finite.any():
-            return None, -math.inf
-        (poly, _), *_ = np.linalg.lstsq(basis[finite, 1:], y[finite], rcond=None)
-        return None, float(poly)
+            return (-math.inf, 0.0) if rated else (None, -math.inf)
+        coef = np.linalg.lstsq(basis[finite] if rated else basis[finite, 1:], y[finite],
+                               rcond=None)[0]
+        if not rated:
+            return None, float(coef[0])
+        return (0.0 if abs(coef[0]) < 1e-9 else float(coef[0])), float(coef[1])
     return _Features({name: lambda f, name=name: fit(name) for name in _SAMPLED},
                      spec, ns[keep])
 
@@ -281,8 +280,8 @@ class ConvergenceVerdict:
 
     verdict is True, False, or None (inconclusive, tail fits only: a term
     with R(s) = 0 and E(s) within POLY_BAND of -1 and none diverging, or a
-    table too short to fit, the certificate's reason).  The certificate
-    holds the method and each term's R(s) and E(s).
+    table too short or too sparse to fit, the certificate's reason).  The
+    certificate holds the method and each term's R(s) and E(s).
     """
 
     verdict: bool | None
@@ -294,15 +293,13 @@ def converges(spec: SeriesSpec, s: float) -> ConvergenceVerdict:
 
     A term converges when R(s) < 0, or R(s) = 0 and E(s) < -1, read from
     the exact feature growth or, for tables, the tail fit; the series
-    converges when every term does.  A psi table that is 0 at every index
-    converges.
+    converges when every term does.  A psi that is 0 on the whole fitted
+    tail falls at rate -inf (_fitted_features), so every term converges.
     """
     _check_s(spec, s)
-    if spec.psi.kind == "explicit-table" and not any(spec.psi.values[:_table_limit(spec)]):
-        return ConvergenceVerdict(True, {"method": "all-zero"})
     try:
         grow, method, facts = _growth(spec)
-    except ValueError as exc:  # a table too short to fit
+    except ValueError as exc:  # a table too short or too sparse to fit
         return ConvergenceVerdict(None, {"method": "tail-fit", "reason": str(exc)})
     desc = _term_descriptors(grow)
     rates = [A - s * B for A, B, _, _ in desc]
@@ -336,14 +333,17 @@ def compute_tau(spec: SeriesSpec, numeric: bool = False) -> TauResult:
 
     The largest per-term threshold, from the exact feature growth, or from
     the tail fit for tables and when numeric is set; ValueError when the
-    table is too short to fit.
+    table is too short or too sparse to fit.  A psi that is 0 on the whole
+    fitted tail falls at rate -inf (_fitted_features): every threshold is
+    +0 or -0, and tau is +0.
     """
     if spec.family == "lebesgue":
         raise ValueError("lebesgue family has no s-threshold")
     grow, method, facts = _growth(spec, numeric)
     thresholds = [_threshold(*d) for d in _term_descriptors(grow)]
     raw = max(thresholds)
-    return TauResult(tau=min(max(raw, 0.0), 1.0), method=method,
+    # max keeps its first argument on a tie, so a raw -0.0 gives tau +0.0
+    return TauResult(tau=min(max(0.0, raw), 1.0), method=method,
                      thresholds=tuple(thresholds), diagnostics={"raw_max": raw, **facts})
 
 

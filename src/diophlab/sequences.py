@@ -110,11 +110,14 @@ def _table_at(table: tuple, n: int, what: str) -> float:
 
 
 def eval_sequence(spec: SequenceSpec, n: int) -> tuple[float, float, float, float]:
-    """(a_n, b_n, c_n, d_n) at index n >= 1."""
+    """(a_n, b_n, c_n, d_n) at index n >= 1; ValueError when b_n overflows a float."""
     if n < 1:
         raise IndexError(f"sequence index must be >= 1, got {n}")
     if spec.kind == "exponential":
-        an, bn = spec.a ** n, spec.b ** n
+        try:
+            an, bn = spec.a ** n, spec.b ** n
+        except OverflowError:
+            raise ValueError(f"b_n = {spec.b:g}**{n} overflows a float at n={n}") from None
     elif spec.kind == "linear":
         an, bn = spec.a * n, spec.b * n
     else:
@@ -178,16 +181,19 @@ class PsiSpec:
 
 
 def eval_psi(spec: PsiSpec, n: int) -> float:
-    """psi(n) >= 0 at index n >= 1."""
+    """psi(n) >= 0 at index n >= 1; ValueError when it overflows a float."""
     if n < 1:
         raise IndexError(f"psi index must be >= 1, got {n}")
-    if spec.kind == "power":
-        return float(n) ** (-spec.t)
-    if spec.kind == "exponential":
-        return math.exp(-spec.lam * n)
-    if spec.kind == "scaled-base":
-        _, bn, _, _ = eval_sequence(spec.seq, n)
-        return bn ** (-spec.t)
+    try:
+        if spec.kind == "power":
+            return float(n) ** (-spec.t)
+        if spec.kind == "exponential":
+            return math.exp(-spec.lam * n)
+        if spec.kind == "scaled-base":
+            _, bn, _, _ = eval_sequence(spec.seq, n)
+            return bn ** (-spec.t)
+    except OverflowError:
+        raise ValueError(f"psi overflows a float at n={n}") from None
     return _table_at(spec.values, n, "psi")
 
 

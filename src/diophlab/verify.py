@@ -626,11 +626,20 @@ def serialize_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _of_kind(value, kind):
+    """value, when it is an instance of kind and not a bool; else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(type(value).__name__)
+    return value
+
+
 def replay(instance_path: str, verbose: bool = True) -> dict:
     """Re-run a single serialized instance; when verbose, print its record.
 
     The file must name a check and hold every key that the check's sampler
-    draws; anything less is a ValueError naming the missing key.
+    draws, each of the kind drawn: an int where the sampler draws an int, a
+    real number (not a bool or a string) where it draws a float.  Anything
+    else is a ValueError naming the key.
     """
     doc = json.loads(Path(instance_path).read_text())
     what = f"replay file {instance_path}"
@@ -639,8 +648,9 @@ def replay(instance_path: str, verbose: bool = True) -> dict:
         raise ValueError(f"unknown check {cid!r} in {instance_path}")
     inst = _field(doc, "instance", what, lambda v: v)
     drawn = CHECKS[cid].generate(InstanceDistribution(count=1), np.random.default_rng(0))
-    for key in drawn[0]:
-        _field(inst, key, f"{cid} instance", lambda v: v)
+    for key, like in drawn[0].items():
+        kind = (int, float) if isinstance(like, float) else type(like)
+        _field(inst, key, f"{cid} instance", lambda v, kind=kind: _of_kind(v, kind))
     result = CHECKS[cid].evaluate(inst)
     if verbose:
         print(f"replaying {cid} on {inst}")

@@ -476,13 +476,17 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     (("scan", "--a", "2", "--b", "3", "--t", "110", "--with-boxdim",
       "--boxdim-n-lo", "4", "--boxdim-n-hi", "6"),
      "psi(6) = 1.258843915e-315: delta must be in [2**-511, 1/2]"),
+    # b_700 = 3^700 overflows a float
+    (("scan", "--a", "2", "--b", "3", "--t", "1", "--with-boxdim",
+      "--boxdim-n-lo", "700", "--boxdim-n-hi", "701"),
+     "b_n = 3**700 overflows a float at n=700"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
     # a NaN or infinite coefficient, threshold or psi parameter, a delta
-    # whose square underflows, a malformed scan grid or box-dimension index
-    # range, or a verify report path without its directory, is bad input:
-    # exit 1 with a message that names it, not a traceback, a count of 0, a
-    # tau, a division by zero or an empty CSV
+    # whose square underflows, a b_n that overflows, a malformed scan grid
+    # or box-dimension index range, or a verify report path without its
+    # directory, is bad input: exit 1 with a message that names it, not a
+    # traceback, a count of 0, a tau, a division by zero or an empty CSV
     proc = subprocess.run([sys.executable, "-m", "diophlab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 1
@@ -694,12 +698,21 @@ def test_replay_subcommand(capsys, tmp_path):
 
 
 def test_replay_of_malformed_file_exits_with_message(tmp_path):
+    # a missing key, a string where the sampler draws a float and a float
+    # where it draws an int
     inst = tmp_path / "inst.json"
-    inst.write_text(json.dumps({"check": "count-oracle", "instance": {"a": 2}}))
-    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", "replay", str(inst)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "needs the key 'b'" in proc.stderr and "Traceback" not in proc.stderr
+    pairs = {"a": 2.0, "b": 6.0, "c": 0.0, "d": 0.0, "eta": 0.1, "xi": 0.1}
+    for doc, message in [
+            ({"check": "count-oracle", "instance": {"a": 2}}, "needs the key 'b'"),
+            ({"check": "count-oracle", "instance": {**pairs, "a": "x"}},
+             "count-oracle instance key 'a' has a bad value 'x'"),
+            ({"check": "exp-sum-orthogonality", "instance": {"a": 2.5, "b": 7}},
+             "exp-sum-orthogonality instance key 'a' has a bad value 2.5")]:
+        inst.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "diophlab.cli", "replay", str(inst)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_psi_table_syntax(capsys, tmp_path):
@@ -711,6 +724,17 @@ def test_psi_table_syntax(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["method"] == "tail-fit"
+
+
+def test_tau_of_a_zero_psi_table_is_zero(capsys, tmp_path):
+    # psi = 0 on the whole tail: every term vanishes, so the series converges
+    # at every s and tau is 0, printed as 0.0, not -0.0
+    table = tmp_path / "psi.json"
+    table.write_text(json.dumps({"kind": "explicit-table", "values": [0] * 12}))
+    code, out, err = run_cli(capsys, "tau", "--family", "plain", "--a", "2",
+                             "--b", "3", "--psi", f"table:@{table}")
+    assert code == 0, err
+    assert '"tau": 0.0,' in out and json.loads(out)["method"] == "tail-fit"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from diophlab.approx_sets import FracParams, product_set
-from diophlab.dimension import (N_MAX, _TERMS, SeriesSpec, _growth, _term_descriptors,
-                                compute_tau, converges, single_series_threshold,
-                                estimate_box_dimension, term_value)
+from diophlab.dimension import (N_MAX, POLY_BAND, _TERMS, SeriesSpec, _growth,
+                                _term_descriptors, compute_tau, converges,
+                                single_series_threshold, estimate_box_dimension,
+                                term_value)
 from diophlab.intervals import CellCapExceeded, box_count
 from diophlab.sequences import PsiSpec, SequenceSpec
 
@@ -162,10 +163,8 @@ def test_two_term_collapses_when_a_squared_below_b():
                 assert two.tau == pytest.approx(plain.tau, abs=1e-12)
 
 
-def _tau_grid_reprs():
-    """repr of compute_tau (closed form and numeric) and of each convergence
-    verdict, with its certificate when closed-form, over families x
-    sequence kinds x psi kinds."""
+def _tau_grid():
+    """SeriesSpecs over families x sequence kinds x psi kinds."""
     tab = SequenceSpec(kind="explicit-table", a_table=tuple(2.0 ** n for n in range(1, 25)),
                        b_table=tuple(3.0 ** n for n in range(1, 25)))
     itab = SequenceSpec(kind="integer-table", a_table=tuple(2.0 ** n for n in range(1, 25)),
@@ -173,7 +172,6 @@ def _tau_grid_reprs():
     seqs = [EXP23, SequenceSpec(kind="exponential", a=2, b=6),
             SequenceSpec(kind="exponential", a=1.5, b=4.2),
             SequenceSpec(kind="linear", a=1, b=2), tab, itab]
-    out = []
     for seq in seqs:
         psis = [PsiSpec(kind="power", t=0.5), PsiSpec(kind="power", t=2.0),
                 PsiSpec(kind="exponential", lam=0.0), PSI_THIRD,
@@ -184,16 +182,23 @@ def _tau_grid_reprs():
             for family in ("plain", "two-term", "gcd", "four-term", "lebesgue"):
                 if family == "gcd" and not seq.is_integer():
                     continue
-                s = SeriesSpec(seq=seq, psi=psi, family=family)
-                for numeric in (False, True):
-                    try:
-                        out.append(repr(compute_tau(s, numeric=numeric)))
-                    except ValueError as exc:
-                        out.append(repr(exc))
-                for x in ((1.0,) if family == "lebesgue" else (0.3, 0.6, 0.9)):
-                    v = converges(s, x)
-                    closed = v.certificate.get("method") == "closed-form"
-                    out.append(repr(v) if closed else repr(v.verdict))
+                yield SeriesSpec(seq=seq, psi=psi, family=family)
+
+
+def _tau_grid_reprs():
+    """repr of compute_tau (closed form and numeric) and of each convergence
+    verdict, with its certificate when closed-form, over the _tau_grid."""
+    out = []
+    for s in _tau_grid():
+        for numeric in (False, True):
+            try:
+                out.append(repr(compute_tau(s, numeric=numeric)))
+            except ValueError as exc:
+                out.append(repr(exc))
+        for x in ((1.0,) if s.family == "lebesgue" else (0.3, 0.6, 0.9)):
+            v = converges(s, x)
+            closed = v.certificate.get("method") == "closed-form"
+            out.append(repr(v) if closed else repr(v.verdict))
     return out
 
 
@@ -202,6 +207,47 @@ def test_tau_results_are_pinned():
     # signs of zero included; `diophlab tau` prints them in full
     text = "\n".join(_tau_grid_reprs())
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TAU_DIGEST
+
+
+def test_tau_and_converges_agree():
+    # one threshold algebra: the series converges above tau and diverges
+    # below it, with no verdict only for a fitted term on the p-series
+    # boundary, and tau is refused exactly where the table cannot be fitted.
+    # A psi that is 0 on the whole tail converges everywhere, so tau is +0,
+    # also over a falling b_n whose thresholds are -0; a 5-entry table is
+    # too short for either
+    zero_tails = [(0.0,) * 12, (0.5,) + (0.0,) * 40, (0.0,) * 5]
+    falling = SequenceSpec(kind="explicit-table", a_table=(1.0,) * 12,
+                           b_table=tuple(100.0 - 8 * n for n in range(12)))
+    zero = [SeriesSpec(seq=seq, psi=PsiSpec(kind="explicit-table", values=values),
+                       family=family)
+            for seq in (EXP23, SequenceSpec(kind="linear", a=1, b=2), falling)
+            for values in zero_tails
+            for family in ("plain", "two-term", "gcd", "four-term")
+            if family != "gcd" or seq.is_integer()]
+    for s in [*_tau_grid(), *zero]:
+        if s.family == "lebesgue":  # no s-threshold, and a verdict at s = 1 only
+            continue
+        verdicts = {x: converges(s, x) for x in (0.1, 0.3, 0.6, 0.9)}
+        try:
+            tau = compute_tau(s).tau
+        except ValueError:
+            assert all(v.verdict is None and "reason" in v.certificate
+                       for v in verdicts.values()), s
+            continue
+        for x, v in verdicts.items():
+            cert = v.certificate
+            assert "reason" not in cert, (s, x)
+            if v.verdict is None:
+                assert any(r == 0.0 and abs(e + 1.0) < POLY_BAND
+                           for r, e in zip(cert["rates"], cert["poly_exponents"])), (s, x)
+            elif x >= tau + 0.05:
+                assert v.verdict is True, (s, x, tau)
+            elif x <= tau - 0.05:
+                assert v.verdict is False, (s, x, tau)
+    for s in zero:
+        if s.psi.length >= 8:  # +0.0, as `diophlab tau` prints it
+            assert repr(compute_tau(s).tau) == "0.0", s
 
 
 def test_tail_fit_matches_closed_form():

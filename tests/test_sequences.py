@@ -75,6 +75,18 @@ def test_eval_psi_table():
         eval_psi(spec, 4)
 
 
+def test_overflowing_values_are_refused_with_their_index():
+    # float ** int and math.exp raise OverflowError; the ValueError names n
+    with pytest.raises(ValueError, match=r"b_n = 3\*\*700 overflows a float at n=700"):
+        eval_sequence(SequenceSpec(kind="exponential", a=2, b=3), 700)
+    for psi in (PsiSpec(kind="power", t=-200), PsiSpec(kind="exponential", lam=-1),
+                PsiSpec(kind="scaled-base", t=-2,
+                        seq=SequenceSpec(kind="exponential", a=1.5, b=2))):
+        with pytest.raises(ValueError, match="psi overflows a float at n=800"):
+            eval_psi(psi, 800)
+    assert eval_sequence(SequenceSpec(kind="exponential", a=2, b=3), 600)[1] == 3.0 ** 600
+
+
 def test_psi_rejects_negative_values():
     with pytest.raises(ValueError):
         PsiSpec(kind="explicit-table", values=(0.1, -0.2))

@@ -288,8 +288,9 @@ def test_replay_verbose_dumps_intermediates(tmp_path, capsys):
 
 
 def test_replay_rejects_malformed_file(tmp_path):
-    # an unknown check, a file that is not an object, and a missing key in
-    # the file or in its instance (a KeyError or TypeError before)
+    # an unknown check, a file that is not an object, a missing key in the
+    # file or in its instance, and a wrongly typed instance value (a
+    # KeyError or TypeError before)
     path = tmp_path / "bad.json"
     for doc, message in [
             ({"check": "not-a-check", "instance": {}}, "unknown check"),
@@ -297,7 +298,16 @@ def test_replay_rejects_malformed_file(tmp_path):
             ([1], "must be a JSON object, got list"),
             ({"check": "count-oracle", "instance": [1]}, "must be a JSON object"),
             ({"check": "count-oracle", "instance": {"a": 2}},
-             "count-oracle instance needs the key 'b'")]:
+             "count-oracle instance needs the key 'b'"),
+            # a value of another kind than the sampler draws
+            ({"check": "count-oracle", "instance": {**dict.fromkeys("abcd", 2.0),
+                                                   "eta": True, "xi": 0.1}},
+             "key 'eta' has a bad value True"),
+            ({"check": "exp-sum-orthogonality", "instance": {"a": 2, "b": 7.0}},
+             "key 'b' has a bad value 7.0"),
+            ({"check": "tau-bisection-agreement",
+              "instance": {"a": 2, "b": 3, "psi_kind": 1, "param": 1}},
+             "key 'psi_kind' has a bad value 1")]:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             replay(str(path), verbose=False)
