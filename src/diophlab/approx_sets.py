@@ -42,8 +42,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .intervals import (IntervalSet, cell_cap, check_pieces, check_s, check_size,
-                        complement, intersect, join_touching, mesh_piece_counts,
+from .intervals import (IntervalSet, cell_cap, check_mesh, check_pieces, check_s,
+                        check_size, complement, intersect, join_touching, mesh_piece_counts,
                         union_many)
 from .sequences import log_weight, refined_log, require_finite
 
@@ -155,8 +155,7 @@ def _near_runs(coef: float, shift: float, eps: np.ndarray, los: np.ndarray, his:
         # some walk may be over the cap: refuse the first, in tag order
         cuts = np.flatnonzero(np.diff(tags, prepend=-1))
         for i, j in zip(cuts, [*cuts[1:], tags.size]):
-            if eps[i] < np.inf:
-                check_size(counts[i:j].sum(), "windows")
+            check_size(counts[i:j].sum(), "windows")
     return _walk(first, counts, *values)
 
 
@@ -423,6 +422,17 @@ def product_membership(p: FracParams, delta: float, x):
 # -- covers -------------------------------------------------------------------
 
 
+def _cover_scales(p: FracParams, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(etas, xis, meshes) of a line or plane cover's pairs (eta, xi), each
+    checked by `check_thresholds`, its mesh min(eta/a, xi/b) by `check_mesh`."""
+    for eta, xi in pairs:
+        check_thresholds(eta, xi)
+    etas, xis = np.array(pairs, dtype=float).T
+    meshes = np.minimum(etas / p.a, xis / p.b)
+    check_mesh(meshes)
+    return etas, xis, meshes
+
+
 def _piece_counts(p: FracParams, etas, xis, meshes: np.ndarray) -> np.ndarray:
     """Pieces of length meshes[i] covering the simultaneous set of each
     threshold pair i, all positive: max(ceil(len/mesh), 1) per component of
@@ -442,8 +452,9 @@ def _piece_counts(p: FracParams, etas, xis, meshes: np.ndarray) -> np.ndarray:
 def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float]:
     """(pieces, mesh) of the equal-mesh cover of the simultaneous set.
 
-    The mesh is min(eta/a, xi/b), and a component of length len takes
-    max(ceil(len/mesh), 1) pieces; callers compare the sum with
+    The mesh is min(eta/a, xi/b), positive by `_cover_scales` (a threshold of
+    0 is refused, one at or above 1/2 is vacuous), and a component of length
+    len takes max(ceil(len/mesh), 1) pieces; callers compare the sum with
     `FracParams.count_bound`.  The one-pair case of `_cover_counts`:
     O(a + pairs walked) time, O(b) with eta >= 1/2, O(a + _CHUNK) memory.
     """
@@ -452,14 +463,9 @@ def cover_simultaneous(p: FracParams, eta: float, xi: float) -> tuple[int, float
 
 def _cover_counts(p: FracParams, pairs) -> list[tuple[int, float]]:
     """(pieces, mesh) of `cover_simultaneous` for each threshold pair, all
-    counted by `_piece_counts`: no piece is formed and no interval set is
-    built, O(a + pairs walked) time per group of `_overlaps`."""
-    etas, xis = np.array(pairs, dtype=float).T
-    if not np.all((0.0 < etas) & (etas < 1.0) & (0.0 < xis) & (xis < 1.0)):
-        raise ValueError("cover needs 0 < eta, xi < 1")
-    meshes = np.minimum(etas / p.a, xis / p.b)
-    if not np.all(meshes > 0.0):
-        raise ValueError("mesh must be positive")
+    checked by `_cover_scales` and counted by `_piece_counts`: no piece or
+    interval set is built, O(a + pairs walked) time per group of `_overlaps`."""
+    etas, xis, meshes = _cover_scales(p, pairs)
     counts = _piece_counts(p, etas, xis, meshes)
     return [(int(n), float(mesh)) for n, mesh in zip(counts, meshes)]
 

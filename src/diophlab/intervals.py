@@ -154,8 +154,6 @@ def normalize(raw) -> IntervalSet:
     keep = his > los
     if not keep.all():
         los, his = los[keep], his[keep]
-    if los.size == 0:
-        return IntervalSet.empty()
     if np.any(los[1:] < los[:-1]):  # construction paths mostly emit sorted
         order = np.argsort(los, kind="stable")
         los, his = los[order], his[order]
@@ -184,11 +182,8 @@ def intersect(x: IntervalSet, y: IntervalSet) -> IntervalSet:
     start = np.searchsorted(y.his, x.los, side="right")
     stop = np.searchsorted(y.los, x.his, side="left")
     counts = np.maximum(stop - start, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return IntervalSet.empty()
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    pos = np.arange(total)
+    pos = np.arange(offsets[-1])
     which_x = np.repeat(np.arange(len(x)), counts)
     which_y = pos - np.repeat(offsets[:-1], counts) + np.repeat(start, counts)
     lo = np.maximum(x.los[which_x], y.los[which_y])
@@ -252,8 +247,7 @@ def premeasure_upper(x: IntervalSet, s: float, mesh: float) -> float:
     radius above mesh/2.
     """
     check_s(s)
-    if not 0.0 < mesh < math.inf:
-        raise ValueError(f"mesh must be positive and finite, got {mesh}")
+    check_mesh(mesh)
     with np.errstate(over="ignore"):
         total = mesh_piece_counts(x.los, x.his, mesh).sum()
     check_pieces(total, mesh)
@@ -314,6 +308,13 @@ def mesh_piece_counts(los: np.ndarray, his: np.ndarray, mesh: float) -> np.ndarr
     return np.maximum(np.ceil((his - los) / mesh), 1.0)
 
 
+def check_mesh(meshes) -> None:
+    """Refuse a mesh, meshes[i], that is not positive and finite."""
+    for mesh in np.ravel(meshes):
+        if not 0.0 < mesh < math.inf:
+            raise ValueError(f"mesh must be positive and finite, got {mesh}")
+
+
 def check_pieces(totals, meshes) -> None:
     """Refuse a piece total, totals[i] at meshes[i], that overflowed to inf."""
     over = np.asarray(meshes)[np.asarray(totals) == math.inf]
@@ -328,8 +329,7 @@ def mesh_cover(x: IntervalSet, mesh: float) -> Cover:
     piece is stretched to the component's hi when rounding left it a few
     ulp short, so the union provably contains the component.
     """
-    if not mesh > 0.0:
-        raise ValueError("mesh must be positive")
+    check_mesh(mesh)
     with np.errstate(over="ignore"):
         counts = mesh_piece_counts(x.los, x.his, mesh)
         check_size(counts.sum(), f"cover pieces of mesh {mesh}")

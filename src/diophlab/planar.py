@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx_sets import (AnnulusCoverCost, FracParams, _piece_counts,
+from .approx_sets import (AnnulusCoverCost, FracParams, _cover_scales, _piece_counts,
                           annulus_cover_cost, check_thresholds, dist_nearest_int,
                           dyadic_annuli, simultaneous_set)
 from .intervals import IntervalSet, check_s, lebesgue
@@ -68,31 +68,25 @@ class SquareCover:
 
 
 def _square_counts(p: FracParams, pairs) -> list[tuple[int, float]]:
-    """(squares, mesh) of the box product at each pair (eta, xi) covered by
-    squares of side mesh = min(eta/a, xi/b): the product of the piece counts
-    of its factors (eta, 1/2) and (1/2, xi), all on one `_piece_counts`."""
-    etas, xis = np.array(pairs, dtype=float).T
-    meshes = np.minimum(etas / p.a, xis / p.b)
-    live = meshes > 0.0
-    half = np.full(np.count_nonzero(live), 0.5)
-    counts = _piece_counts(p, np.concatenate([etas[live], half]),
-                           np.concatenate([half, xis[live]]), np.tile(meshes[live], 2))
-    squares = iter([int(x) * int(y) for x, y in zip(counts[:half.size], counts[half.size:])])
-    return [(next(squares) if ok else 0, float(mesh)) for ok, mesh in zip(live, meshes)]
+    """(squares, mesh) of the box product at each pair (eta, xi), checked by
+    `_cover_scales`, covered by squares of side mesh = min(eta/a, xi/b): the
+    piece counts of its factors (eta, 1/2) and (1/2, xi), on one
+    `_piece_counts`, multiplied."""
+    etas, xis, meshes = _cover_scales(p, pairs)
+    half = np.full(etas.size, 0.5)
+    xs, ys = _piece_counts(p, np.concatenate([etas, half]), np.concatenate([half, xis]),
+                           np.tile(meshes, 2)).reshape(2, -1)
+    return [(int(x) * int(y), float(mesh)) for x, y, mesh in zip(xs, ys, meshes)]
 
 
 def cover_rectangles(p: FracParams, eta: float, xi: float, s: float) -> SquareCover:
-    """Cover the box product by squares of side min(eta/a, xi/b)."""
+    """Cover the box product by squares of side min(eta/a, xi/b), the pair
+    checked by `_cover_scales` as on the line; an empty product has 0 squares."""
     check_s(s)
-    check_thresholds(eta, xi)
     squares, mesh = _square_counts(p, [(eta, xi)])[0]
-    if not squares:
-        return SquareCover(squares=0, mesh=mesh, premeasure=0.0, bound=0.0, ratio=0.0)
     bound = p.a * p.b * max(eta / p.a, xi / p.b) / mesh
-    return SquareCover(squares=squares, mesh=mesh,
-                       premeasure=squares * mesh ** (1.0 + s),
-                       bound=bound,
-                       ratio=squares / bound)
+    return SquareCover(squares=squares, mesh=mesh, premeasure=squares * mesh ** (1.0 + s),
+                       bound=bound, ratio=squares / bound)
 
 
 def planar_membership(p: FracParams, delta: float, x, y) -> np.ndarray:

@@ -75,6 +75,19 @@ def test_cover_csv_headers(capsys):
     assert out.splitlines()[0] == "a,b,c,d,eta,xi,pieces,bound,ratio"
 
 
+def test_cover_takes_a_vacuous_threshold(capsys):
+    # a threshold at or above 1/2 is vacuous, as in planar cover: eta = 1.5
+    # was refused with "cover needs 0 < eta, xi < 1"
+    code, out, err = run_cli(capsys, "cover", "--a", "2", "--b", "9",
+                             "--eta", "1.5", "--xi", "0.3")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["pieces"], doc["mesh"]) == (20, 0.3 / 9)
+    # the same set and mesh as at eta = 1/2, the first vacuous threshold
+    _, half, _ = run_cli(capsys, "cover", "--a", "2", "--b", "9", "--eta", "0.5", "--xi", "0.3")
+    assert json.loads(half)["pieces"] == 20
+
+
 def test_discrepancy_reports_pass(capsys):
     code, out, _ = run_cli(capsys, "discrepancy", "--a", "3", "--b", "17",
                            "--c", "0.4", "--d", "0.2")
@@ -480,6 +493,14 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     (("scan", "--a", "2", "--b", "3", "--t", "1", "--with-boxdim",
       "--boxdim-n-lo", "700", "--boxdim-n-hi", "701"),
      "b_n = 3**700 overflows a float at n=700"),
+    # a cover needs a positive mesh: a threshold of 0 gave a planar cover of
+    # 0 squares with exit 0; the line's cover already refused it
+    (("planar", "cover", "--a", "2", "--b", "5", "--eta", "0", "--xi", "0.1"),
+     "mesh must be positive and finite, got 0.0"),
+    (("cover", "--a", "2", "--b", "5", "--eta", "0.1", "--xi", "0"),
+     "mesh must be positive and finite, got 0.0"),
+    (("cover", "--a", "2", "--b", "9", "--eta", "nan", "--xi", "0.3"),
+     "thresholds must be numbers, not inf or NaN: nan, 0.3"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
     # a NaN or infinite coefficient, threshold or psi parameter, a delta

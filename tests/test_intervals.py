@@ -339,6 +339,17 @@ def test_mesh_cover_refuses_a_count_past_the_largest_float():
         mesh_cover(IntervalSet.full(), 1e-320)
 
 
+@pytest.mark.parametrize("mesh", [0.0, -1.0, math.inf, math.nan])
+def test_every_mesh_user_refuses_a_mesh_by_one_rule(mesh):
+    # one message from check_mesh: mesh_cover laid out a NaN piece at inf
+    # and premeasure_upper had a message of its own
+    message = rf"^mesh must be positive and finite, got {mesh}$"
+    with pytest.raises(ValueError, match=message):
+        mesh_cover(IntervalSet.full(), mesh)
+    with pytest.raises(ValueError, match=message):
+        premeasure_upper(IntervalSet.full(), 0.5, mesh)
+
+
 def test_union_many_matches_iterated_union():
     rng = np.random.default_rng(5)
     sets = [normalize(rng.random((5, 2)).tolist()) for _ in range(6)]

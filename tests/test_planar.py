@@ -69,9 +69,21 @@ def test_cover_counts_balanced_case():
 
 
 def test_cover_empty_case():
-    cov = cover_rectangles(FracParams(2, 5), 0.0, 0.0, 0.5)
-    assert cov.squares == 0
-    assert cov.premeasure == 0.0
+    # a threshold of 0 gives mesh 0, refused as the line's cover refuses
+    # it, not a zero cover with bound 0.0
+    with pytest.raises(ValueError, match=r"^mesh must be positive and finite, got 0\.0$"):
+        cover_rectangles(FracParams(2, 5), 0.0, 0.0, 0.5)
+
+
+def test_cover_of_an_empty_box_product_keeps_its_bound():
+    # eta/a is below the ulp of every a-window centre, so the box product is
+    # empty at a positive mesh: 0 squares against the bound a*b*max/min, not
+    # the bound 0.0 of a hand-built zero cover
+    eta, xi = 1e-300, 0.4
+    mesh = min(eta / 2, xi / 3)
+    cov = cover_rectangles(FracParams(2, 3, 0.3, 0.1), eta, xi, 0.5)
+    assert (cov.squares, cov.mesh, cov.premeasure, cov.ratio) == (0, mesh, 0.0, 0.0)
+    assert cov.bound == 2 * 3 * max(eta / 2, xi / 3) / mesh > 0.0
 
 
 def test_cover_ratio_bounded_randomized():

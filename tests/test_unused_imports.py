@@ -1,6 +1,8 @@
 """Every name a diophlab module imports is used in that module, every
 import of a package module is at the module's head, and every module-level
 _private name and UPPER_CASE constant is read by the package or perfbench.
+Each cover scale rule, on the mesh and on the thresholds, has its message
+in one function.
 
 No linter runs on this package, so a refactor that drops the last use of
 an import, helper or constant leaves it behind unnoticed.  `__init__` is
@@ -114,3 +116,46 @@ def test_an_unread_private_name_is_found():
             "def _tail_fit():\n    pass\n_kept = 1\n")
     assert _unread({"dimension": code}, [code, "x = m._kept\n"]) == \
         ["dimension.BISECT_LO", "dimension.RAABE_BAND", "dimension._tail_fit"]
+
+
+_RULES = {"mesh must be": "intervals.check_mesh",
+          "thresholds must be": "approx_sets.check_thresholds"}
+
+
+def _holders(tree: ast.Module, module: str) -> dict[str, set[str]]:
+    """For each message of _RULES, the module.function of tree whose
+    strings hold it, module.<module> for a string outside any function."""
+    found = {text: set() for text in _RULES}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                for text in found:
+                    if text in child.value:
+                        found[text].add(owner)
+            visit(child, owner)
+
+    visit(tree, f"{module}.<module>")
+    return found
+
+
+def test_each_scale_rule_has_one_owner():
+    # a cover's mesh and thresholds are refused by one function each, so
+    # no second copy of either rule, with its own range and message, returns
+    found = {text: set() for text in _RULES}
+    for path in FILES:
+        for text, owners in _holders(ast.parse(path.read_text()), path.stem).items():
+            found[text] |= owners
+    assert found == {text: {owner} for text, owner in _RULES.items()}
+
+
+def test_a_second_rule_owner_is_found():
+    code = ('def check_mesh(m):\n    raise ValueError(f"mesh must be finite, got {m}")\n'
+            'def cover(m):\n    if m <= 0:\n        raise ValueError("mesh must be positive")\n'
+            'MESSAGE = "thresholds must be numbers"\n')
+    assert _holders(ast.parse(code), "intervals") == {
+        "mesh must be": {"intervals.check_mesh", "intervals.cover"},
+        "thresholds must be": {"intervals.<module>"}}
