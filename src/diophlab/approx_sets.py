@@ -327,17 +327,15 @@ def _product_pieces(p: FracParams,
                     delta: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream solution pieces of the product condition, one chunk of
     `_cells` at a time; the pieces are non-empty and in x order, within and
-    across chunks.  The stream owns delta's domain: one empty chunk at 0,
-    the piece [0, 1] above 1/2, where the product reaches delta**2 at
-    finitely many points only, and a ValueError for a NaN, a negative delta
-    or one in (0, 2**-511).
-    """
-    if not delta >= 0.0:
-        raise ValueError(f"delta must be a nonnegative number, got {delta}")
+    across chunks.  The stream owns delta's domain, 0 or a finite delta >=
+    2**-511, where delta**2 is a normal float: one empty chunk at 0, the
+    piece [0, 1] above 1/2, where the product reaches delta**2 at finitely
+    many points only, and a ValueError for any other delta."""
+    if not (delta == 0.0 or 2.0 ** -511 <= delta < math.inf):
+        raise ValueError(f"delta must be in [2**-511, inf) or be 0, got {delta}")
     if delta == 0.0 or delta > 0.5:
         yield (np.empty(0), np.empty(0)) if delta == 0.0 else (np.zeros(1), np.ones(1))
         return
-    check_delta(delta)
     d2 = delta * delta
     for lo, hi, k, q in _cells(p):
         plo, phi = _solve_chunk(p, d2, lo, hi, k, q)
@@ -411,10 +409,10 @@ def decompose_product_set(p: FracParams, delta: float) -> ProductDecomposition:
     )
 
 
-def product_membership(p: FracParams, delta: float, x):
-    """Direct pointwise test of the product condition.  Vectorized."""
+def product_membership(p: FracParams, delta: float, x, y=None):
+    """Direct test of ||a x + c|| * ||b y + d|| < delta**2, y = x on the line."""
     u = dist_nearest_int(p.a * np.asarray(x, dtype=float) + p.c)
-    v = dist_nearest_int(p.b * np.asarray(x, dtype=float) + p.d)
+    v = dist_nearest_int(p.b * np.asarray(x if y is None else y, dtype=float) + p.d)
     out = u * v < delta * delta
     return bool(out) if np.ndim(out) == 0 else out
 
@@ -436,16 +434,17 @@ def _cover_scales(p: FracParams, pairs) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _piece_counts(p: FracParams, etas, xis, meshes: np.ndarray) -> np.ndarray:
     """Pieces of length meshes[i] covering the simultaneous set of each
     threshold pair i, all positive: max(ceil(len/mesh), 1) per component of
-    the `_joined` `_overlaps`, summed per pair, as floats; an inf is refused."""
+    the `_joined` `_overlaps`, summed per pair, as floats.  An inf is refused
+    at the chunk that makes it: pairs come in order, so all before are done."""
     total = np.zeros(len(etas))
     with np.errstate(over="ignore"):
         for lo, hi, tag in _joined(_overlaps(p, etas, xis)):
             # each pair's components are one slice of the chunk, in pair order
-            pairs = range(tag[0], tag[-1] + 1) if tag.size else ()
+            pairs = range(tag[0], tag[-1] + 1) if tag.size else range(0)
             cuts = np.searchsorted(tag, [*pairs, len(etas)])
             for i, c0, c1 in zip(pairs, cuts, cuts[1:]):
                 total[i] += mesh_piece_counts(lo[c0:c1], hi[c0:c1], meshes[i]).sum()
-    check_pieces(total, meshes)
+            check_pieces(total[pairs.start:pairs.stop], meshes[pairs.start:pairs.stop])
     return total
 
 
@@ -550,5 +549,7 @@ def measure_bound(p: FracParams, delta: float) -> float:
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     L = p.weight()
-    return (delta * delta * L * refined_log(1.0 / delta)
-            + math.sqrt(p.a / p.b) * delta * L)
+    bound = delta * delta * L * refined_log(1.0 / delta) + math.sqrt(p.a / p.b) * delta * L
+    if not math.isfinite(bound):
+        raise ValueError(f"the measure bound at delta {delta} is not a finite number")
+    return bound

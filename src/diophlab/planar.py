@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx_sets import (AnnulusCoverCost, FracParams, _cover_scales, _piece_counts,
-                          annulus_cover_cost, check_thresholds, dist_nearest_int,
-                          dyadic_annuli, simultaneous_set)
-from .intervals import IntervalSet, check_s, lebesgue
+                          annulus_cover_cost, check_thresholds, dyadic_annuli,
+                          product_membership, simultaneous_set)
+from .intervals import IntervalSet, check_pieces, check_s, lebesgue
 
 _BLOCK = 1 << 20
 
@@ -81,19 +81,12 @@ def _square_counts(p: FracParams, pairs) -> list[tuple[int, float]]:
 
 def cover_rectangles(p: FracParams, eta: float, xi: float, s: float) -> SquareCover:
     """Cover the box product by squares of side min(eta/a, xi/b), the pair
-    checked by `_cover_scales` as on the line; an empty product has 0 squares."""
-    check_s(s)
+    checked by `_cover_scales` as on the line, the bound by `check_pieces`."""
     squares, mesh = _square_counts(p, [(eta, xi)])[0]
     bound = p.a * p.b * max(eta / p.a, xi / p.b) / mesh
-    return SquareCover(squares=squares, mesh=mesh, premeasure=squares * mesh ** (1.0 + s),
-                       bound=bound, ratio=squares / bound)
-
-
-def planar_membership(p: FracParams, delta: float, x, y) -> np.ndarray:
-    """Direct test of ||a x + c|| * ||b y + d|| < delta**2."""
-    u = dist_nearest_int(p.a * np.asarray(x, dtype=float) + p.c)
-    v = dist_nearest_int(p.b * np.asarray(y, dtype=float) + p.d)
-    return u * v < delta * delta
+    check_pieces(bound, mesh)
+    premeasure = planar_premeasure(AnnulusCoverCost((squares, mesh), [], []), s)
+    return SquareCover(squares, mesh, premeasure, bound, squares / bound)
 
 
 def mc_planar_product_area(p: FracParams, delta: float, samples: int,
@@ -114,7 +107,7 @@ def mc_planar_product_area(p: FracParams, delta: float, samples: int,
         m = min(_BLOCK, samples - done)
         rng = np.random.Generator(np.random.Philox(key=[seed, block]))
         pts = rng.random((m, 2))
-        hits += int(np.count_nonzero(planar_membership(p, delta, pts[:, 0], pts[:, 1])))
+        hits += int(np.count_nonzero(product_membership(p, delta, pts[:, 0], pts[:, 1])))
         done += m
         block += 1
     est = hits / samples
@@ -131,9 +124,15 @@ def decompose_planar_product_set(p: FracParams, delta: float) -> AnnulusCoverCos
 
 def planar_premeasure(cost: AnnulusCoverCost, s: float) -> float:
     """Square-cover s-cost core + sum(first) + sum(second), s in (0, 1], at
-    squares * side**(1+s) per pair, the convention of `cover_rectangles`."""
+    squares * side**(1+s) per pair, the s-cost of `cover_rectangles` too."""
     check_s(s)
-    return sum(sum(n * side ** (1.0 + s) for n, side in part)
+
+    def square_cost(n: int, side: float) -> float:
+        # below the normal floats side**(1+s) has lost digits, or all of them
+        power = side ** (1.0 + s)
+        return n * power if power >= 2.0 ** -1022 else n * side * side ** s
+
+    return sum(sum(square_cost(n, side) for n, side in part)
                for part in ([cost.core], cost.first_far, cost.second_far))
 
 

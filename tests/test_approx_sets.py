@@ -124,7 +124,7 @@ def test_product_pieces_joined_are_the_product_set(delta, chunks):
     assert np.array_equal(los, want.los) and np.array_equal(his, want.his)
 
 
-@pytest.mark.parametrize("delta", [math.nan, -0.1, 1e-200])
+@pytest.mark.parametrize("delta", [math.nan, -0.1, 1e-200, math.inf])
 def test_product_pieces_refuse_a_delta_outside_their_domain(delta):
     with pytest.raises(ValueError, match="delta must be"):
         next(_product_pieces(FracParams(2, 3), delta))
@@ -607,6 +607,26 @@ def test_window_walk_memory_is_bounded_by_chunk(monkeypatch):
     simultaneous_set(p, 0.3, 0.5 - 3e-13)
     cover_simultaneous(p, 0.5 - 3e-13, 0.5 - 3e-13)
     assert len(sizes) > 1000 and max(sizes) <= 64
+
+
+def test_piece_counts_stop_at_the_overflowing_chunk(monkeypatch):
+    # the first pair's count overflows in its first chunk: the walk stops
+    # there, one chunk of _joined's look-ahead later, not after the 62
+    # chunks of all ten pairs, and the first overflowing mesh is named
+    chunks = []
+    overlaps = approx_sets._overlaps
+
+    def counted(*args):
+        for chunk in overlaps(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(approx_sets, "_overlaps", counted)
+    meshes = np.array([1e-320] + [1e-3] * 8 + [1e-321])
+    with pytest.raises(ValueError, match=r"^mesh 1e-320 is too fine"):
+        approx_sets._piece_counts(FracParams(1, 1e5), np.full(10, 0.5), np.full(10, 0.01),
+                                  meshes)
+    assert len(chunks) == 2
 
 
 def test_touching_windows_join_across_chunks(monkeypatch):

@@ -488,7 +488,7 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
     # delta = sqrt(psi(6))
     (("scan", "--a", "2", "--b", "3", "--t", "110", "--with-boxdim",
       "--boxdim-n-lo", "4", "--boxdim-n-hi", "6"),
-     "psi(6) = 1.258843915e-315: delta must be in [2**-511, 1/2]"),
+     "psi(6) = 1.258843915e-315: delta must be in [2**-511, inf) or be 0"),
     # b_700 = 3^700 overflows a float
     (("scan", "--a", "2", "--b", "3", "--t", "1", "--with-boxdim",
       "--boxdim-n-lo", "700", "--boxdim-n-hi", "701"),
@@ -501,6 +501,12 @@ def test_bad_threshold_or_exponent_is_computation_error(capsys, argv):
      "mesh must be positive and finite, got 0.0"),
     (("cover", "--a", "2", "--b", "9", "--eta", "nan", "--xi", "0.3"),
      "thresholds must be numbers, not inf or NaN: nan, 0.3"),
+    # an infinite delta was printed as Infinity, which is not JSON, and so
+    # was the measure bound that a finite delta overflows
+    (("set", "--a", "2", "--b", "3", "--delta", "inf"),
+     "delta must be in [2**-511, inf) or be 0, got inf"),
+    (("measure", "--a", "2", "--b", "3", "--delta", "1e200", "--s", "0.5"),
+     "the measure bound at delta 1e+200 is not a finite number"),
 ])
 def test_non_finite_input_exits_with_message(argv, message):
     # a NaN or infinite coefficient, threshold or psi parameter, a delta
@@ -592,6 +598,16 @@ def test_subnormal_mesh_counts(argv, code, text):
         assert (proc.stdout, proc.stderr) == ("", text)
     else:
         assert (json.loads(proc.stdout), proc.stderr) == (text, "")
+
+
+def test_planar_cover_refuses_an_overflowing_bound():
+    # a * b * max(eta/a, xi/b) / mesh passes the largest float at a finite
+    # square count: the bound was printed as Infinity, which is not JSON
+    proc = subprocess.run([sys.executable, "-m", "diophlab.cli", "planar", "cover",
+                           "--a", "1", "--b", "1e7", "--eta", "0.3", "--xi", "1e-295",
+                           "--s", "0.5"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: mesh 1.0000000000000001e-302 {_TOO_FINE}\n")
 
 
 @pytest.mark.parametrize("delta", ["0.7", "0.1"])

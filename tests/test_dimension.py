@@ -448,7 +448,7 @@ def test_box_dimension_refuses_a_delta_below_2_to_the_minus_511():
     # delta = sqrt(1e-310) < 2**-511: product_set refuses it, and the box
     # counts read (1, 1, 1, 1, 1, 1) from a product threshold of 0
     psi = PsiSpec(kind="explicit-table", values=(1e-310,) * 3)
-    with pytest.raises(ValueError, match=r"delta must be in \[2\*\*-511, 1/2\]"):
+    with pytest.raises(ValueError, match=r"delta must be in \[2\*\*-511, inf\) or be 0"):
         estimate_box_dimension(EXP23, psi, 1, 3, [2.0 ** -k for k in range(1, 7)])
 
 

@@ -1,14 +1,14 @@
+import decimal
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from diophlab.approx_sets import FracParams, dyadic_annuli
+from diophlab.approx_sets import FracParams, dyadic_annuli, product_membership
 from diophlab.planar import (cover_rectangles, decompose_planar_product_set,
-                             index_split, mc_planar_product_area, planar_membership,
-                             planar_premeasure, planar_premeasure_bound,
-                             product_rectangle_set)
+                             index_split, mc_planar_product_area, planar_premeasure,
+                             planar_premeasure_bound, product_rectangle_set)
 from diophlab.verify import planar_unit_area
 
 
@@ -84,6 +84,31 @@ def test_cover_of_an_empty_box_product_keeps_its_bound():
     cov = cover_rectangles(FracParams(2, 3, 0.3, 0.1), eta, xi, 0.5)
     assert (cov.squares, cov.mesh, cov.premeasure, cov.ratio) == (0, mesh, 0.0, 0.0)
     assert cov.bound == 2 * 3 * max(eta / 2, xi / 3) / mesh > 0.0
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+def test_cover_premeasure_survives_an_underflowing_power(s):
+    # mesh**(1+s) = 1e-306**(1+s) is below the normal floats, 0.0 at s = 0.5,
+    # where squares * mesh**(1+s) is about 8e-154; 50-digit decimal reference
+    cov = cover_rectangles(FracParams(1, 1000), 1e-306, 0.4, s)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        want = float(decimal.Decimal(cov.squares)
+                     * decimal.Decimal(cov.mesh) ** decimal.Decimal(1.0 + s))
+    assert want > 0.0
+    assert cov.premeasure == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_decompose_premeasure_survives_underflowing_powers():
+    # at delta = 2**-511 every side is below 1e-153, so each side**1.5 is
+    # subnormal or 0; the total read 1.8e-199 where it is about 2.04e-153
+    cost = decompose_planar_product_set(FracParams(1, 1), 2.0 ** -511)
+    pairs = [(decimal.Decimal(n), decimal.Decimal(side))
+             for n, side in [cost.core, *cost.first_far, *cost.second_far]]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        want = float(sum(n * side * side.sqrt() for n, side in pairs))
+    assert planar_premeasure(cost, 0.5) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_cover_ratio_bounded_randomized():
@@ -212,7 +237,7 @@ def test_decompose_core_membership_spot_check():
     rng = np.random.default_rng(8)
     x, y = rng.random(100_000), rng.random(100_000)
     in_core = core.contains(x, y)
-    in_product = planar_membership(p, delta, x, y)
+    in_product = product_membership(p, delta, x, y)
     assert not np.any(in_core & ~in_product)
 
 
@@ -236,7 +261,7 @@ def test_annulus_cover_is_superset_of_remainder():
     delta = 0.09
     rng = np.random.default_rng(23)
     x, y = rng.random(200_000), rng.random(200_000)
-    members = planar_membership(p, delta, x, y)
+    members = product_membership(p, delta, x, y)
     x, y = x[members], y[members]
     covered = product_rectangle_set(p, delta, delta).contains(x, y)
     for j in dyadic_annuli(delta):

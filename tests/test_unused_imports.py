@@ -1,7 +1,8 @@
 """Every name a diophlab module imports is used in that module, every
 import of a package module is at the module's head, and every module-level
 _private name and UPPER_CASE constant is read by the package or perfbench.
-Each cover scale rule, on the mesh and on the thresholds, has its message
+Each cover scale rule, on the mesh and on the thresholds, the overflow
+rule for a piece count and the product set's delta domain has its message
 in one function.
 
 No linter runs on this package, so a refactor that drops the last use of
@@ -119,7 +120,9 @@ def test_an_unread_private_name_is_found():
 
 
 _RULES = {"mesh must be": "intervals.check_mesh",
-          "thresholds must be": "approx_sets.check_thresholds"}
+          "thresholds must be": "approx_sets.check_thresholds",
+          "is too fine": "intervals.check_pieces",
+          "delta must be in [2**-511, inf)": "approx_sets._product_pieces"}
 
 
 def _holders(tree: ast.Module, module: str) -> dict[str, set[str]]:
@@ -143,8 +146,9 @@ def _holders(tree: ast.Module, module: str) -> dict[str, set[str]]:
 
 
 def test_each_scale_rule_has_one_owner():
-    # a cover's mesh and thresholds are refused by one function each, so
-    # no second copy of either rule, with its own range and message, returns
+    # a cover's mesh and thresholds, an overflowing count and a product-set
+    # delta are refused by one function each, so no second copy of a rule,
+    # with its own range and message, returns
     found = {text: set() for text in _RULES}
     for path in FILES:
         for text, owners in _holders(ast.parse(path.read_text()), path.stem).items():
@@ -158,4 +162,5 @@ def test_a_second_rule_owner_is_found():
             'MESSAGE = "thresholds must be numbers"\n')
     assert _holders(ast.parse(code), "intervals") == {
         "mesh must be": {"intervals.check_mesh", "intervals.cover"},
-        "thresholds must be": {"intervals.<module>"}}
+        "thresholds must be": {"intervals.<module>"},
+        "is too fine": set(), "delta must be in [2**-511, inf)": set()}
